@@ -159,8 +159,22 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
+def _range_error(args) -> str | None:
+    """The first numeric option outside its range, as a message, or None."""
+    limits = (("--n", "n", 1), ("--trials", "trials", 1), ("--max-poly-degree", "max_poly_degree", 0))
+    for option, attr, low in limits:
+        value = getattr(args, attr, None)
+        if value is not None and value < low:
+            return f"{option} must be at least {low}, got {value}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _range_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     handlers = {
         "eval": cmd_eval,
         "verify": cmd_verify,

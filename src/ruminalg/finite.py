@@ -109,7 +109,9 @@ class FiniteVector:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((id(self.algebra), self.degree, self.coeffs))
+            # All zero vectors are equal whatever their degree, so they hash alike.
+            shape = None if self.is_zero() else (self.degree, self.coeffs)
+            self._hash = hash((id(self.algebra), shape))
         return self._hash
 
     def __str__(self) -> str:

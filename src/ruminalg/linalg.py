@@ -1,8 +1,10 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are lists of row lists of Fraction.  Everything here is plain
-Gauss-Jordan elimination; sizes stay small (vertical coframe bases and
-finite-model complexes), so no pivoting strategy beyond "first nonzero".
+Gauss-Jordan elimination; sizes stay small (the Lefschetz solver in `rumin`
+inverts only the diagonal blocks of its matrix, at most 35 wide up to n = 7,
+and finite-model complexes are small), so no pivoting strategy beyond
+"first nonzero".
 """
 
 from fractions import Fraction

@@ -166,8 +166,13 @@ class Poly:
         if k < 0:
             raise ValueError("negative polynomial power")
         out = Poly.one(self.nvars)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:  # square and multiply
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def deriv(self, index: int) -> "Poly":

@@ -9,8 +9,12 @@ on H^{2n+1} it is characterized by
                                                                if k >= n+1,
 
 where each solve is the inverse of a vertical Lefschetz isomorphism.  Since
-dtheta is constant in the adapted coframe, every solve is one cached integer
-matrix factorization applied coefficientwise -- the factorizations are
+dtheta is constant in the adapted coframe, every solve is one cached constant
+inverse applied coefficientwise.  Wedging with dtheta only fills coframe pairs
+(e^i, e^{n+i}), so the Lefschetz matrix is block diagonal, one block per
+pattern of half-filled pairs and at most C(m, m//2) wide for m free pairs;
+the solver inverts each block on its own and stores the inverse sparsely,
+and a solve touches only the terms of its right-hand side.  The solvers are
 write-once, read-many and safe to share across threads.
 
 `pi(w) = w - d gamma(w) - gamma(dw)` projects onto the subcomplex R of forms
@@ -34,35 +38,70 @@ from fractions import Fraction
 from . import linalg
 from .cinfty import GradedOpSet, RetractData, apply_tensor_ops
 from .errors import DomainError
-from .forms import (
-    ContactModel,
-    Form,
-    exterior_d,
-    lefschetz_power_matrix,
-    wedge,
-    wedge_dtheta_power,
-)
+from .forms import ContactModel, Form, exterior_d, wedge, wedge_dtheta_power
 from .poly import Poly
 
 _ONE = Fraction(1)
 
-# (n, power, lambda) -> (source monomials, target position map, inverse matrix)
+# (n, power, lambda) -> block solver: target monomial -> [(source monomial, coefficient)]
 _solver_cache: dict = {}
 
 
-def _lefschetz_solver(model: ContactModel, power: int, lam: Fraction):
+def _block_solver(model: ContactModel, power: int, dtheta_form: Form) -> dict:
+    """Inverse of wedging with dtheta_form^power from vertical monomials of
+    degree n-power+1 to those of degree n+power+1, as a sparse map from each
+    target monomial to the (source monomial, coefficient) pairs of its column.
+
+    Wedging with (a multiple of) dtheta only fills coframe pairs, so the
+    monomials fall into small connected blocks (one per pattern of
+    half-filled pairs); each block is inverted on its own.  Raises ValueError
+    when the power is not an isomorphism.
+    """
+    one = Poly.one(model.nvars)
+    lifted = wedge_dtheta_power(Form.constant(model, one), power, dtheta_form)
+    images = {
+        s: wedge(Form(model, len(s), {s: one}, _canonical=True), lifted).terms
+        for s in model.vertical_monomials(model.n - power + 1)
+    }
+    sources_of: dict = {}
+    for s, image in images.items():
+        for t in image:
+            sources_of.setdefault(t, []).append(s)
+    solver = {}
+    placed, reached = set(), set()
+    for seed in images:
+        if seed in placed:
+            continue
+        placed.add(seed)
+        block_src, block_tgt = [seed], []
+        for s in block_src:  # grows while it is walked
+            for t in images[s]:
+                if t not in reached:
+                    reached.add(t)
+                    block_tgt.append(t)
+                    for s2 in sources_of[t]:
+                        if s2 not in placed:
+                            placed.add(s2)
+                            block_src.append(s2)
+        if len(block_src) != len(block_tgt):
+            raise ValueError("matrix is singular")
+        col = {s: j for j, s in enumerate(block_src)}
+        matrix = [[Fraction(0)] * len(block_src) for _ in block_tgt]
+        for i, t in enumerate(block_tgt):
+            for s in sources_of[t]:
+                matrix[i][col[s]] = images[s][t].constant_value()
+        inv = linalg.inverse(matrix)
+        for i, t in enumerate(block_tgt):
+            solver[t] = [(s, inv[j][i]) for j, s in enumerate(block_src) if inv[j][i]]
+    return solver
+
+
+def _lefschetz_solver(model: ContactModel, power: int, lam: Fraction) -> dict:
     key = (model.n, power, lam)
     cached = _solver_cache.get(key)
-    if cached is not None:
-        return cached
-    dtheta_form = None if lam == 1 else model.dtheta().scale(lam)
-    matrix = lefschetz_power_matrix(model, power, dtheta_form)
-    inv = linalg.inverse(matrix)
-    src = model.vertical_monomials(model.n - power + 1)
-    tgt = model.vertical_monomials(model.n + power + 1)
-    tgt_pos = {idx: i for i, idx in enumerate(tgt)}
-    _solver_cache[key] = (src, tgt_pos, inv)
-    return _solver_cache[key]
+    if cached is None:
+        cached = _solver_cache[key] = _block_solver(model, power, model.dtheta().scale(lam))
+    return cached
 
 
 def _solve_vertical(model: ContactModel, power: int, rhs: Form, lam: Fraction) -> Form:
@@ -75,20 +114,13 @@ def _solve_vertical(model: ContactModel, power: int, rhs: Form, lam: Fraction) -
         if not rhs.is_zero():
             raise DomainError("inconsistent Lefschetz system")
         return Form.zero(model, max(src_degree, 0))
-    src, tgt_pos, inv = _lefschetz_solver(model, power, lam)
-    nvars = model.nvars
-    rhs_vec = [Poly.zero(nvars)] * len(tgt_pos)
-    for idx, p in rhs.terms.items():
-        rhs_vec[tgt_pos[idx]] = p
+    solver = _lefschetz_solver(model, power, lam)
     terms = {}
-    for j, idx in enumerate(src):
-        acc = Poly.zero(nvars)
-        row = inv[j]
-        for i, p in enumerate(rhs_vec):
-            if row[i] and not p.is_zero():
-                acc = acc.add_scaled(p, row[i])
-        if not acc.is_zero():
-            terms[idx] = acc
+    for t, p in rhs.terms.items():
+        for s, c in solver[t]:
+            acc = terms.get(s)
+            terms[s] = p.scale(c) if acc is None else acc.add_scaled(p, c)
+    terms = {s: p for s, p in terms.items() if not p.is_zero()}
     return Form(model, src_degree, terms, _canonical=True)
 
 

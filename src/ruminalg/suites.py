@@ -467,7 +467,7 @@ def run_suite(name: str, n: int = 1, trials: int = 100, seed: int = 0, max_poly_
         trials=trials,
         seed=seed,
         max_poly_degree=max_poly_degree,
-        passed=not rec.failures,
+        passed=rec.checks > 0 and not rec.failures,  # a run that checked nothing proves nothing
         failures=rec.failures,
         checks=rec.checks,
         wall_time=elapsed,

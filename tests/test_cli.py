@@ -72,6 +72,24 @@ def test_verify_missing_suite_exit_2(capsys):
     assert code == 2 and "suite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "dx1", "--n", "0"],
+        ["verify", "dsq", "--n", "0"],
+        ["verify", "dsq", "--trials", "0"],
+        ["verify", "all", "--trials", "-3"],
+        ["verify", "dsq", "--max-poly-degree", "-1"],
+        ["basis", "--n", "0", "--degree", "1"],
+        ["model", "--n", "-2"],
+    ],
+)
+def test_out_of_range_options_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --")
+
+
 def test_verify_flag_form(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "lefschetz-iso", "--n", "2")
     assert code == 0 and "PASS" in out

@@ -226,6 +226,15 @@ def test_vector_algebra_and_display():
     assert hash(ce.element("a")) == hash(ce.element("a"))
 
 
+def test_zero_vectors_hash_alike():
+    ce = heisenberg_ce_algebra()
+    zeros = [ce.zero(1), ce.zero(2), ce.element("a").scale(0), ce.element("a") - ce.element("a")]
+    for z in zeros:
+        assert z == zeros[0] and hash(z) == hash(zeros[0])
+    assert len(set(zeros)) == 1
+    assert len({ce.zero(1), ce.element("a")}) == 2
+
+
 def test_cochain_map_from_function():
     ce = heisenberg_ce_algebra()
     doubling = CochainMap.from_function(ce, ce, lambda v: v.scale(2))

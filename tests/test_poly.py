@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,16 @@ def test_constant_queries():
     assert Poly.zero(3).constant_value() == 0
 
 
+def test_binomial_powers():
+    one = Poly.one(3)
+    for k in (0, 1, 2, 3, 7, 64, 127, 200):
+        expected = Poly(3, {(j, 0, 0): math.comb(k, j) for j in range(k + 1)})
+        assert (one + X1) ** k == expected
+    assert Poly.zero(3) ** 0 == one
+    with pytest.raises(ValueError):
+        X1 ** -1
+
+
 exponents = st.tuples(*(st.integers(0, 3) for _ in range(3)))
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 polys = st.dictionaries(exponents, rationals, max_size=4).map(lambda d: Poly(3, d))
@@ -85,3 +96,12 @@ def test_leibniz_rule(p, q, var):
 def test_scaling_distributes(p, c):
     assert p.scale(c) + p.scale(-c) == Poly.zero(3)
     assert p.add_scaled(p, c) == p + p.scale(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys, st.integers(0, 6))
+def test_power_is_repeated_product(p, k):
+    expected = Poly.one(3)
+    for _ in range(k):
+        expected = expected * p
+    assert p ** k == expected

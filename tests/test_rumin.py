@@ -2,8 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from ruminalg import linalg, rumin
 from ruminalg.errors import DomainError
-from ruminalg.forms import ContactModel, Form, exterior_d, is_vertical, random_form, wedge
+from ruminalg.forms import (
+    ContactModel,
+    Form,
+    exterior_d,
+    is_vertical,
+    lefschetz_power_matrix,
+    random_form,
+    wedge,
+)
 from ruminalg.poly import Poly
 from ruminalg.prng import stream
 from ruminalg.rumin import (
@@ -114,6 +123,65 @@ def test_gamma_invariance_rejects_nonpositive():
         gamma_invariance_check(_dx(M1), 0)
     with pytest.raises(DomainError):
         gamma_invariance_check(_dx(M1), Fraction(-2, 3))
+
+
+# -- the block Lefschetz solver ------------------------------------------------------
+
+
+def _dense_solve(model, power, rhs, dtheta_form):
+    """Oracle: the dense inverse of the whole Lefschetz power matrix, applied
+    coefficientwise."""
+    n = model.n
+    inv = linalg.inverse(lefschetz_power_matrix(model, power, dtheta_form))
+    src = model.vertical_monomials(n - power + 1)
+    tgt = model.vertical_monomials(n + power + 1)
+    terms = {}
+    for j, s in enumerate(src):
+        acc = Poly.zero(model.nvars)
+        for i, t in enumerate(tgt):
+            acc = acc.add_scaled(rhs.coefficient(t), inv[j][i])
+        terms[s] = acc
+    return Form(model, n - power + 1, terms)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(3, 7)])
+def test_block_solver_matches_dense_inverse(lam):
+    for n in range(1, 5):
+        model = ContactModel(n)
+        rng = stream(41, n)
+        for power in range(1, n + 1):
+            for _ in range(3):
+                rhs = random_form(model, rng, n + power + 1, 2, vertical=True)
+                expected = _dense_solve(model, power, rhs, model.dtheta().scale(lam))
+                assert rumin._solve_vertical(model, power, rhs, lam) == expected
+
+
+def test_block_solver_reaches_n6():
+    model = ContactModel(6)
+    rng = stream(42, 0)
+    for deg in (2, 4, 6):
+        v = random_form(model, rng, deg, 0, density=(1, 4), vertical=True)
+        assert not v.is_zero()
+        assert gamma(exterior_d(v)) == v
+    for deg in (3, 7, 9):
+        w = random_form(model, rng, deg, 0, density=(1, 8))
+        assert not gamma(w).is_zero()
+        assert gamma(gamma(w)).is_zero()
+
+
+def test_solver_from_wrong_dtheta_changes_gamma(monkeypatch):
+    # A solver built from dtheta with one pair's coefficient changed must
+    # change the rescaled gamma, so gamma_invariance_check can fail.
+    lam = Fraction(3, 7)
+    wrong_terms = dict(M2.dtheta().terms)
+    wrong_terms[(1, 3)] = Poly.constant(M2.nvars, 2)
+    wrong = Form(M2, 2, wrong_terms).scale(lam)
+    monkeypatch.setattr(rumin, "_solver_cache", {})
+    for power in range(1, M2.n + 1):
+        rumin._solver_cache[(M2.n, power, lam)] = rumin._block_solver(M2, power, wrong)
+    for w in (wedge(_dx(M2), _dy(M2)), wedge(_dx(M2, 2), wedge(_dx(M2), _dy(M2)))):
+        assert gamma(w, _lam=lam) != gamma(w)
+        assert not gamma_invariance_check(w, lam)
 
 
 # -- primitivity and membership ------------------------------------------------------

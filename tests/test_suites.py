@@ -36,6 +36,16 @@ def test_every_suite_passes_small():
         assert report.checks > 0
 
 
+def test_no_checks_never_passes():
+    # ce-cohomology is exhaustive and ignores the trial count.
+    for name in SUITES:
+        if name == "ce-cohomology":
+            continue
+        report = run_suite(name, n=1, trials=0, seed=0)
+        assert report.checks > 0 or not report.passed, name
+    assert run_suite("lefschetz-iso", n=1, trials=0).passed  # checks no random input
+
+
 def test_reports_deterministic():
     for name in ("dsa-lemma", "gamma-props", "stasheff"):
         a = run_suite(name, n=1, trials=10, seed=11)
