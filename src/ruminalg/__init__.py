@@ -19,7 +19,7 @@ from .forms import (
     random_form,
     wedge,
 )
-from .poly import Poly, kernel_name
+from .poly import Poly
 from .rumin import (
     RuminElement,
     certify,
@@ -63,3 +63,9 @@ __all__ = [
     "random_form",
     "wedge",
 ]
+
+
+def kernel_name() -> str:
+    """The arithmetic kernel, always "pure-python": there is only one.  Kept
+    because the benchmark in perfbench/ records it with every result."""
+    return "pure-python"

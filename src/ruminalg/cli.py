@@ -21,7 +21,6 @@ from .errors import ConstructionError, DimensionError, DomainError
 from .finite import FiniteGradedAlgebra, cohomology, heisenberg_ce_algebra, heisenberg_rumin_model
 from .forms import ContactModel
 from .parser import ParseError, eval_text
-from .poly import kernel_name
 from .suites import SUITE_NAMES, format_report, report_json, run_all, run_suite
 
 
@@ -37,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"ruminalg {__version__} (kernel: {kernel_name()})",
+        version=f"ruminalg {__version__}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

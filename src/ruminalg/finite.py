@@ -380,27 +380,35 @@ def cohomology(algebra: FiniteGradedAlgebra) -> Cohomology:
 
 
 class CochainMap:
-    """Degree-zero linear map between finite algebras, one matrix per degree
-    (dst dimension x src dimension)."""
+    """Linear map between finite algebras that changes degree by `shift`, one
+    exact matrix per source degree (dst.dim(deg + shift) rows x src.dim(deg)
+    columns).  Cochain maps have shift 0; a homotopy has shift -1."""
 
-    def __init__(self, src: FiniteGradedAlgebra, dst: FiniteGradedAlgebra, blocks):
+    def __init__(self, src: FiniteGradedAlgebra, dst: FiniteGradedAlgebra, blocks, shift: int = 0):
         self.src = src
         self.dst = dst
-        self.blocks = {deg: m for deg, m in blocks.items()}
+        self.shift = shift
+        self.blocks = {}
+        for deg, m in blocks.items():
+            rows, cols = dst.dim(deg + shift), src.dim(deg)
+            if len(m) != rows or any(len(row) != cols for row in m):
+                raise DimensionError(f"block for degree {deg} is not {rows} x {cols}")
+            self.blocks[deg] = [[Fraction(c) for c in row] for row in m]
 
     @classmethod
-    def from_function(cls, src, dst, fn) -> "CochainMap":
+    def from_function(cls, src, dst, fn, shift: int = 0) -> "CochainMap":
+        """Sample the linear map `fn` on the basis of every degree of `src`."""
         blocks = {}
         for deg in src.degrees:
-            cols = [list(fn(v).coeffs) for v in src.basis_vectors(deg)]
-            blocks[deg] = linalg.from_columns(cols, dst.dim(deg))
-        return cls(src, dst, blocks)
+            cols = [fn(v).coeffs for v in src.basis_vectors(deg)]
+            blocks[deg] = linalg.from_columns(cols, dst.dim(deg + shift))
+        return cls(src, dst, blocks, shift)
 
     def apply(self, v: FiniteVector) -> FiniteVector:
         block = self.blocks.get(v.degree)
         if block is None:
-            return self.dst.zero(v.degree)
-        return FiniteVector(self.dst, v.degree, linalg.mat_vec(block, list(v.coeffs)))
+            return self.dst.zero(v.degree + self.shift)
+        return FiniteVector._make(self.dst, v.degree + self.shift, tuple(linalg.mat_vec(block, v.coeffs)))
 
     def is_cochain_map(self) -> bool:
         for deg in self.src.degrees:
@@ -615,27 +623,6 @@ class FiniteModelBundle:
     inclusion: CochainMap
 
 
-def _blocks_from_function(src: FiniteGradedAlgebra, dst: FiniteGradedAlgebra, fn, shift: int = 0):
-    """Matrix per degree of a linear map src -> dst raising degree by
-    `shift`, sampled on basis vectors."""
-    blocks = {}
-    for deg in src.degrees:
-        cols = [list(fn(v).coeffs) for v in src.basis_vectors(deg)]
-        blocks[deg] = linalg.from_columns(cols, dst.dim(deg + shift))
-    return blocks
-
-
-def _apply_blocks(blocks, dst: FiniteGradedAlgebra, shift: int = 0):
-    def apply(v: FiniteVector) -> FiniteVector:
-        block = blocks.get(v.degree)
-        target = v.degree + shift
-        if block is None:
-            return dst.zero(target)
-        return FiniteVector._make(dst, target, tuple(linalg.mat_vec(block, v.coeffs)))
-
-    return apply
-
-
 def heisenberg_ce_retract() -> FiniteModelBundle:
     """Restrict (inclusion, pi, gamma) from symbolic forms on H^3 to the
     constant-coefficient CE algebra; retract identities are verified on the
@@ -662,21 +649,20 @@ def heisenberg_ce_retract() -> FiniteModelBundle:
     def homotopy_symbolic(a: FiniteVector) -> FiniteVector:
         return _form_to_vec(rumin.gamma(_vec_to_form(a, model)), ce)
 
-    include = _apply_blocks(_blocks_from_function(rm, ce, include_symbolic), ce)
-    project = _apply_blocks(_blocks_from_function(ce, rm, project_symbolic), rm)
-    homotopy = _apply_blocks(_blocks_from_function(ce, ce, homotopy_symbolic, shift=-1), ce, shift=-1)
+    inclusion = CochainMap.from_function(rm, ce, include_symbolic)
+    project = CochainMap.from_function(ce, rm, project_symbolic)
+    homotopy = CochainMap.from_function(ce, ce, homotopy_symbolic, shift=-1)
 
     retract = RetractData(
         d=ce.apply_d,
         mu=ce.mu_vec,
-        h=homotopy,
-        i=include,
-        pi=project,
+        h=homotopy.apply,
+        i=inclusion.apply,
+        pi=project.apply,
         b_d=rm.apply_d,
         name="heisenberg finite model",
     )
     issues = retract.verify(ce.all_basis_vectors(), rm.all_basis_vectors())
     if issues:
         raise ConstructionError("finite retract identities failed: " + "; ".join(issues))
-    inclusion = CochainMap.from_function(rm, ce, include)
     return FiniteModelBundle(ce=ce, rumin=rm, retract=retract, inclusion=inclusion)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DimensionError, DomainError
-from .poly import Poly, get_kernel
+from .poly import Poly, _add_terms, _mul_terms, _neg_terms
 from .prng import SplitMix64
 
 
@@ -277,18 +277,51 @@ class Form:
 # -- algebra operations ------------------------------------------------------
 
 
+def merge_indices(i, j):
+    """Concatenate two strictly increasing index tuples and sort.
+
+    Returns (sign, merged) with sign in {+1, -1}, or (0, ()) when the tuples
+    share an index (the wedge of repeated generators vanishes).  The sign is
+    the parity of the merge permutation: the number of pairs (a in i, b in j)
+    with a > b.
+    """
+    inversions = 0
+    for b in j:
+        for a in i:
+            if a == b:
+                return 0, ()
+            if a > b:
+                inversions += 1
+    merged = tuple(sorted(i + j))
+    return (-1 if inversions & 1 else 1), merged
+
+
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product; graded commutative and associative."""
     a._check(b)
     degree = a.degree + b.degree
     if a.is_zero() or b.is_zero() or degree > a.model.dim:
         return Form.zero(a.model, degree)
-    ta = {idx: p.terms for idx, p in a.terms.items()}
-    tb = {idx: p.terms for idx, p in b.terms.items()}
-    raw = get_kernel().wedge_terms(ta, tb)
+    out = {}
+    for ia, pa in a.terms.items():
+        for ib, pb in b.terms.items():
+            sign, merged = merge_indices(ia, ib)
+            if sign == 0:
+                continue
+            prod = _mul_terms(pa.terms, pb.terms)
+            if not prod:
+                continue
+            if sign < 0:
+                prod = _neg_terms(prod)
+            cur = out.get(merged)
+            acc = _add_terms(cur, prod) if cur else prod
+            if acc:
+                out[merged] = acc
+            elif merged in out:
+                del out[merged]
     nvars = a.model.nvars
-    out = {idx: Poly(nvars, t, _canonical=True) for idx, t in raw.items()}
-    return Form(a.model, degree, out, _canonical=True)
+    terms = {idx: Poly(nvars, t, _canonical=True) for idx, t in out.items()}
+    return Form(a.model, degree, terms, _canonical=True)
 
 
 def wedge_all(forms) -> Form:

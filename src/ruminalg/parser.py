@@ -21,6 +21,8 @@ the last normalized through dz = theta + sum y_i dx_i at evaluation.
 RATIONAL is INT or INT/INT.  Operator calls: d(.), gamma(.), pi(.),
 L(., power), m2(.;.), m3(.;.;.), f2(.;.) -- the certified-input operators
 check Rumin membership of their arguments and fail with context otherwise.
+A power that could exceed MAX_POWER_TERMS terms is refused with
+DomainError before it is computed.
 
 Canonical output (`Form.to_text`) reparses to an equal form, and reprints
 byte-identically.
@@ -28,6 +30,7 @@ byte-identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +38,10 @@ from .errors import DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, lefschetz, wedge
 from .poly import Poly
 from .rumin import certify, f2, gamma, m2, m3, pi
+
+
+# Most terms a `**` in an expression may produce, estimated before powering.
+MAX_POWER_TERMS = 1000
 
 
 class ParseError(ValueError):
@@ -303,8 +310,22 @@ class Parser:
             )
         if self.at_sym("**"):
             self.advance()
-            ptok = self.expect("INT")
-            base = base ** int(ptok.text)
+            k = int(self.expect("INT").text)
+            m = len(base.terms)
+            if m > 1:
+                # p**k has at most comb(k + m - 1, m - 1) terms, the monomials
+                # of degree k in m letters.  The count grows with k, so it is
+                # formed at k <= MAX_POWER_TERMS: cheap, and still over the
+                # limit whenever the count at k is.
+                capped = min(k, MAX_POWER_TERMS)
+                estimate = math.comb(capped + m - 1, m - 1)
+                if estimate > MAX_POWER_TERMS:
+                    more = "more than " if capped < k else ""
+                    raise DomainError(
+                        f"power {k} of a {m}-term polynomial may have {more}{estimate} terms, "
+                        f"above the limit of {MAX_POWER_TERMS}"
+                    )
+            base = base ** k
         return base
 
     def resolve_coordinate(self, tok: Token) -> Poly:

@@ -11,40 +11,69 @@ A polynomial is canonically a map from exponent tuples (length 2n+1, entries
 polynomial is the empty map.  Values are immutable after construction and all
 operations are pure, so sharing across threads is safe.
 
-The arithmetic inner loops live in a swappable kernel: the compiled
-`_poly_kernel_c` when available, else the pure-Python `_poly_kernel`.
-Set RUMINALG_PURE_PYTHON=1 to force the fallback.
+The arithmetic works on raw term dictionaries (exponent tuple -> nonzero
+Fraction, zero never stored); `forms.wedge` multiplies and accumulates its
+coefficient dictionaries through the same helpers as `Poly` does.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 from .errors import DimensionError
 
-if os.environ.get("RUMINALG_PURE_PYTHON"):
-    from . import _poly_kernel as _kernel
-else:
-    try:
-        from . import _poly_kernel_c as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _poly_kernel as _kernel  # type: ignore[no-redef]
+_ZERO = Fraction(0)
+_MINUS_ONE = Fraction(-1)
 
 
-def kernel_name() -> str:
-    """Name of the arithmetic kernel in use ('cython' or 'pure-python')."""
-    return _kernel.KERNEL_NAME
+def _add_terms(a, b):
+    """a + b on term dictionaries."""
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for ex, c in b.items():
+        s = out.get(ex, _ZERO) + c
+        if s:
+            out[ex] = s
+        elif ex in out:
+            del out[ex]
+    return out
 
 
-def set_kernel(module) -> None:
-    """Swap the arithmetic kernel (benchmarking/testing hook)."""
-    global _kernel
-    _kernel = module
+def _add_scaled_terms(a, b, c):
+    """a + c*b on term dictionaries, without an intermediate scaled copy."""
+    if not c or not b:
+        return dict(a)
+    out = dict(a)
+    for ex, v in b.items():
+        s = out.get(ex, _ZERO) + c * v
+        if s:
+            out[ex] = s
+        elif ex in out:
+            del out[ex]
+    return out
 
 
-def get_kernel():
-    return _kernel
+def _neg_terms(a):
+    return {ex: -c for ex, c in a.items()}
+
+
+def _mul_terms(a, b):
+    """a * b on term dictionaries: exponents add, coefficients multiply."""
+    if not a or not b:
+        return {}
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            ex = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(ex, _ZERO) + ca * cb
+            if s:
+                out[ex] = s
+            elif ex in out:
+                del out[ex]
+    return out
 
 
 def var_name(nvars: int, index: int) -> str:
@@ -137,30 +166,33 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return self._wrap(_kernel.poly_add(self.terms, other.terms))
+        return self._wrap(_add_terms(self.terms, other.terms))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return self._wrap(_kernel.poly_sub(self.terms, other.terms))
+        return self._wrap(_add_scaled_terms(self.terms, other.terms, _MINUS_ONE))
 
     def __neg__(self) -> "Poly":
-        return self._wrap(_kernel.poly_neg(self.terms))
+        return self._wrap(_neg_terms(self.terms))
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return self._wrap(_kernel.poly_mul(self.terms, other.terms))
+        return self._wrap(_mul_terms(self.terms, other.terms))
 
     def scale(self, c) -> "Poly":
-        return self._wrap(_kernel.poly_scale(self.terms, Fraction(c)))
+        c = Fraction(c)
+        if not c:
+            return self._wrap({})
+        return self._wrap({ex: c * v for ex, v in self.terms.items()})
 
     def add_scaled(self, other: "Poly", c) -> "Poly":
         """self + c*other."""
         self._check(other)
-        return self._wrap(_kernel.poly_add_scaled(self.terms, other.terms, Fraction(c)))
+        return self._wrap(_add_scaled_terms(self.terms, other.terms, Fraction(c)))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -179,7 +211,17 @@ class Poly:
         """Exact partial derivative with respect to coordinate `index`."""
         if not 0 <= index < self.nvars:
             raise DimensionError(f"derivative index {index} out of range for {self.nvars} variables")
-        return self._wrap(_kernel.poly_deriv(self.terms, index))
+        out = {}
+        for ex, c in self.terms.items():
+            e = ex[index]
+            if e:
+                nex = ex[:index] + (e - 1,) + ex[index + 1 :]
+                s = out.get(nex, _ZERO) + c * e
+                if s:
+                    out[nex] = s
+                elif nex in out:
+                    del out[nex]
+        return self._wrap(out)
 
     # -- equality / display ------------------------------------------------
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ruminalg import __version__
 from ruminalg.cli import main
 from ruminalg.finite import heisenberg_ce_algebra
 
@@ -39,6 +40,12 @@ def test_eval_syntax_error_exit_2(capsys):
 def test_eval_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "eval", "m2(dx1^dy1; dx1)")
     assert code == 1 and "m2" in err
+
+
+def test_eval_power_over_term_budget_exit_1(capsys):
+    code, out, err = run(capsys, "eval", "((1+x1)**3000)")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "more than 1001 terms" in err and "1000" in err
 
 
 def test_verify_pass_and_json_determinism(capsys, tmp_path):
@@ -149,4 +156,4 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "ruminalg" in out and "kernel:" in out
+    assert out == f"ruminalg {__version__}\n"

@@ -2,16 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from ruminalg.errors import ConstructionError, DomainError
+from ruminalg.errors import ConstructionError, DimensionError, DomainError
 from ruminalg.finite import (
     CochainMap,
     FiniteGradedAlgebra,
+    _form_to_vec,
+    _model3,
+    _vec_to_form,
     check_ring_isomorphism,
     cohomology,
     heisenberg_ce_algebra,
     heisenberg_ce_retract,
     heisenberg_rumin_model,
 )
+from ruminalg.linalg import identity
+from ruminalg.rumin import gamma
 
 
 # -- independent Betti oracle: plain Gaussian elimination on the d-matrices ------
@@ -240,3 +245,28 @@ def test_cochain_map_from_function():
     doubling = CochainMap.from_function(ce, ce, lambda v: v.scale(2))
     assert doubling.is_cochain_map()
     assert doubling.apply(ce.element("c")) == ce.element("c").scale(2)
+
+
+def test_shifted_map_from_gamma_is_the_retract_homotopy():
+    bundle = heisenberg_ce_retract()
+    ce, model = bundle.ce, _model3()
+    h = CochainMap.from_function(
+        ce, ce, lambda a: _form_to_vec(gamma(_vec_to_form(a, model)), ce), shift=-1
+    )
+    assert any(not h.apply(v).is_zero() for v in ce.all_basis_vectors())
+    for v in ce.all_basis_vectors():
+        image = h.apply(v)
+        assert image.degree == v.degree - 1
+        assert image == bundle.retract.h(v)
+
+
+def test_cochain_map_block_shape_checked():
+    ce = heisenberg_ce_algebra()
+    good = {deg: identity(ce.dim(deg)) for deg in ce.degrees}
+    assert CochainMap(ce, ce, good).apply(ce.element("a")) == ce.element("a")
+    with pytest.raises(DimensionError):  # a row too few
+        CochainMap(ce, ce, {**good, 1: good[1][:-1]})
+    with pytest.raises(DimensionError):  # a column too few
+        CochainMap(ce, ce, {**good, 1: [row[:-1] for row in good[1]]})
+    with pytest.raises(DimensionError):  # degree-0 blocks land in degree -1 under shift -1
+        CochainMap(ce, ce, {0: good[0]}, shift=-1)

@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ruminalg.cinfty import permutation_sign
 from ruminalg.errors import DimensionError, DomainError
 from ruminalg.forms import (
     ContactModel,
@@ -12,6 +15,7 @@ from ruminalg.forms import (
     is_vertical,
     lefschetz,
     lefschetz_power_matrix,
+    merge_indices,
     random_form,
     wedge,
 )
@@ -126,6 +130,59 @@ def test_wedge_graded_commutative_and_associative():
         sign = -1 if (a_deg & 1) and (b_deg & 1) else 1
         assert wedge(a, b) == wedge(b, a).scale(sign)
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+
+def test_merge_indices_sign():
+    assert merge_indices((1,), (0,)) == (-1, (0, 1))
+    assert merge_indices((0,), (1,)) == (1, (0, 1))
+    assert merge_indices((0, 1), (1,)) == (0, ())
+    assert merge_indices((2, 3), (0, 1)) == (1, (0, 1, 2, 3))
+
+
+def ref_wedge(ta, tb):
+    """Wedge of {index tuple: {exponent tuple: Fraction}} maps; the sign of
+    each product of coframe monomials is the parity of its sorting
+    permutation, by `cinfty.permutation_sign`."""
+    out = {}
+    for ia, ca in ta.items():
+        for ib, cb in tb.items():
+            seq = ia + ib
+            if len(set(seq)) < len(seq):
+                continue
+            order = tuple(sorted(range(len(seq)), key=seq.__getitem__))
+            sign = permutation_sign(order)
+            acc = out.setdefault(tuple(seq[k] for k in order), {})
+            for ea, xa in ca.items():
+                for eb, xb in cb.items():
+                    ex = tuple(x + y for x, y in zip(ea, eb))
+                    acc[ex] = acc.get(ex, Fraction(0)) + sign * xa * xb
+    cleaned = {idx: {ex: c for ex, c in t.items() if c} for idx, t in out.items()}
+    return {idx: t for idx, t in cleaned.items() if t}
+
+
+coefficient_dicts = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in range(M2.nvars))),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    min_size=1,
+    max_size=3,
+).map(lambda d: Poly(M2.nvars, d))
+
+
+@st.composite
+def coframe_forms(draw):
+    degree = draw(st.integers(0, M2.dim))
+    monomials = draw(st.lists(st.sampled_from(M2.coframe_monomials(degree)), min_size=1, max_size=3, unique=True))
+    return Form(M2, degree, {idx: draw(coefficient_dicts) for idx in monomials})
+
+
+@settings(max_examples=80, deadline=None)
+@given(coframe_forms(), coframe_forms())
+def test_wedge_matches_permutation_sign_reference(a, b):
+    w = wedge(a, b)
+    ta = {idx: p.terms for idx, p in a.terms.items()}
+    tb = {idx: p.terms for idx, p in b.terms.items()}
+    assert {idx: p.terms for idx, p in w.terms.items()} == ref_wedge(ta, tb)
+    assert w.degree == a.degree + b.degree
 
 
 # -- exterior derivative ----------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from ruminalg.errors import DomainError
 from ruminalg.forms import ContactModel, Form, random_form, wedge
-from ruminalg.parser import ParseError, eval_text, parse_form
+from ruminalg.parser import MAX_POWER_TERMS, ParseError, eval_text, parse_form
 from ruminalg.poly import Poly
 from ruminalg.prng import stream
 
@@ -123,3 +123,23 @@ def test_polynomial_grammar_power_and_parens():
     assert p == Form.constant(M1, Poly.one(3))
     q = eval_text("(1/2*z + 1/2*z) theta", M1)
     assert q == M1.theta().scale_poly(Poly.variable(3, 2))
+
+
+def test_power_term_budget():
+    # (1+x1)**k has k+1 terms: the largest allowed power has exactly the budget.
+    k = MAX_POWER_TERMS - 1
+    assert len(eval_text(f"((1+x1)**{k})", M1).terms[()].terms) == MAX_POWER_TERMS
+    with pytest.raises(DomainError) as err:
+        eval_text(f"((1+x1)**{k + 1})", M1)
+    assert f"may have {k + 2} terms" in str(err.value) and str(MAX_POWER_TERMS) in str(err.value)
+    # four terms to the 40th: comb(43, 3) possible monomials
+    with pytest.raises(DomainError, match="may have 12341 terms"):
+        eval_text("((1+x1+y1+z)**40)", M1)
+    # a huge exponent on a large base is refused at once, without forming
+    # the count at the full exponent
+    big = "9" * 4000
+    with pytest.raises(DomainError, match="more than"):
+        eval_text(f"(((1+x1)**600*(1+y1))**{big})", M1)
+    # a single term, or zero, stays one term or none at any exponent
+    assert eval_text("(x1**100000)", M1).terms[()].total_degree() == 100000
+    assert eval_text("((0)**5)", M1).is_zero()

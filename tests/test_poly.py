@@ -105,3 +105,53 @@ def test_power_is_repeated_product(p, k):
     for _ in range(k):
         expected = expected * p
     assert p ** k == expected
+
+
+# -- reference arithmetic on plain dicts of Fractions ---------------------------
+
+term_dicts = st.dictionaries(exponents, rationals, max_size=5)
+
+
+def ref_clean(d):
+    return {ex: Fraction(c) for ex, c in d.items() if c}
+
+
+def ref_add_scaled(a, b, c):
+    out = dict(a)
+    for ex, v in b.items():
+        out[ex] = out.get(ex, Fraction(0)) + c * v
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            ex = tuple(x + y for x, y in zip(ea, eb))
+            out[ex] = out.get(ex, Fraction(0)) + ca * cb
+    return ref_clean(out)
+
+
+def ref_deriv(a, var):
+    out = {}
+    for ex, c in a.items():
+        if ex[var]:
+            lowered = list(ex)
+            lowered[var] -= 1
+            out[tuple(lowered)] = out.get(tuple(lowered), Fraction(0)) + ex[var] * c
+    return ref_clean(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_dicts, term_dicts, rationals, st.integers(0, 2))
+def test_arithmetic_matches_dict_reference(a, b, c, var):
+    p, q = Poly(3, a), Poly(3, b)
+    a, b = ref_clean(a), ref_clean(b)
+    assert p.terms == a
+    assert (p + q).terms == ref_add_scaled(a, b, 1)
+    assert (p - q).terms == ref_add_scaled(a, b, -1)
+    assert (-p).terms == ref_add_scaled({}, a, -1)
+    assert p.add_scaled(q, c).terms == ref_add_scaled(a, b, c)
+    assert p.scale(c).terms == ref_add_scaled({}, a, c)
+    assert (p * q).terms == ref_mul(a, b)
+    assert p.deriv(var).terms == ref_deriv(a, var)

@@ -1,0 +1,24 @@
+"""Repository hygiene: build output and generated files stay untracked."""
+
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=60)
+
+
+def test_no_ignored_file_is_tracked():
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    top = _git("rev-parse", "--show-toplevel")
+    if top.returncode != 0 or Path(top.stdout.strip()).resolve() != ROOT:
+        pytest.skip("not a git checkout")
+    listed = _git("ls-files", "-ci", "--exclude-standard")
+    assert listed.returncode == 0, listed.stderr
+    assert listed.stdout == "", f"tracked files that .gitignore excludes:\n{listed.stdout}"
