@@ -8,8 +8,12 @@ form is expressed in the adapted coframe
 
 in which dtheta = sum_i e^i ^ e^{n+i} has constant integer coefficients.
 Dually, the frame vector fields are the Reeb field T = d/dz and the
-horizontal fields X_i = d/dx_i + y_i d/dz, Y_i = d/dy_i, which is what the
-exterior derivative uses below.  User input written in coordinate
+horizontal fields X_i = d/dx_i + y_i d/dz, Y_i = d/dy_i.  The exterior
+derivative applies them to the coefficients directly: on f e^I it adds
+(Tf) e^0 ^ e^I, (X_i f) e^i ^ e^I and (Y_i f) e^{n+i} ^ e^I, and, when e^0
+divides e^I, f dtheta ^ e^{I minus 0}, monomial by monomial into one
+accumulator of coefficient dictionaries; `wedge` multiplies coefficient
+pairs into the same kind of accumulator.  User input written in coordinate
 differentials is normalized through dz = e^0 + sum_i y_i e^i.
 
 Forms are homogeneous: a Form stores a single degree and a map from strictly
@@ -23,10 +27,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from .errors import DimensionError, DomainError
-from .poly import Poly, _add_terms, _mul_terms, _neg_terms
+from .poly import Poly
 from .prng import SplitMix64
+
+_ZERO = Fraction(0)
 
 
 class ContactModel:
@@ -297,7 +304,10 @@ def merge_indices(i, j):
 
 
 def wedge(a: Form, b: Form) -> Form:
-    """Exterior product; graded commutative and associative."""
+    """Exterior product; graded commutative and associative.
+
+    Each coefficient product is multiplied straight into the accumulator of
+    its merged index, with the merge sign folded into the left factor."""
     a._check(b)
     degree = a.degree + b.degree
     if a.is_zero() or b.is_zero() or degree > a.model.dim:
@@ -306,22 +316,29 @@ def wedge(a: Form, b: Form) -> Form:
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
             sign, merged = merge_indices(ia, ib)
-            if sign == 0:
+            if not sign:
                 continue
-            prod = _mul_terms(pa.terms, pb.terms)
-            if not prod:
-                continue
-            if sign < 0:
-                prod = _neg_terms(prod)
-            cur = out.get(merged)
-            acc = _add_terms(cur, prod) if cur else prod
-            if acc:
-                out[merged] = acc
-            elif merged in out:
-                del out[merged]
-    nvars = a.model.nvars
-    terms = {idx: Poly(nvars, t, _canonical=True) for idx, t in out.items()}
-    return Form(a.model, degree, terms, _canonical=True)
+            acc = out.setdefault(merged, {})
+            tb = pb.terms.items()
+            for ea, ca in pa.terms.items():
+                if sign < 0:
+                    ca = -ca
+                for eb, cb in tb:
+                    ex = tuple(map(add, ea, eb))
+                    s = acc.get(ex, _ZERO) + ca * cb
+                    if s:
+                        acc[ex] = s
+                    else:
+                        del acc[ex]
+    return _form_from_accumulator(a.model, degree, out)
+
+
+def _form_from_accumulator(model: ContactModel, degree: int, out) -> Form:
+    """Wrap {index tuple: {exponent tuple: nonzero Fraction}} as a Form,
+    dropping the indices whose coefficients cancelled to nothing."""
+    nvars = model.nvars
+    terms = {idx: Poly(nvars, t, _canonical=True) for idx, t in out.items() if t}
+    return Form(model, degree, terms, _canonical=True)
 
 
 def wedge_all(forms) -> Form:
@@ -332,39 +349,59 @@ def wedge_all(forms) -> Form:
     return out
 
 
-def _differential_of_function(f: Poly, model: ContactModel) -> Form:
-    """df in the adapted coframe: (Tf) e^0 + sum (X_i f) e^i + (Y_i f) e^{n+i}
-    with T = d/dz, X_i = d/dx_i + y_i d/dz, Y_i = d/dy_i."""
-    n = model.n
-    z_index = 2 * n
-    tf = f.deriv(z_index)
-    terms = {}
-    if not tf.is_zero():
-        terms[(0,)] = tf
-    for i in range(1, n + 1):
-        xi = f.deriv(i - 1) + tf * Poly.variable(model.nvars, n + i - 1)
-        if not xi.is_zero():
-            terms[(i,)] = xi
-        yi = f.deriv(n + i - 1)
-        if not yi.is_zero():
-            terms[(n + i,)] = yi
-    return Form(model, 1, terms, _canonical=True)
-
-
 def exterior_d(w: Form) -> Form:
-    """Exterior derivative.  On a term f e^I this is df ^ e^I plus, when e^0
-    divides e^I, f dtheta ^ e^{I minus 0}; d(e^j) = 0 for j >= 1 and
-    d(e^0) = dtheta since theta = dz - sum y_i dx_i."""
+    """Exterior derivative, computed on the coefficients.
+
+    On a term f e^I this is df ^ e^I plus, when e^0 divides e^I,
+    f dtheta ^ e^{I minus 0}: d(e^j) = 0 for j >= 1 and d(e^0) = dtheta since
+    theta = dz - sum y_i dx_i.  df = (Tf) e^0 + sum (X_i f) e^i + (Y_i f) e^{n+i}
+    with T = d/dz, X_i = d/dx_i + y_i d/dz, Y_i = d/dy_i.  One pass over f's
+    monomials adds each frame derivative, signed by `merge_indices`, straight
+    into the accumulator of its output index, so cancellations such as
+    X_1(z - x1*y1) = 0 leave nothing behind."""
     model = w.model
-    out = Form.zero(model, w.degree + 1)
+    n = model.n
+    z = 2 * n
+    # Each frame field is a sum of moves (p, q, j): the term q-th coordinate
+    # (or 1 when q is None) times d/d(p-th coordinate) of the field dual to
+    # e^j.  Coordinate positions are x_1..x_n, y_1..y_n, z.
+    moves = [(z, None, 0)]
+    for i in range(1, n + 1):
+        moves += [(i - 1, None, i), (z, n + i - 1, i), (n + i - 1, None, n + i)]
+    out = {}
     for idx, f in w.terms.items():
-        df = _differential_of_function(f, model)
-        mono = Form(model, len(idx), {idx: Poly.one(model.nvars)}, _canonical=True)
-        out = out + wedge(df, mono)
+        # (sign, accumulator) of e^j ^ e^I for every j not in I
+        target = {}
+        for j in range(model.dim):
+            sign, merged = merge_indices((j,), idx)
+            if sign:
+                target[j] = (sign, out.setdefault(merged, {}))
+        active = [(p, q, *target[j]) for p, q, j in moves if j in target]
+        for ex, c in f.terms.items():
+            for p, q, sign, acc in active:
+                e = ex[p]
+                if e:
+                    key = ex[:p] + (e - 1,) + ex[p + 1 :]
+                    if q is not None:
+                        key = key[:q] + (key[q] + 1,) + key[q + 1 :]
+                    s = acc.get(key, _ZERO) + c * (sign * e)
+                    if s:
+                        acc[key] = s
+                    else:
+                        del acc[key]
         if idx and idx[0] == 0:
-            tail = Form(model, len(idx) - 1, {idx[1:]: f}, _canonical=True)
-            out = out + wedge(model.dtheta(), tail)
-    return out
+            for i in range(1, n + 1):
+                sign, merged = merge_indices((i, n + i), idx[1:])
+                if not sign:
+                    continue
+                acc = out.setdefault(merged, {})
+                for ex, c in f.terms.items():
+                    s = acc.get(ex, _ZERO) + (c if sign > 0 else -c)
+                    if s:
+                        acc[ex] = s
+                    else:
+                        del acc[ex]
+    return _form_from_accumulator(model, w.degree + 1, out)
 
 
 def is_vertical(w: Form) -> bool:

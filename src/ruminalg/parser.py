@@ -64,6 +64,18 @@ class Token:
     col: int
 
 
+def _int(tok: Token, digits: str | None = None) -> int:
+    """The value of the token's digits, or of `digits` cut from its text.
+    What `int` refuses, such as more digits than Python converts, is a
+    ParseError at the token."""
+    digits = tok.text if digits is None else digits
+    try:
+        return int(digits)
+    except ValueError:
+        shown = digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
+        raise ParseError(f"cannot read number {shown}", tok.line, tok.col) from None
+
+
 def tokenize(text: str):
     tokens = []
     line, col = 1, 1
@@ -210,13 +222,14 @@ class Parser:
 
     def parse_rational(self) -> Poly:
         tok = self.expect("INT")
-        value = Fraction(int(tok.text))
+        value = Fraction(_int(tok))
         if self.at_sym("/"):
             self.advance()
             den = self.expect("INT")
-            if int(den.text) == 0:
+            den_value = _int(den)
+            if den_value == 0:
                 raise ParseError("zero denominator", den.line, den.col)
-            value /= int(den.text)
+            value /= den_value
         return Poly.constant(self.model.nvars, value)
 
     def parse_chain(self):
@@ -250,7 +263,7 @@ class Parser:
         if name == "L":
             self.expect("SYM", ",")
             ptok = self.expect("INT")
-            power = int(ptok.text)
+            power = _int(ptok)
         if len(args) != arity:
             raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}", tok.line, tok.col)
         self.expect("SYM", ")")
@@ -263,11 +276,11 @@ class Parser:
         if name == "dz":
             return -1
         if name.startswith("dx") and name[2:].isdigit():
-            i = int(name[2:])
+            i = _int(tok, name[2:])
             if 1 <= i <= n:
                 return i
         if name.startswith("dy") and name[2:].isdigit():
-            i = int(name[2:])
+            i = _int(tok, name[2:])
             if 1 <= i <= n:
                 return n + i
         raise ParseError(f"unknown generator {name!r} for n={n}", tok.line, tok.col)
@@ -310,7 +323,7 @@ class Parser:
             )
         if self.at_sym("**"):
             self.advance()
-            k = int(self.expect("INT").text)
+            k = _int(self.expect("INT"))
             m = len(base.terms)
             if m > 1:
                 # p**k has at most comb(k + m - 1, m - 1) terms, the monomials
@@ -333,10 +346,10 @@ class Parser:
         name = tok.text
         if name == "z":
             return Poly.variable(self.model.nvars, 2 * n)
-        if name.startswith("x") and name[1:].isdigit() and 1 <= int(name[1:]) <= n:
-            return Poly.variable(self.model.nvars, int(name[1:]) - 1)
-        if name.startswith("y") and name[1:].isdigit() and 1 <= int(name[1:]) <= n:
-            return Poly.variable(self.model.nvars, n + int(name[1:]) - 1)
+        if name[:1] in ("x", "y") and name[1:].isdigit():
+            i = _int(tok, name[1:])
+            if 1 <= i <= n:
+                return Poly.variable(self.model.nvars, i - 1 if name[0] == "x" else n + i - 1)
         raise ParseError(f"unknown coordinate {name!r} for n={n}", tok.line, tok.col)
 
 

@@ -12,8 +12,8 @@ polynomial is the empty map.  Values are immutable after construction and all
 operations are pure, so sharing across threads is safe.
 
 The arithmetic works on raw term dictionaries (exponent tuple -> nonzero
-Fraction, zero never stored); `forms.wedge` multiplies and accumulates its
-coefficient dictionaries through the same helpers as `Poly` does.
+Fraction, zero never stored); `forms.wedge` and `forms.exterior_d` build
+such dictionaries themselves and wrap them as `Poly` once.
 """
 
 from __future__ import annotations

@@ -48,6 +48,18 @@ def test_eval_power_over_term_budget_exit_1(capsys):
     assert len(err.splitlines()) == 1 and "more than 1001 terms" in err and "1000" in err
 
 
+@pytest.mark.parametrize(
+    "expr, column",
+    [("(x1**" + "9" * 5000 + ")", 6), ("1/" + "7" * 5000, 3), ("dx" + "1" * 5000, 1)],
+    ids=["exponent", "denominator", "generator-index"],
+)
+def test_eval_overlong_number_exit_2(capsys, expr, column):
+    # more digits than Python converts to an int
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and f"column {column}: cannot read number" in err
+
+
 def test_verify_pass_and_json_determinism(capsys, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify", "dsa-lemma", "--n", "1", "--trials", "20", "--seed", "7", "--json"]

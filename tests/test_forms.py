@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruminalg import forms, parser, rumin, suites
 from ruminalg.cinfty import permutation_sign
 from ruminalg.errors import DimensionError, DomainError
 from ruminalg.forms import (
@@ -19,6 +20,7 @@ from ruminalg.forms import (
     random_form,
     wedge,
 )
+from ruminalg.parser import eval_text
 from ruminalg.poly import Poly
 from ruminalg.prng import stream
 
@@ -188,6 +190,72 @@ def test_wedge_matches_permutation_sign_reference(a, b):
 # -- exterior derivative ----------------------------------------------------------
 
 
+def ref_exterior_d(w, tail=True, lift=True):
+    """The wedge-based formula: df ^ e^I on each term f e^I, plus
+    dtheta ^ e^{I minus 0} when e^0 divides e^I, with df built from
+    `Poly.deriv`.  `tail=False` drops the dtheta term and `lift=False` drops
+    y_i d/dz f from X_i f: the corruptions of the negative controls."""
+    model = w.model
+    n = model.n
+    out = Form.zero(model, w.degree + 1)
+    for idx, f in w.terms.items():
+        tf = f.deriv(2 * n)
+        df = {(0,): tf}
+        for i in range(1, n + 1):
+            xf = f.deriv(i - 1)
+            if lift:
+                xf = xf + tf * Poly.variable(model.nvars, n + i - 1)
+            df[(i,)] = xf
+            df[(n + i,)] = f.deriv(n + i - 1)
+        out = out + wedge(Form(model, 1, df), Form.monomial(model, idx, _one(model)))
+        if tail and idx and idx[0] == 0:
+            out = out + wedge(model.dtheta(), Form(model, len(idx) - 1, {idx[1:]: f}))
+    return out
+
+
+MODELS = (M1, M2, ContactModel(3))
+
+
+@st.composite
+def forms_up_to_n3(draw):
+    """A form at n = 1..3 of any degree, with 1..3 coframe monomials and
+    coefficients of total degree <= 3."""
+    model = draw(st.sampled_from(MODELS))
+    nvars = model.nvars
+    exponents = st.lists(st.integers(0, nvars - 1), max_size=3).map(
+        lambda vs: tuple(vs.count(k) for k in range(nvars))
+    )
+    coefficients = st.dictionaries(
+        exponents, st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=1, max_size=4
+    ).map(lambda d: Poly(nvars, d))
+    degree = draw(st.integers(0, model.dim))
+    monomials = draw(st.lists(st.sampled_from(model.coframe_monomials(degree)), min_size=1, max_size=3, unique=True))
+    return Form(model, degree, {idx: draw(coefficients) for idx in monomials})
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms_up_to_n3())
+def test_d_matches_wedge_formula_reference(w):
+    dw = exterior_d(w)
+    assert dw.degree == w.degree + 1
+    assert {idx: p.terms for idx, p in dw.terms.items()} == {
+        idx: p.terms for idx, p in ref_exterior_d(w).terms.items()
+    }
+    assert all(p.terms for p in dw.terms.values())
+
+
+def test_d_cancels_inside_x_derivative():
+    # X_1(z - x1*y1) = -y1 + y1 * 1 = 0, so e^1 gets no (empty) coefficient.
+    df = exterior_d(eval_text("(z - x1*y1)", M1))
+    assert df == eval_text("theta - (x1) dy1", M1)
+    assert (1,) not in df.terms
+
+
+def test_odd_square_stores_no_empty_coefficient():
+    a = eval_text("(x1) dx1 + (y1) dy1", M1)
+    assert wedge(a, a).terms == {}
+
+
 def test_d_theta_is_dtheta():
     assert exterior_d(M1.theta()) == M1.dtheta()
     assert exterior_d(M2.theta()) == M2.dtheta()
@@ -228,6 +296,31 @@ def test_dsa_identity_on_verticals():
         for deg in range(1, model.dim + 1):
             w = random_form(model, rng, deg, 2, vertical=True)
             assert wedge(model.theta(), exterior_d(w)) == wedge(w, model.dtheta())
+
+
+# -- negative controls: a corrupted d must fail a suite --------------------------
+
+
+@pytest.mark.parametrize(
+    "corruption", [dict(tail=False), dict(lift=False)], ids=["no-dtheta-tail", "no-y-dz-in-X"]
+)
+def test_corrupted_d_fails_a_suite_with_witness(monkeypatch, corruption):
+    def corrupted(w):
+        return ref_exterior_d(w, **corruption)
+
+    for module in (forms, rumin, suites, parser):
+        monkeypatch.setattr(module, "exterior_d", corrupted)
+    failed = [
+        report
+        for name in ("dsq", "dsa-lemma", "gamma-props", "retract")
+        if not (report := suites.run_suite(name, n=1, trials=10)).passed
+    ]
+    assert failed
+    for report in failed:
+        witness = report.failures[0]
+        assert witness.inputs and witness.residual not in ("", "0")
+        for text in witness.inputs + [witness.residual]:
+            assert eval_text(text, M1).model == M1
 
 
 # -- verticality and the Lefschetz operator ---------------------------------------
