@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 from operator import add
 
 from .errors import DimensionError, DomainError
@@ -94,8 +95,11 @@ class ContactModel:
         return self._dtheta_powers[k]
 
     def volume(self) -> "Form":
-        """theta ^ (dtheta)^n -- nonzero by the contact condition."""
-        return wedge(self.theta(), self.dtheta_power(self.n))
+        """theta ^ (dtheta)^n = n! (-1)^(n(n-1)/2) e^0 ^ ... ^ e^{2n}, nonzero by
+        the contact condition: sorting the n pairs e^i ^ e^{n+i} takes
+        n(n-1)/2 transpositions."""
+        c = factorial(self.n) * (-1) ** (self.n * (self.n - 1) // 2)
+        return Form.monomial(self, range(self.dim), Poly.constant(self.nvars, c))
 
     def coframe_monomials(self, degree: int):
         """All strictly increasing index tuples of the given cardinality,
@@ -413,29 +417,23 @@ def is_vertical(w: Form) -> bool:
 def lefschetz(w: Form, power: int) -> Form:
     """w ^ (dtheta)^power for vertical w.
 
-    The symplectic-type isomorphism statements that downstream solvers rely
-    on hold on vertical forms only, so non-vertical input is rejected; use
-    `wedge_dtheta_power` for the unrestricted wedge.
+    The symplectic-type isomorphism statements hold on vertical forms only,
+    so non-vertical input is rejected; use `wedge_dtheta_power` for the
+    unrestricted wedge.
     """
     if not is_vertical(w):
         raise DomainError("lefschetz requires a vertical form")
     return wedge_dtheta_power(w, power)
 
 
-def wedge_dtheta_power(w: Form, power: int, dtheta_form: Form | None = None) -> Form:
-    """w ^ (dtheta)^power with no verticality restriction; an explicit
-    `dtheta_form` substitutes a rescaled contact structure."""
+def wedge_dtheta_power(w: Form, power: int) -> Form:
+    """w ^ (dtheta)^power with no verticality restriction."""
     if power < 0:
         raise DomainError(f"negative power {power}")
-    if dtheta_form is None:
-        return wedge(w, w.model.dtheta_power(power))
-    out = w
-    for _ in range(power):
-        out = wedge(out, dtheta_form)
-    return out
+    return wedge(w, w.model.dtheta_power(power))
 
 
-def lefschetz_power_matrix(model: ContactModel, k: int, dtheta_form: Form | None = None):
+def lefschetz_power_matrix(model: ContactModel, k: int):
     """Matrix of wedging with (dtheta)^k from vertical coframe monomials of
     degree n-k+1 to those of degree n+k+1, both in lexicographic order.
 
@@ -451,7 +449,7 @@ def lefschetz_power_matrix(model: ContactModel, k: int, dtheta_form: Form | None
     matrix = [[Fraction(0)] * len(src) for _ in tgt]
     for j, idx in enumerate(src):
         mono = Form(model, len(idx), {idx: Poly.one(model.nvars)}, _canonical=True)
-        image = wedge_dtheta_power(mono, k, dtheta_form)
+        image = wedge_dtheta_power(mono, k)
         for out_idx, p in image.terms.items():
             matrix[tgt_pos[out_idx]][j] = p.constant_value()
     return matrix

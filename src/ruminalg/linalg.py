@@ -1,9 +1,8 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are lists of row lists of Fraction.  Everything here is plain
-Gauss-Jordan elimination; sizes stay small (the Lefschetz solver in `rumin`
-inverts only the diagonal blocks of its matrix, at most 35 wide up to n = 7,
-and finite-model complexes are small), so no pivoting strategy beyond
+Gauss-Jordan elimination; sizes stay small (finite-model complexes and the
+rank checks of the `lefschetz-iso` suite), so no pivoting strategy beyond
 "first nonzero".
 """
 

@@ -1,21 +1,19 @@
 """The Rumin subcomplex and its transferred algebra structure, in closed form.
 
 The central operator is `gamma`, the contact-invariant degree -1 map that
-extracts the non-primitive part of a form.  For a homogeneous w of degree k
-on H^{2n+1} it is characterized by
+extracts the non-primitive part of a form.  Write a k-form as
+w = theta ^ beta + alpha with alpha horizontal (free of e^0).  On horizontal
+forms, L = dtheta ^ and its adjoint Lambda, which removes one full coframe
+pair (e^i, e^{n+i}), satisfy [Lambda, L] = n - k, so alpha = sum_r L^r alpha_r
+uniquely with each alpha_r primitive (Lambda alpha_r = 0; the Lefschetz
+decomposition, Huybrechts, Complex Geometry, Prop. 1.2.30), and
 
-    theta ^ w ^ dtheta^(n+1-k) = gamma(w) ^ dtheta^(n+2-k)     if k <= n,
-    theta ^ w = zeta ^ dtheta^(k-n),  gamma(w) = zeta ^ dtheta^(k-n-1)
-                                                               if k >= n+1,
+    gamma(w) = theta ^ L^(-1)(alpha - alpha_0) = theta ^ sum_{r>=1} L^(r-1) alpha_r,
 
-where each solve is the inverse of a vertical Lefschetz isomorphism.  Since
-dtheta is constant in the adapted coframe, every solve is one cached constant
-inverse applied coefficientwise.  Wedging with dtheta only fills coframe pairs
-(e^i, e^{n+i}), so the Lefschetz matrix is block diagonal, one block per
-pattern of half-filled pairs and at most C(m, m//2) wide for m free pairs;
-the solver inverts each block on its own and stores the inverse sparsely,
-and a solve touches only the terms of its right-hand side.  The solvers are
-write-once, read-many and safe to share across threads.
+the vertical solution of theta ^ w ^ dtheta^(n+1-k) = gamma(w) ^ dtheta^(n+2-k)
+for k <= n and of theta ^ w = zeta ^ dtheta^(k-n), gamma(w) = zeta ^ dtheta^(k-n-1)
+for k >= n+1.  No basis or matrix is built, and a form is primitive when
+Lambda kills its horizontal part.
 
 `pi(w) = w - d gamma(w) - gamma(dw)` projects onto the subcomplex R of forms
 that are primitive with primitive differential; gamma is the homotopy of the
@@ -34,118 +32,130 @@ in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
+from math import prod
 
-from . import linalg
 from .cinfty import GradedOpSet, RetractData, apply_tensor_ops
 from .errors import DomainError
-from .forms import ContactModel, Form, exterior_d, wedge, wedge_dtheta_power
-from .poly import Poly
+from .forms import ContactModel, Form, _form_from_accumulator, exterior_d, merge_indices, wedge
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# (n, power, lambda) -> block solver: target monomial -> [(source monomial, coefficient)]
-_solver_cache: dict = {}
+
+def _exact(c):
+    """An integral rational as an int, so that unit weights add or negate."""
+    return c.numerator if c.denominator == 1 else c
 
 
-def _block_solver(model: ContactModel, power: int, dtheta_form: Form) -> dict:
-    """Inverse of wedging with dtheta_form^power from vertical monomials of
-    degree n-power+1 to those of degree n+power+1, as a sparse map from each
-    target monomial to the (source monomial, coefficient) pairs of its column.
-
-    Wedging with (a multiple of) dtheta only fills coframe pairs, so the
-    monomials fall into small connected blocks (one per pattern of
-    half-filled pairs); each block is inverted on its own.  Raises ValueError
-    when the power is not an isomorphism.
-    """
-    one = Poly.one(model.nvars)
-    lifted = wedge_dtheta_power(Form.constant(model, one), power, dtheta_form)
-    images = {
-        s: wedge(Form(model, len(s), {s: one}, _canonical=True), lifted).terms
-        for s in model.vertical_monomials(model.n - power + 1)
-    }
-    sources_of: dict = {}
-    for s, image in images.items():
-        for t in image:
-            sources_of.setdefault(t, []).append(s)
-    solver = {}
-    placed, reached = set(), set()
-    for seed in images:
-        if seed in placed:
-            continue
-        placed.add(seed)
-        block_src, block_tgt = [seed], []
-        for s in block_src:  # grows while it is walked
-            for t in images[s]:
-                if t not in reached:
-                    reached.add(t)
-                    block_tgt.append(t)
-                    for s2 in sources_of[t]:
-                        if s2 not in placed:
-                            placed.add(s2)
-                            block_src.append(s2)
-        if len(block_src) != len(block_tgt):
-            raise ValueError("matrix is singular")
-        col = {s: j for j, s in enumerate(block_src)}
-        matrix = [[Fraction(0)] * len(block_src) for _ in block_tgt]
-        for i, t in enumerate(block_tgt):
-            for s in sources_of[t]:
-                matrix[i][col[s]] = images[s][t].constant_value()
-        inv = linalg.inverse(matrix)
-        for i, t in enumerate(block_tgt):
-            solver[t] = [(s, inv[j][i]) for j, s in enumerate(block_src) if inv[j][i]]
-    return solver
+def _accumulate(out: dict, key, coeffs: dict, c) -> None:
+    """out[key] += c * coeffs on {exponent: Fraction} dicts.  A unit c adds or
+    negates instead of multiplying, and a new key starts as a copy."""
+    if c == -1:
+        coeffs = {ex: -v for ex, v in coeffs.items()}
+    elif c != 1:
+        coeffs = {ex: v * c for ex, v in coeffs.items()}
+    acc = out.get(key)
+    if acc is None:
+        out[key] = dict(coeffs) if c == 1 else coeffs
+        return
+    for ex, v in coeffs.items():
+        s = acc.get(ex, _ZERO) + v
+        if s:
+            acc[ex] = s
+        else:
+            del acc[ex]
 
 
-def _lefschetz_solver(model: ContactModel, power: int, lam: Fraction) -> dict:
-    key = (model.n, power, lam)
-    cached = _solver_cache.get(key)
-    if cached is None:
-        cached = _solver_cache[key] = _block_solver(model, power, model.dtheta().scale(lam))
-    return cached
+def _pair_op(terms: dict, n: int, weights, lower: bool) -> dict:
+    """L, which adds each free pair (e^i, e^{n+i}) with weight c_i, or Lambda
+    (`lower`), which removes each full pair with weight 1/c_i, on a horizontal
+    form held as {index: {exponent: Fraction}}; the signs are merge_indices'."""
+    out = {}
+    for idx, coeffs in terms.items():
+        if lower:
+            members = set(idx)
+            for i in idx:
+                if i > n:
+                    break
+                if i + n in members:
+                    rest = tuple(j for j in idx if j != i and j != i + n)
+                    sign, _ = merge_indices((i, i + n), rest)
+                    _accumulate(out, rest, coeffs, sign * weights[i - 1])
+        else:
+            for i in range(1, n + 1):
+                sign, merged = merge_indices((i, i + n), idx)
+                if sign:
+                    _accumulate(out, merged, coeffs, sign * weights[i - 1])
+    return out
 
 
-def _solve_vertical(model: ContactModel, power: int, rhs: Form, lam: Fraction) -> Form:
-    """Unique vertical zeta with zeta ^ (lam*dtheta)^power = rhs; the source
-    degree is n - power + 1, where the wedge power is an isomorphism."""
-    n = model.n
-    src_degree = n - power + 1
-    if src_degree <= 0:
-        # Vertical forms of nonpositive degree vanish, and so must the rhs.
-        if not rhs.is_zero():
-            raise DomainError("inconsistent Lefschetz system")
-        return Form.zero(model, max(src_degree, 0))
-    solver = _lefschetz_solver(model, power, lam)
-    terms = {}
-    for t, p in rhs.terms.items():
-        for s, c in solver[t]:
-            acc = terms.get(s)
-            terms[s] = p.scale(c) if acc is None else acc.add_scaled(p, c)
-    terms = {s: p for s, p in terms.items() if not p.is_zero()}
-    return Form(model, src_degree, terms, _canonical=True)
+def _pair_weights(dtheta: Form):
+    """The c_i of dtheta = sum_i c_i e^i ^ e^{n+i} and their inverses, read
+    off the form itself, so a rescaled gamma is built from the rescaled form."""
+    n = dtheta.model.n
+    c = [dtheta.terms[(i, n + i)].constant_value() for i in range(1, n + 1)]
+    return [_exact(x) for x in c], [_exact(1 / x) for x in c]
+
+
+def _horizontal(w: Form) -> dict:
+    """The part of w free of e^0, as {index: {exponent: Fraction}}."""
+    return {idx: p.terms for idx, p in w.terms.items() if not idx or idx[0]}
+
+
+@cache
+def _gamma_scalars(n: int, k: int) -> tuple:
+    """c_1..c_m with L^(-1)(alpha - alpha_0) = sum_j c_j L^(j-1) Lambda^j alpha
+    on horizontal k-forms for k <= n + 1, and = sum_j c_j Lambda^j L^(j-1) alpha
+    above, so that the powers walk toward the small spaces near degree 0 or
+    2n.  With alpha = sum_r L^r alpha_r (r = r0..k//2 past alpha_0,
+    r0 = max(1, k - n)), the j-th operator maps L^r alpha_r to L^(r-1) alpha_r
+    times prod_{i<j} (r -+ i)(n - k + r + 1 +- i), which is 0 for the r below
+    the j-th piece, so the c_j solve a triangular system."""
+    sign = -1 if k <= n + 1 else 1
+
+    def factor(r, j):
+        return prod((r + sign * i) * (n - k + r + 1 - sign * i) for i in range(j))
+
+    c = []
+    for r in range(max(1, k - n), k // 2 + 1):
+        rest = _ONE - sum(cj * factor(r, j) for j, cj in enumerate(c, 1))
+        c.append(rest / factor(r, len(c) + 1))
+    return tuple(map(_exact, c))
 
 
 def gamma(w: Form, _lam: Fraction = _ONE) -> Form:
     """Contact-invariant degree -1 operator; output is always vertical.
 
-    The private `_lam` recomputes the defining systems with the contact form
-    rescaled by a positive constant (used by `gamma_invariance_check`).
+    The private `_lam` recomputes gamma from the contact form rescaled by a
+    positive constant (used by `gamma_invariance_check`).
     """
     model = w.model
     n, k = model.n, w.degree
-    if k <= 0 or k >= 2 * n + 1:
-        # Degree 0: the target space of vertical (-1)-forms is trivial.
-        # Top degree: theta ^ w vanishes identically.
+    c = _gamma_scalars(n, k)
+    alpha = _horizontal(w)
+    if not c or not alpha:
         return Form.zero(model, max(k - 1, 0))
-    theta = model.theta().scale(_lam)
-    if k <= n:
-        if k == 1:
-            return Form.zero(model, 0)  # no vertical 0-forms
-        dtheta_form = None if _lam == 1 else model.dtheta().scale(_lam)
-        rhs = wedge_dtheta_power(wedge(theta, w), n + 1 - k, dtheta_form)
-        return _solve_vertical(model, n + 2 - k, rhs, _lam)
-    zeta = _solve_vertical(model, k - n, wedge(theta, w), _lam)
-    dtheta_form = None if _lam == 1 else model.dtheta().scale(_lam)
-    return wedge_dtheta_power(zeta, k - n - 1, dtheta_form)
+    up, down = _pair_weights(model.dtheta().scale(_lam))
+    lift = partial(_pair_op, n=n, weights=up, lower=False)
+    drop = partial(_pair_op, n=n, weights=down, lower=True)
+    descend = k <= n + 1
+    walk, back = (drop, lift) if descend else (lift, drop)
+    chain = [drop(alpha) if descend else alpha]  # Lambda^j alpha or L^(j-1) alpha
+    for _ in c[1:]:
+        chain.append(walk(chain[-1]))
+    acc: dict = {}  # Horner, from the top j down
+    for cj, term in zip(reversed(c), reversed(chain)):
+        acc = back(acc)
+        for idx, coeffs in term.items():
+            _accumulate(acc, idx, coeffs, cj)
+    if not descend:
+        acc = drop(acc)
+    t = _exact(model.theta().scale(_lam).terms[(0,)].constant_value())
+    out: dict = {}
+    for idx, coeffs in acc.items():
+        _accumulate(out, (0,) + idx, coeffs, t)
+    return _form_from_accumulator(model, k - 1, out)
 
 
 def gamma_invariance_check(w: Form, lam) -> bool:
@@ -158,30 +168,18 @@ def gamma_invariance_check(w: Form, lam) -> bool:
 
 
 def is_primitive(w: Form) -> bool:
-    """True when (theta ^ w) ^ dtheta^(n+1-k) = 0 with k = |w|; for k >= n+1
-    there are no powers left and the test is theta ^ w = 0."""
+    """True when Lambda kills the horizontal part of w, i.e. when
+    (theta ^ w) ^ dtheta^(n+1-k) = 0 with k = |w| (for k >= n+1 there are no
+    powers left and the test is theta ^ w = 0)."""
     model = w.model
-    k = w.degree
-    tw = wedge(model.theta(), w)
-    power = model.n + 1 - k
-    if power <= 0:
-        return tw.is_zero()
-    return wedge_dtheta_power(tw, power).is_zero()
+    _, down = _pair_weights(model.dtheta())
+    return not any(_pair_op(_horizontal(w), model.n, down, lower=True).values())
 
 
 def in_rumin(w: Form) -> bool:
     """Membership test for the subcomplex R: w is primitive and has primitive
     differential.  Agrees with gamma(w) = 0 and gamma(dw) = 0."""
-    model = w.model
-    n, k = model.n, w.degree
-    tw = wedge(model.theta(), w)
-    tdw = wedge(model.theta(), exterior_d(w))
-    if k <= n:
-        return (
-            wedge_dtheta_power(tw, n + 1 - k).is_zero()
-            and wedge_dtheta_power(tdw, n - k).is_zero()
-        )
-    return tw.is_zero() and tdw.is_zero()
+    return is_primitive(w) and is_primitive(exterior_d(w))
 
 
 class RuminElement:

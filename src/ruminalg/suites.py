@@ -18,7 +18,7 @@ Suites:
     gamma-invariance  gamma is unchanged under constant rescalings of theta
     retract           pi^2 = pi, d pi = pi d, pi i = 1, gamma i = 0,
                       pi lands in R, i pi = 1 - d gamma - gamma d
-    rumin-membership  wedge-power membership test == gamma criterion; R is
+    rumin-membership  Lambda membership test == gamma criterion; R is
                       closed under d
     stasheff          homotopy-associativity residuals, relations 1..5
     shuffle-vanishing m_{p+q} o nu_{p,q} = 0 and f_{p+q} o nu_{p,q} = 0 up

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -127,6 +128,11 @@ def test_model_command(capsys):
     assert code == 0
     assert "theta = dz - y1*dx1 - y2*dx2" in out
     assert "dtheta = dx1^dy1 + dx2^dy2" in out
+    assert "volume theta^dtheta^2 = -2 theta^dx1^dx2^dy1^dy2" in out
+    # n! (-1)^(n(n-1)/2) times the top monomial, without building dtheta^n
+    code, out, _ = run(capsys, "model", "--n", "40")
+    assert code == 0
+    assert f"volume theta^dtheta^40 = {math.factorial(40)} theta^dx1^dx2^" in out
 
 
 def test_cohomology_builtin(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 
@@ -7,11 +8,13 @@ from ruminalg.errors import DomainError
 from ruminalg.forms import (
     ContactModel,
     Form,
+    _form_from_accumulator,
     exterior_d,
     is_vertical,
     lefschetz_power_matrix,
     random_form,
     wedge,
+    wedge_dtheta_power,
 )
 from ruminalg.poly import Poly
 from ruminalg.prng import stream
@@ -125,35 +128,58 @@ def test_gamma_invariance_rejects_nonpositive():
         gamma_invariance_check(_dx(M1), Fraction(-2, 3))
 
 
-# -- the block Lefschetz solver ------------------------------------------------------
+# -- gamma against the dense Lefschetz inverse, and at large n ------------------------
 
 
-def _dense_solve(model, power, rhs, dtheta_form):
-    """Oracle: the dense inverse of the whole Lefschetz power matrix, applied
-    coefficientwise."""
+@cache
+def _dense_inverse(n, power):
+    return linalg.inverse(lefschetz_power_matrix(ContactModel(n), power))
+
+
+def _dense_solve(model, power, rhs, lam):
+    """Oracle: the vertical zeta with zeta ^ (lam dtheta)^power = rhs, from the
+    dense inverse of the whole Lefschetz power matrix; the matrix of
+    (lam dtheta)^power is lam^power times that of dtheta^power."""
     n = model.n
-    inv = linalg.inverse(lefschetz_power_matrix(model, power, dtheta_form))
+    inv = _dense_inverse(n, power)
     src = model.vertical_monomials(n - power + 1)
     tgt = model.vertical_monomials(n + power + 1)
     terms = {}
     for j, s in enumerate(src):
         acc = Poly.zero(model.nvars)
         for i, t in enumerate(tgt):
-            acc = acc.add_scaled(rhs.coefficient(t), inv[j][i])
+            acc = acc.add_scaled(rhs.coefficient(t), inv[j][i] / lam**power)
         terms[s] = acc
     return Form(model, n - power + 1, terms)
 
 
+def _reference_gamma(w, lam):
+    """Oracle: gamma by its two-case definition with theta rescaled by lam,
+        theta ^ w ^ dtheta^(n+1-k) = gamma(w) ^ dtheta^(n+2-k)        if k <= n,
+        theta ^ w = zeta ^ dtheta^(k-n),  gamma(w) = zeta ^ dtheta^(k-n-1)
+                                                                   if k >= n+1,
+    each solve done with the dense inverse."""
+    model = w.model
+    n, k = model.n, w.degree
+    if k <= 1 or k >= model.dim:
+        return Form.zero(model, max(k - 1, 0))
+    tw = wedge(model.theta(), w).scale(lam)
+    if k <= n:
+        rhs = wedge_dtheta_power(tw, n + 1 - k).scale(lam ** (n + 1 - k))
+        return _dense_solve(model, n + 2 - k, rhs, lam)
+    zeta = _dense_solve(model, k - n, tw, lam)
+    return wedge_dtheta_power(zeta, k - n - 1).scale(lam ** (k - n - 1))
+
+
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(3, 7)])
-def test_block_solver_matches_dense_inverse(lam):
+def test_gamma_matches_dense_lefschetz_reference(lam):
     for n in range(1, 5):
         model = ContactModel(n)
         rng = stream(41, n)
-        for power in range(1, n + 1):
-            for _ in range(3):
-                rhs = random_form(model, rng, n + power + 1, 2, vertical=True)
-                expected = _dense_solve(model, power, rhs, model.dtheta().scale(lam))
-                assert rumin._solve_vertical(model, power, rhs, lam) == expected
+        for deg in range(0, model.dim + 1):
+            for _ in range(2):
+                w = random_form(model, rng, deg, 1, density=(1, 3))
+                assert gamma(w, _lam=lam) == _reference_gamma(w, lam)
 
 
 def test_block_solver_reaches_n6():
@@ -169,19 +195,44 @@ def test_block_solver_reaches_n6():
         assert gamma(gamma(w)).is_zero()
 
 
-def test_solver_from_wrong_dtheta_changes_gamma(monkeypatch):
-    # A solver built from dtheta with one pair's coefficient changed must
-    # change the rescaled gamma, so gamma_invariance_check can fail.
+def test_gamma_at_n40():
+    model = ContactModel(40)
+    assert gamma(wedge(_dx(model), _dy(model))) == model.theta().scale(Fraction(1, 40))
+
+
+def test_wrong_dtheta_pair_changes_gamma(monkeypatch):
+    # Pair weights read off a rescaled dtheta with one pair's coefficient
+    # changed must change the rescaled gamma, so gamma_invariance_check can
+    # fail.
     lam = Fraction(3, 7)
     wrong_terms = dict(M2.dtheta().terms)
     wrong_terms[(1, 3)] = Poly.constant(M2.nvars, 2)
     wrong = Form(M2, 2, wrong_terms).scale(lam)
-    monkeypatch.setattr(rumin, "_solver_cache", {})
-    for power in range(1, M2.n + 1):
-        rumin._solver_cache[(M2.n, power, lam)] = rumin._block_solver(M2, power, wrong)
+    right = rumin._pair_weights
+    monkeypatch.setattr(
+        rumin, "_pair_weights", lambda dtheta: right(dtheta if dtheta == M2.dtheta() else wrong)
+    )
     for w in (wedge(_dx(M2), _dy(M2)), wedge(_dx(M2, 2), wedge(_dx(M2), _dy(M2)))):
         assert gamma(w, _lam=lam) != gamma(w)
         assert not gamma_invariance_check(w, lam)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 7)])
+def test_lambda_l_commutator(lam):
+    # [Lambda, L] = (n - k) on horizontal k-forms, also for the rescaled pair.
+    rng = stream(43, 0)
+    for n in (1, 2, 3):
+        model = ContactModel(n)
+        up, down = rumin._pair_weights(model.dtheta().scale(lam))
+        for k in range(0, 2 * n + 1):
+            for _ in range(3):
+                alpha = rumin._horizontal(random_form(model, rng, k, 2))
+                raised = rumin._pair_op(alpha, n, up, lower=False)
+                lowered = rumin._pair_op(alpha, n, down, lower=True)
+                lam_l = rumin._pair_op(raised, n, down, lower=True)
+                l_lam = rumin._pair_op(lowered, n, up, lower=False)
+                as_form = partial(_form_from_accumulator, model, k)
+                assert as_form(lam_l) - as_form(l_lam) == as_form(alpha).scale(n - k)
 
 
 # -- primitivity and membership ------------------------------------------------------

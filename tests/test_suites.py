@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ruminalg.forms import ContactModel
+from ruminalg import cinfty, rumin, suites
+from ruminalg.forms import ContactModel, exterior_d
 from ruminalg.parser import eval_text
 from ruminalg.suites import (
     SUITES,
@@ -109,3 +110,52 @@ def test_witnesses_refeed_to_eval():
         for text in witness.inputs:
             assert eval_text(text, model) is not None
         assert eval_text(witness.residual, model) is not None
+
+
+# -- negative controls: a corrupted operator must fail a suite -------------------
+
+
+def _double_one_gamma_scalar(monkeypatch):
+    # c_1 of degree 2, the only scalar gamma uses at n = 1
+    right = rumin._gamma_scalars
+
+    def wrong(n, k):
+        b = right(n, k)
+        return (2 * b[0],) + b[1:] if k == 2 else b
+
+    monkeypatch.setattr(rumin, "_gamma_scalars", wrong)
+
+
+def _flip_gamma_d_in_pi(monkeypatch):
+    def pi(w):
+        flipped = w - exterior_d(rumin.gamma(w)) + rumin.gamma(exterior_d(w))
+        return rumin.RuminElement(flipped, certified=True)
+
+    for module in (rumin, suites):
+        monkeypatch.setattr(module, "pi", pi)
+
+
+def _drop_koszul_sign(monkeypatch):
+    monkeypatch.setattr(cinfty, "koszul_sign", lambda perm, degrees: 1)
+
+
+@pytest.mark.parametrize(
+    "corrupt, n",
+    [(_double_one_gamma_scalar, 1), (_flip_gamma_d_in_pi, 1), (_drop_koszul_sign, 2)],
+    ids=["gamma-scalar", "pi-gamma-d-sign", "koszul-sign"],
+)
+def test_corrupted_operator_fails_a_suite_with_witness(monkeypatch, corrupt, n):
+    corrupt(monkeypatch)
+    monkeypatch.setattr(suites, "_retract_cache", {})
+    model = ContactModel(n)
+    failed = [
+        report
+        for name in ("gamma-props", "retract", "stasheff", "morphism", "shuffle-vanishing")
+        if not (report := run_suite(name, n=n, trials=10)).passed
+    ]
+    assert failed
+    for report in failed:
+        witness = report.failures[0]
+        assert witness.inputs and witness.residual not in ("", "0")
+        for text in witness.inputs + [witness.residual]:
+            assert eval_text(text, model).model == model
