@@ -279,23 +279,29 @@ class RetractData:
         self.verified = False
 
     def verify(self, a_samples, b_samples):
-        """Check the retract identities; returns issue strings (empty = ok)
-        and records the outcome."""
+        """Check the retract identities; returns the failures as
+        (identity, sample, nonzero residual) triples (empty = ok) and records
+        the outcome."""
         issues = []
+
+        def expect_zero(identity, sample, residual):
+            if not residual.is_zero():
+                issues.append((identity, sample, residual))
+
         for a in a_samples:
-            lhs = self.i(self.pi(a))
             rhs = a - self.d(self.h(a)) - self.h(self.d(a))
-            if not (lhs - rhs).is_zero():
-                issues.append(f"i pi != 1 - dh - hd on {a}")
-            if not (self.pi(self.d(a)) - self.b_d(self.pi(a))).is_zero():
-                issues.append(f"pi does not intertwine differentials on {a}")
+            expect_zero("i pi = 1 - dh - hd", a, self.i(self.pi(a)) - rhs)
+            expect_zero("pi d = d pi", a, self.pi(self.d(a)) - self.b_d(self.pi(a)))
         for b in b_samples:
-            if not (self.pi(self.i(b)) - b).is_zero():
-                issues.append(f"pi i != 1 on {b}")
-            if not (self.d(self.i(b)) - self.i(self.b_d(b))).is_zero():
-                issues.append(f"i does not intertwine differentials on {b}")
+            expect_zero("pi i = 1", b, self.pi(self.i(b)) - b)
+            expect_zero("d i = i d", b, self.d(self.i(b)) - self.i(self.b_d(b)))
         self.verified = not issues
         return issues
+
+
+def describe_issues(issues) -> str:
+    """One line for the failures returned by `RetractData.verify`."""
+    return "; ".join(f"{identity} fails on {sample}" for identity, sample, _ in issues)
 
 
 def markl_transfer(retract: RetractData, max_arity: int):

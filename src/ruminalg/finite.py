@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, rumin
-from .cinfty import GradedOpSet, RetractData
+from .cinfty import GradedOpSet, RetractData, describe_issues
 from .errors import ConstructionError, DimensionError, DomainError
 from .forms import ContactModel, Form, wedge
 from .poly import Poly
@@ -664,5 +664,5 @@ def heisenberg_ce_retract() -> FiniteModelBundle:
     )
     issues = retract.verify(ce.all_basis_vectors(), rm.all_basis_vectors())
     if issues:
-        raise ConstructionError("finite retract identities failed: " + "; ".join(issues))
+        raise ConstructionError("finite retract identities failed: " + describe_issues(issues))
     return FiniteModelBundle(ce=ce, rumin=rm, retract=retract, inclusion=inclusion)

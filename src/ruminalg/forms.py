@@ -13,7 +13,10 @@ derivative applies them to the coefficients directly: on f e^I it adds
 (Tf) e^0 ^ e^I, (X_i f) e^i ^ e^I and (Y_i f) e^{n+i} ^ e^I, and, when e^0
 divides e^I, f dtheta ^ e^{I minus 0}, monomial by monomial into one
 accumulator of coefficient dictionaries; `wedge` multiplies coefficient
-pairs into the same kind of accumulator.  User input written in coordinate
+pairs into the same kind of accumulator, skipping the pairs of coframe
+monomials whose index bitmasks meet.  The accumulators hold the coefficients
+of `poly` (an int when integral, else a Fraction) and are normalized to that
+form once, when they are wrapped.  User input written in coordinate
 differentials is normalized through dz = e^0 + sum_i y_i e^i.
 
 Forms are homogeneous: a Form stores a single degree and a map from strictly
@@ -28,13 +31,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from operator import add
+from operator import add, sub
 
 from .errors import DimensionError, DomainError
-from .poly import Poly
+from .poly import Poly, exact, exact_terms
 from .prng import SplitMix64
-
-_ZERO = Fraction(0)
 
 
 class ContactModel:
@@ -191,34 +192,47 @@ class Form:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "Form") -> "Form":
+        return self._combine(other, add)
+
+    def __sub__(self, other: "Form") -> "Form":
+        return self._combine(other, sub)
+
+    def _combine(self, other: "Form", op) -> "Form":
+        """self + other or self - other (op is operator.add or operator.sub)
+        in one pass over other's terms."""
         if not isinstance(other, Form):
             return NotImplemented
         self._check(other)
         if self.is_zero():
-            return other
+            return other if op is add else -other
         if other.is_zero():
             return self
         if self.degree != other.degree:
             raise DimensionError(f"adding degrees {self.degree} and {other.degree}")
         out = dict(self.terms)
         for idx, p in other.terms.items():
-            s = out[idx] + p if idx in out else p
+            if idx in out:
+                s = op(out[idx], p)
+            else:
+                s = p if op is add else -p
             if s.is_zero():
                 out.pop(idx, None)
             else:
                 out[idx] = s
         return Form(self.model, self.degree, out, _canonical=True)
 
-    def __sub__(self, other: "Form") -> "Form":
-        return self + other.scale(-1)
-
     def __neg__(self) -> "Form":
-        return self.scale(-1)
+        negated = {idx: -p for idx, p in self.terms.items()}
+        return Form(self.model, self.degree, negated, _canonical=True)
 
     def scale(self, c) -> "Form":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return Form.zero(self.model, self.degree)
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         return Form(
             self.model,
             self.degree,
@@ -316,32 +330,43 @@ def wedge(a: Form, b: Form) -> Form:
     degree = a.degree + b.degree
     if a.is_zero() or b.is_zero() or degree > a.model.dim:
         return Form.zero(a.model, degree)
+    right = [(ib, _mask(ib), pb.terms.items()) for ib, pb in b.terms.items()]
     out = {}
     for ia, pa in a.terms.items():
-        for ib, pb in b.terms.items():
-            sign, merged = merge_indices(ia, ib)
-            if not sign:
+        ma = _mask(ia)
+        for ib, mb, tb in right:
+            if ma & mb:  # a shared generator: the product vanishes
                 continue
+            sign, merged = merge_indices(ia, ib)
             acc = out.setdefault(merged, {})
-            tb = pb.terms.items()
             for ea, ca in pa.terms.items():
                 if sign < 0:
                     ca = -ca
                 for eb, cb in tb:
                     ex = tuple(map(add, ea, eb))
-                    s = acc.get(ex, _ZERO) + ca * cb
-                    if s:
+                    s = acc.get(ex)
+                    if s is None:  # not 0 + product: a Fraction would be rebuilt
+                        acc[ex] = ca * cb
+                    elif s := s + ca * cb:
                         acc[ex] = s
                     else:
                         del acc[ex]
     return _form_from_accumulator(a.model, degree, out)
 
 
+def _mask(idx) -> int:
+    """The coframe index tuple as a bitmask, bit i for e^i."""
+    m = 0
+    for i in idx:
+        m |= 1 << i
+    return m
+
+
 def _form_from_accumulator(model: ContactModel, degree: int, out) -> Form:
-    """Wrap {index tuple: {exponent tuple: nonzero Fraction}} as a Form,
+    """Wrap {index tuple: {exponent tuple: nonzero coefficient}} as a Form,
     dropping the indices whose coefficients cancelled to nothing."""
     nvars = model.nvars
-    terms = {idx: Poly(nvars, t, _canonical=True) for idx, t in out.items() if t}
+    terms = {idx: Poly(nvars, exact_terms(t), _canonical=True) for idx, t in out.items() if t}
     return Form(model, degree, terms, _canonical=True)
 
 
@@ -360,9 +385,9 @@ def exterior_d(w: Form) -> Form:
     f dtheta ^ e^{I minus 0}: d(e^j) = 0 for j >= 1 and d(e^0) = dtheta since
     theta = dz - sum y_i dx_i.  df = (Tf) e^0 + sum (X_i f) e^i + (Y_i f) e^{n+i}
     with T = d/dz, X_i = d/dx_i + y_i d/dz, Y_i = d/dy_i.  One pass over f's
-    monomials adds each frame derivative, signed by `merge_indices`, straight
-    into the accumulator of its output index, so cancellations such as
-    X_1(z - x1*y1) = 0 leave nothing behind."""
+    monomials adds each frame derivative straight into the accumulator of its
+    output index, so cancellations such as X_1(z - x1*y1) = 0 leave nothing
+    behind.  e^j ^ e^I puts j at its position p in I, with sign (-1)^p."""
     model = w.model
     n = model.n
     z = 2 * n
@@ -376,10 +401,13 @@ def exterior_d(w: Form) -> Form:
     for idx, f in w.terms.items():
         # (sign, accumulator) of e^j ^ e^I for every j not in I
         target = {}
+        pos = 0  # the number of indices of I below j
         for j in range(model.dim):
-            sign, merged = merge_indices((j,), idx)
-            if sign:
-                target[j] = (sign, out.setdefault(merged, {}))
+            if pos < len(idx) and idx[pos] == j:
+                pos += 1
+            else:
+                merged = idx[:pos] + (j,) + idx[pos:]
+                target[j] = (-1 if pos & 1 else 1, out.setdefault(merged, {}))
         active = [(p, q, *target[j]) for p, q, j in moves if j in target]
         for ex, c in f.terms.items():
             for p, q, sign, acc in active:
@@ -388,8 +416,10 @@ def exterior_d(w: Form) -> Form:
                     key = ex[:p] + (e - 1,) + ex[p + 1 :]
                     if q is not None:
                         key = key[:q] + (key[q] + 1,) + key[q + 1 :]
-                    s = acc.get(key, _ZERO) + c * (sign * e)
-                    if s:
+                    s = acc.get(key)
+                    if s is None:
+                        acc[key] = c * (sign * e)
+                    elif s := s + c * (sign * e):
                         acc[key] = s
                     else:
                         del acc[key]
@@ -400,7 +430,7 @@ def exterior_d(w: Form) -> Form:
                     continue
                 acc = out.setdefault(merged, {})
                 for ex, c in f.terms.items():
-                    s = acc.get(ex, _ZERO) + (c if sign > 0 else -c)
+                    s = acc.get(ex, 0) + (c if sign > 0 else -c)
                     if s:
                         acc[ex] = s
                     else:
@@ -469,7 +499,7 @@ def random_poly(rng: SplitMix64, nvars: int, max_degree: int) -> Poly:
             ex[rng.randint(0, nvars - 1)] += 1
         c = rng.randint(1, 9) * (1 if rng.chance(1, 2) else -1)
         terms[tuple(ex)] = terms.get(tuple(ex), 0) + c
-    p = Poly(nvars, {ex: Fraction(c) for ex, c in terms.items() if c})
+    p = Poly(nvars, {ex: c for ex, c in terms.items() if c})
     if p.is_zero():
         return Poly.one(nvars)
     return p

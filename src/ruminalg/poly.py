@@ -2,28 +2,48 @@
 
 These are the coefficient functions of all differential forms in the package:
 polynomials in the coordinates x_1..x_n, y_1..y_n, z of the Heisenberg group
-H^{2n+1}, with arbitrary-precision `fractions.Fraction` coefficients.  All
-identities checked downstream are exact ring identities, so no floating point
-appears anywhere.
+H^{2n+1}, with exact rational coefficients.  All identities checked
+downstream are exact ring identities, so no floating point appears anywhere.
 
 A polynomial is canonically a map from exponent tuples (length 2n+1, entries
 >= 0, coordinate order x_1..x_n, y_1..y_n, z) to nonzero rationals; the zero
-polynomial is the empty map.  Values are immutable after construction and all
-operations are pure, so sharing across threads is safe.
+polynomial is the empty map.  A stored coefficient is a Python `int` when it
+is integral and a `fractions.Fraction` with denominator > 1 otherwise (see
+`exact`), so the common integral case pays no gcd.  Since
+``Fraction(2) == 2`` and ``hash(Fraction(2)) == hash(2)``, the term map
+compares and hashes like the same map with all-`Fraction` values.  Values are
+immutable after construction and all operations are pure, so sharing across
+threads is safe.
 
 The arithmetic works on raw term dictionaries (exponent tuple -> nonzero
-Fraction, zero never stored); `forms.wedge` and `forms.exterior_d` build
+coefficient, zero never stored); `forms.wedge` and `forms.exterior_d` build
 such dictionaries themselves and wrap them as `Poly` once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import DimensionError
 
-_ZERO = Fraction(0)
-_MINUS_ONE = Fraction(-1)
+
+def exact(c):
+    """The stored form of the rational c: an int when it is integral, else a
+    Fraction with denominator > 1."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_terms(terms: dict) -> dict:
+    """Make every value of a term dictionary `exact`, in place; arithmetic on
+    Fractions can land on integers, arithmetic on ints stays integral."""
+    for ex, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[ex] = c.numerator
+    return terms
 
 
 def _add_terms(a, b):
@@ -34,7 +54,7 @@ def _add_terms(a, b):
         return dict(a)
     out = dict(a)
     for ex, c in b.items():
-        s = out.get(ex, _ZERO) + c
+        s = out.get(ex, 0) + c
         if s:
             out[ex] = s
         elif ex in out:
@@ -48,7 +68,7 @@ def _add_scaled_terms(a, b, c):
         return dict(a)
     out = dict(a)
     for ex, v in b.items():
-        s = out.get(ex, _ZERO) + c * v
+        s = out.get(ex, 0) + c * v
         if s:
             out[ex] = s
         elif ex in out:
@@ -67,8 +87,8 @@ def _mul_terms(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            ex = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(ex, _ZERO) + ca * cb
+            ex = tuple(map(add, ea, eb))
+            s = out.get(ex, 0) + ca * cb
             if s:
                 out[ex] = s
             elif ex in out:
@@ -103,10 +123,10 @@ class Poly:
                 ex = tuple(int(e) for e in ex)
                 if len(ex) != nvars or any(e < 0 for e in ex):
                     raise DimensionError(f"bad exponent tuple {ex} for {nvars} variables")
-                c = Fraction(c)
+                c = exact(c)
                 if c:
-                    clean[ex] = clean.get(ex, Fraction(0)) + c
-            self.terms = {ex: c for ex, c in clean.items() if c}
+                    clean[ex] = clean.get(ex, 0) + c
+            self.terms = exact_terms({ex: c for ex, c in clean.items() if c})
 
     # -- constructors ------------------------------------------------------
 
@@ -116,7 +136,7 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Poly":
-        c = Fraction(value)
+        c = exact(value)
         if not c:
             return cls.zero(nvars)
         return cls(nvars, {(0,) * nvars: c}, _canonical=True)
@@ -131,10 +151,10 @@ class Poly:
             raise DimensionError(f"variable index {index} out of range for {nvars} variables")
         ex = [0] * nvars
         ex[index] = 1
-        return cls(nvars, {tuple(ex): Fraction(1)}, _canonical=True)
+        return cls(nvars, {tuple(ex): 1}, _canonical=True)
 
     def _wrap(self, terms) -> "Poly":
-        return Poly(self.nvars, terms, _canonical=True)
+        return Poly(self.nvars, exact_terms(terms), _canonical=True)
 
     def _check(self, other: "Poly") -> None:
         if self.nvars != other.nvars:
@@ -153,7 +173,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms[(0,) * self.nvars]
+        return Fraction(self.terms[(0,) * self.nvars])
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -172,10 +192,10 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return self._wrap(_add_scaled_terms(self.terms, other.terms, _MINUS_ONE))
+        return self._wrap(_add_scaled_terms(self.terms, other.terms, -1))
 
     def __neg__(self) -> "Poly":
-        return self._wrap(_neg_terms(self.terms))
+        return Poly(self.nvars, _neg_terms(self.terms), _canonical=True)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -184,7 +204,7 @@ class Poly:
         return self._wrap(_mul_terms(self.terms, other.terms))
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return self._wrap({})
         return self._wrap({ex: c * v for ex, v in self.terms.items()})
@@ -192,7 +212,7 @@ class Poly:
     def add_scaled(self, other: "Poly", c) -> "Poly":
         """self + c*other."""
         self._check(other)
-        return self._wrap(_add_scaled_terms(self.terms, other.terms, Fraction(c)))
+        return self._wrap(_add_scaled_terms(self.terms, other.terms, exact(c)))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -216,7 +236,7 @@ class Poly:
             e = ex[index]
             if e:
                 nex = ex[:index] + (e - 1,) + ex[index + 1 :]
-                s = out.get(nex, _ZERO) + c * e
+                s = out.get(nex, 0) + c * e
                 if s:
                     out[nex] = s
                 elif nex in out:

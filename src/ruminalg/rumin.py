@@ -38,19 +38,14 @@ from math import prod
 from .cinfty import GradedOpSet, RetractData, apply_tensor_ops
 from .errors import DomainError
 from .forms import ContactModel, Form, _form_from_accumulator, exterior_d, merge_indices, wedge
+from .poly import exact
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _exact(c):
-    """An integral rational as an int, so that unit weights add or negate."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _accumulate(out: dict, key, coeffs: dict, c) -> None:
-    """out[key] += c * coeffs on {exponent: Fraction} dicts.  A unit c adds or
-    negates instead of multiplying, and a new key starts as a copy."""
+    """out[key] += c * coeffs on {exponent: coefficient} dicts.  A unit c adds
+    or negates instead of multiplying, and a new key starts as a copy."""
     if c == -1:
         coeffs = {ex: -v for ex, v in coeffs.items()}
     elif c != 1:
@@ -60,7 +55,7 @@ def _accumulate(out: dict, key, coeffs: dict, c) -> None:
         out[key] = dict(coeffs) if c == 1 else coeffs
         return
     for ex, v in coeffs.items():
-        s = acc.get(ex, _ZERO) + v
+        s = acc.get(ex, 0) + v
         if s:
             acc[ex] = s
         else:
@@ -70,7 +65,7 @@ def _accumulate(out: dict, key, coeffs: dict, c) -> None:
 def _pair_op(terms: dict, n: int, weights, lower: bool) -> dict:
     """L, which adds each free pair (e^i, e^{n+i}) with weight c_i, or Lambda
     (`lower`), which removes each full pair with weight 1/c_i, on a horizontal
-    form held as {index: {exponent: Fraction}}; the signs are merge_indices'."""
+    form held as {index: {exponent: coefficient}}; the signs are merge_indices'."""
     out = {}
     for idx, coeffs in terms.items():
         if lower:
@@ -92,14 +87,15 @@ def _pair_op(terms: dict, n: int, weights, lower: bool) -> dict:
 
 def _pair_weights(dtheta: Form):
     """The c_i of dtheta = sum_i c_i e^i ^ e^{n+i} and their inverses, read
-    off the form itself, so a rescaled gamma is built from the rescaled form."""
+    off the form itself, so a rescaled gamma is built from the rescaled form.
+    constant_value() is a Fraction, so 1 / x is exact."""
     n = dtheta.model.n
     c = [dtheta.terms[(i, n + i)].constant_value() for i in range(1, n + 1)]
-    return [_exact(x) for x in c], [_exact(1 / x) for x in c]
+    return [exact(x) for x in c], [exact(1 / x) for x in c]
 
 
 def _horizontal(w: Form) -> dict:
-    """The part of w free of e^0, as {index: {exponent: Fraction}}."""
+    """The part of w free of e^0, as {index: {exponent: coefficient}}."""
     return {idx: p.terms for idx, p in w.terms.items() if not idx or idx[0]}
 
 
@@ -111,7 +107,8 @@ def _gamma_scalars(n: int, k: int) -> tuple:
     2n.  With alpha = sum_r L^r alpha_r (r = r0..k//2 past alpha_0,
     r0 = max(1, k - n)), the j-th operator maps L^r alpha_r to L^(r-1) alpha_r
     times prod_{i<j} (r -+ i)(n - k + r + 1 +- i), which is 0 for the r below
-    the j-th piece, so the c_j solve a triangular system."""
+    the j-th piece, so the c_j solve a triangular system; `rest` starts from
+    the Fraction 1, so each division is exact."""
     sign = -1 if k <= n + 1 else 1
 
     def factor(r, j):
@@ -121,7 +118,7 @@ def _gamma_scalars(n: int, k: int) -> tuple:
     for r in range(max(1, k - n), k // 2 + 1):
         rest = _ONE - sum(cj * factor(r, j) for j, cj in enumerate(c, 1))
         c.append(rest / factor(r, len(c) + 1))
-    return tuple(map(_exact, c))
+    return tuple(map(exact, c))
 
 
 def gamma(w: Form, _lam: Fraction = _ONE) -> Form:
@@ -151,7 +148,7 @@ def gamma(w: Form, _lam: Fraction = _ONE) -> Form:
             _accumulate(acc, idx, coeffs, cj)
     if not descend:
         acc = drop(acc)
-    t = _exact(model.theta().scale(_lam).terms[(0,)].constant_value())
+    t = exact(model.theta().scale(_lam).terms[(0,)].constant_value())
     out: dict = {}
     for idx, coeffs in acc.items():
         _accumulate(out, (0,) + idx, coeffs, t)

@@ -41,7 +41,13 @@ from fractions import Fraction
 
 from . import cinfty, finite, rumin
 from ._version import __version__
-from .cinfty import check_morphism, check_stasheff, markl_transfer, shuffle_vanishing_residual
+from .cinfty import (
+    check_morphism,
+    check_stasheff,
+    describe_issues,
+    markl_transfer,
+    shuffle_vanishing_residual,
+)
 from .errors import DomainError
 from .forms import ContactModel, exterior_d, lefschetz_power_matrix, random_form, wedge
 from . import linalg
@@ -304,28 +310,51 @@ def suite_morphism(n, trials, seed, maxd, fset=None, max_relation=4):
 _retract_cache: dict = {}
 
 
+def _checked_rumin_retract(n: int, maxd: int):
+    """(retract, issues): the symbolic retract for H^{2n+1} with its
+    identities checked on a fixed seeded sample, and the failures that
+    `RetractData.verify` found.  Only a retract without issues is cached
+    (per n and maxd)."""
+    key = (n, maxd)
+    if key in _retract_cache:
+        return _retract_cache[key], []
+    model = ContactModel(n)
+    retract = rumin_retract(model)
+    rng = stream(20_000 + n, 0)
+    a_samples = [random_form(model, rng, deg, maxd) for deg in _degrees(model) for _ in range(3)]
+    b_samples = [_certified(model, rng, deg, maxd) for deg in _degrees(model) for _ in range(3)]
+    issues = retract.verify(a_samples, b_samples)
+    if not issues:
+        _retract_cache[key] = retract
+    return retract, issues
+
+
 def verified_rumin_retract(n: int, maxd: int = 2):
     """The symbolic retract for H^{2n+1} with its identities verified on a
-    fixed seeded sample (cached per n)."""
-    key = (n, maxd)
-    if key not in _retract_cache:
-        model = ContactModel(n)
-        retract = rumin_retract(model)
-        rng = stream(20_000 + n, 0)
-        a_samples = [random_form(model, rng, deg, maxd) for deg in _degrees(model) for _ in range(3)]
-        b_samples = [_certified(model, rng, deg, maxd) for deg in _degrees(model) for _ in range(3)]
-        issues = retract.verify(a_samples, b_samples)
-        if issues:
-            raise DomainError("rumin retract identities failed: " + "; ".join(issues))
-        _retract_cache[key] = retract
-    return _retract_cache[key]
+    fixed seeded sample (cached per n); raises DomainError when they fail."""
+    retract, issues = _checked_rumin_retract(n, maxd)
+    if issues:
+        raise DomainError("rumin retract identities failed: " + describe_issues(issues))
+    return retract
+
+
+def _transfer(n, maxd, max_arity, rec):
+    """The transferred families of the verified rumin retract, or None after
+    recording each failed retract identity in `rec`, its sample as the
+    witness input."""
+    retract, issues = _checked_rumin_retract(n, maxd)
+    for _, sample, residual in issues:
+        rec.residual(residual, [sample])
+    return None if issues else markl_transfer(retract, max_arity=max_arity)
 
 
 def suite_transfer_match(n, trials, seed, maxd):
     model = ContactModel(n)
-    retract = verified_rumin_retract(n, maxd)
-    mset_t, fset_t = markl_transfer(retract, max_arity=3)
     rec = _Recorder()
+    transferred = _transfer(n, maxd, 3, rec)
+    if transferred is None:
+        return rec
+    mset_t, fset_t = transferred
     for t in range(trials):
         rng = stream(seed, t)
         a, b, c = _certified_tuple(model, rng, 3, maxd)
@@ -337,9 +366,11 @@ def suite_transfer_match(n, trials, seed, maxd):
 
 def suite_higher_vanish(n, trials, seed, maxd):
     model = ContactModel(n)
-    retract = verified_rumin_retract(n, maxd)
-    mset_t, fset_t = markl_transfer(retract, max_arity=5)
     rec = _Recorder()
+    transferred = _transfer(n, maxd, 5, rec)
+    if transferred is None:
+        return rec
+    mset_t, fset_t = transferred
     for t in range(trials):
         rng = stream(seed, t)
         elements = _certified_tuple(model, rng, 5, maxd)

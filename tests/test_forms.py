@@ -187,6 +187,22 @@ def test_wedge_matches_permutation_sign_reference(a, b):
     assert w.degree == a.degree + b.degree
 
 
+def assert_exact_form(w):
+    for p in w.terms.values():
+        for c in p.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coframe_forms(), coframe_forms())
+def test_form_coefficients_are_int_or_proper_fraction(a, b):
+    c = b if b.degree == a.degree else a.scale(Fraction(-1, 2))
+    for w in (a, a + c, a - c, -a, a.scale(Fraction(3, 2)), wedge(a, b), exterior_d(a), rumin.pi(a).form):
+        assert_exact_form(w)
+    for lam in (Fraction(1), Fraction(3, 7)):
+        assert_exact_form(rumin.gamma(a, _lam=lam))
+
+
 # -- exterior derivative ----------------------------------------------------------
 
 

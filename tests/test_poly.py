@@ -155,3 +155,44 @@ def test_arithmetic_matches_dict_reference(a, b, c, var):
     assert p.scale(c).terms == ref_add_scaled({}, a, c)
     assert (p * q).terms == ref_mul(a, b)
     assert p.deriv(var).terms == ref_deriv(a, var)
+
+
+# -- the coefficient invariant: int when integral, else Fraction ----------------
+
+
+def assert_exact(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, polys, rationals, st.integers(0, 2), st.integers(0, 4))
+def test_every_coefficient_is_int_or_proper_fraction(p, q, c, var, k):
+    assert_exact(p)
+    for r in (p + q, p - q, p * q, -p, p.scale(c), p.add_scaled(q, c), p.deriv(var), p**k):
+        assert_exact(r)
+
+
+def test_exact_normalizes_every_input():
+    ex = (1, 0, 2)
+    for value in (Fraction(4, 2), 2, 2.0, True, "2"):
+        assert_exact(Poly(3, {ex: value}))
+        assert_exact(Poly.constant(3, value))
+    assert_exact(X1.scale(Fraction(6, 3)))
+    assert_exact(X1.scale(0.5))
+    assert_exact(X1.scale(Fraction(3, 2)).scale(Fraction(2, 3)))
+    assert_exact(X1.scale(Fraction(1, 2)) + X1.scale(Fraction(1, 2)))
+    assert_exact(Poly.variable(3, 2))
+
+
+def test_int_and_fraction_coefficients_agree():
+    ex = (1, 0, 2)
+    a, b = Poly(3, {ex: Fraction(2)}), Poly(3, {ex: 2})
+    assert a == b and hash(a) == hash(b)
+    assert a.terms == {ex: Fraction(2)}
+
+
+def test_constant_value_is_a_fraction():
+    for value in (0, 3, Fraction(3, 4)):
+        got = Poly.constant(3, value).constant_value()
+        assert type(got) is Fraction and got == value

@@ -200,6 +200,18 @@ def test_gamma_at_n40():
     assert gamma(wedge(_dx(model), _dy(model))) == model.theta().scale(Fraction(1, 40))
 
 
+def test_gamma_at_lambda_3_7_leaves_the_integers():
+    # An integral input whose gamma is not integral, computed through the
+    # weights 3/7 and 7/3: every coefficient is an int or a proper Fraction.
+    x1, y2 = Poly.variable(M2.nvars, 0), Poly.variable(M2.nvars, 3)
+    w = Form.monomial(M2, (1, 3), x1 * y2 + Poly.constant(M2.nvars, 3))
+    got = gamma(w, _lam=Fraction(3, 7))
+    expected = {(1, 0, 0, 1, 0): Fraction(1, 2), (0, 0, 0, 0, 0): Fraction(3, 2)}
+    assert {idx: p.terms for idx, p in got.terms.items()} == {(0,): expected}
+    assert all(type(c) is Fraction for c in got.terms[(0,)].terms.values())
+    assert got == gamma(w)
+
+
 def test_wrong_dtheta_pair_changes_gamma(monkeypatch):
     # Pair weights read off a rescaled dtheta with one pair's coefficient
     # changed must change the rescaled gamma, so gamma_invariance_check can

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ruminalg import cinfty, rumin, suites
+from ruminalg import cinfty, cli, rumin, suites
 from ruminalg.forms import ContactModel, exterior_d
 from ruminalg.parser import eval_text
 from ruminalg.suites import (
@@ -159,3 +159,27 @@ def test_corrupted_operator_fails_a_suite_with_witness(monkeypatch, corrupt, n):
         assert witness.inputs and witness.residual not in ("", "0")
         for text in witness.inputs + [witness.residual]:
             assert eval_text(text, model).model == model
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_double_one_gamma_scalar, _flip_gamma_d_in_pi], ids=["gamma-scalar", "pi-gamma-d-sign"]
+)
+def test_broken_retract_fails_the_transfer_suites(monkeypatch, capsys, corrupt):
+    # A retract that fails its identities is a failed report with witnesses,
+    # not a traceback, and it is not cached for later runs.
+    monkeypatch.setattr(suites, "_retract_cache", {})
+    model = ContactModel(1)
+    with monkeypatch.context() as m:
+        corrupt(m)
+        for name in ("transfer-match", "higher-vanish"):
+            report = run_suite(name, n=1, trials=3)
+            assert not report.passed and report.failures
+            for witness in report.failures:
+                assert witness.inputs and witness.residual not in ("", "0")
+                for text in witness.inputs + [witness.residual]:
+                    assert eval_text(text, model).model == model
+        assert cli.main(["verify", "transfer-match", "--n", "1", "--trials", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert "FAIL" in out and "witness 1:" in out and "Traceback" not in out + err
+        assert suites._retract_cache == {}
+    assert run_suite("transfer-match", n=1, trials=3).passed
