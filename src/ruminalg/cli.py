@@ -139,6 +139,9 @@ def cmd_cohomology(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.path}: not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,13 +10,15 @@ cohomology rings through a cochain map.
 
 The built-in model is the exterior algebra on three degree-one generators
 a, b, c with da = db = 0 and dc = a^b -- the left-invariant forms of the
-three-dimensional Heisenberg group.  Identifying a, b, c with the constant-
-coefficient coframe forms dx1, dy1, theta of `ruminalg.forms` (n = 1), the
-operators gamma and pi of `ruminalg.rumin` preserve constant coefficients and
-restrict to this eight-dimensional algebra; `heisenberg_ce_retract` packages
-that restriction as a deformation retract onto the six-dimensional
-subcomplex spanned by 1; a, b; c^a, c^b; c^a^b, ready for the generic
-homotopy transfer.
+three-dimensional Heisenberg group.  It is read off `ruminalg.forms` (n = 1):
+a basis word such as "ac" stands for the wedge dx1 ^ theta of its letters'
+coframe forms (a = dx1, b = dy1, c = theta), and d and the product are
+`exterior_d` and `wedge` of those forms, read back into word coordinates.
+The operators gamma and pi of `ruminalg.rumin` preserve constant
+coefficients, so they restrict too: the six-dimensional Rumin subcomplex
+spanned by 1; a, b; c^a, c^b; c^a^b takes the projected wedge pi(u ^ v) as
+its product, and `heisenberg_ce_retract` samples (inclusion, pi, gamma) into
+a deformation retract onto it, ready for the generic homotopy transfer.
 
 File format (consumed by the CLI `cohomology` subcommand), line oriented,
 `#` starts a comment:
@@ -33,11 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg, rumin
 from .cinfty import GradedOpSet, RetractData, describe_issues
 from .errors import ConstructionError, DimensionError, DomainError
-from .forms import ContactModel, Form, wedge
+from .forms import ContactModel, Form, exterior_d, wedge
 from .poly import Poly
 
 _ZERO = Fraction(0)
@@ -172,9 +175,6 @@ class FiniteGradedAlgebra:
         coeffs = [_ZERO] * self.dim(deg)
         coeffs[i] = Fraction(1)
         return FiniteVector(self, deg, coeffs)
-
-    def vector(self, degree: int, coeffs) -> FiniteVector:
-        return FiniteVector(self, degree, coeffs)
 
     def basis_vectors(self, degree: int):
         return [self.element(label) for label in self.labels(degree)]
@@ -469,147 +469,108 @@ def check_ring_isomorphism(fmap: CochainMap, ha: Cohomology | None = None, hb: C
 
 # -- the built-in Heisenberg model ----------------------------------------------
 
-_LETTER_ORDER = {"a": 0, "b": 1, "c": 2}
+# A basis word stands for the wedge of its letters' generators, in order, among
+# the constant-coefficient forms on H^3 (n = 1): a = dx1 = e^1, b = dy1 = e^2,
+# c = theta = e^0.  The empty word is the unit, labelled 1.
+_LETTERS = {"a": 1, "b": 2, "c": 0}
+_CE_BASIS = {k: ["".join(w) for w in combinations("abc", k)] for k in range(4)}
+_RUMIN_BASIS = {0: [""], 1: ["a", "b"], 2: ["ca", "cb"], 3: ["cab"]}
 
 
-def _sort_letters(letters):
-    """Sort exterior-algebra letters, tracking the permutation sign; returns
-    (sign, word) with sign 0 on a repeated letter."""
-    seq = list(letters)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] == seq[j]:
-                return 0, ""
-    # insertion sort counting transpositions
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and _LETTER_ORDER[seq[j - 1]] > _LETTER_ORDER[seq[j]]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, "".join(seq)
+def _reader(forms):
+    """Coordinates {label: coefficient} of a constant-coefficient form over the
+    word forms `forms` (label -> form), each of which is +-1 times one coframe
+    monomial; a monomial outside their span raises DomainError."""
+    slots = {}
+    for label, form in forms.items():
+        ((idx, sign),) = form.terms.items()
+        slots[idx] = (label, sign.constant_value())
+
+    def read(form: Form) -> dict:
+        row = {}
+        for idx, p in form.terms.items():
+            if idx not in slots:
+                raise DomainError(f"form is not in the span of the basis words: {form}")
+            label, sign = slots[idx]
+            row[label] = sign * p.constant_value()
+        return row
+
+    return read
 
 
-def _word_label(word: str) -> str:
-    return word if word else "1"
+def _word_algebra(words, name: str, project):
+    """The algebra on `words` (degree -> words) whose d and product are
+    `exterior_d` and `wedge` of the word forms, read back after `project`.
+    Returns (algebra, word form by label, reader)."""
+    model = ContactModel(1)
+    forms = {}
+    for row in words.values():
+        for word in row:
+            form = Form.constant(model, Poly.one(model.nvars))
+            for letter in word:
+                form = wedge(form, model.generator(_LETTERS[letter]))
+            forms[word or "1"] = form
+    read = _reader(forms)
+    d = {u: row for u, fu in forms.items() if (row := read(project(exterior_d(fu))))}
+    mu = {
+        (u, v): row
+        for u, fu in forms.items()
+        for v, fv in forms.items()
+        if (row := read(project(wedge(fu, fv))))
+    }
+    basis = {k: [word or "1" for word in row] for k, row in words.items()}
+    return FiniteGradedAlgebra(basis, d, mu, name=name), forms, read
+
+
+def _identity(w: Form) -> Form:
+    return w
+
+
+def _pi(w: Form) -> Form:
+    return rumin.pi(w).form
+
+
+def _ce_words():
+    """(algebra, word forms, reader) of the CE algebra."""
+    return _word_algebra(_CE_BASIS, "heisenberg-ce", _identity)
+
+
+def _rumin_words():
+    """As `_ce_words`, for the Rumin subcomplex; its basis forms must lie in R."""
+    words = _word_algebra(_RUMIN_BASIS, "heisenberg-rumin", _pi)
+    for form in words[1].values():
+        rumin.certify(form)
+    return words
+
+
+def _sample(src, dst, op, shift: int = 0) -> CochainMap:
+    """The linear map v -> op(form of v), read back in `dst`, sampled on the
+    basis of `src`; both are (algebra, word forms, reader) triples."""
+    (a, forms, _), (b, _, read) = src, dst
+
+    def fn(v: FiniteVector) -> FiniteVector:
+        form = Form.zero(forms["1"].model, v.degree)
+        for c, label in zip(v.coeffs, a.labels(v.degree)):
+            if c:
+                form = form + forms[label].scale(c)
+        row = read(op(form))
+        degree = v.degree + shift
+        return FiniteVector(b, degree, [row.get(label, _ZERO) for label in b.labels(degree)])
+
+    return CochainMap.from_function(a, b, fn, shift)
 
 
 def heisenberg_ce_algebra() -> FiniteGradedAlgebra:
     """Exterior algebra on a, b, c (all degree 1) with da = db = 0 and
     dc = a^b: the left-invariant forms of the 3-dimensional Heisenberg
     group."""
-    words = ["", "a", "b", "c", "ab", "ac", "bc", "abc"]
-    basis: dict = {}
-    for w in words:
-        basis.setdefault(len(w), []).append(_word_label(w))
-    mu: dict = {}
-    for u in words:
-        for v in words:
-            sign, merged = _sort_letters(u + v)
-            if sign:
-                mu[(_word_label(u), _word_label(v))] = {_word_label(merged): Fraction(sign)}
-    d: dict = {}
-    for w in words:
-        row: dict = {}
-        for pos, letter in enumerate(w):
-            if letter != "c":
-                continue
-            sign, merged = _sort_letters(w[:pos] + "ab" + w[pos + 1 :])
-            if sign:
-                coeff = Fraction(sign if pos % 2 == 0 else -sign)
-                row[_word_label(merged)] = row.get(_word_label(merged), _ZERO) + coeff
-        row = {k: v for k, v in row.items() if v}
-        if row:
-            d[_word_label(w)] = row
-    return FiniteGradedAlgebra(basis, d, mu, name="heisenberg-ce")
-
-
-# Correspondence with constant-coefficient forms on H^3 (n = 1):
-# a <-> dx1 = e^1,  b <-> dy1 = e^2,  c <-> theta = e^0.
-_LETTER_GEN = {"a": 1, "b": 2, "c": 0}
-_GEN_LETTER = {1: "a", 2: "b", 0: "c"}
-
-_RUMIN_WORDS = ["1", "a", "b", "ca", "cb", "cab"]
-
-
-def _model3() -> ContactModel:
-    return ContactModel(1)
-
-
-def _word_to_form(word: str, model: ContactModel) -> Form:
-    if word == "1":
-        return Form.constant(model, Poly.one(model.nvars))
-    out = Form.constant(model, Poly.one(model.nvars))
-    for letter in word:
-        out = wedge(out, model.generator(_LETTER_GEN[letter]))
-    return out
-
-
-def _vec_to_form(v: FiniteVector, model: ContactModel) -> Form:
-    alg = v.algebra
-    out = Form.zero(model, v.degree)
-    for c, label in zip(v.coeffs, alg.labels(v.degree)):
-        if c:
-            out = out + _word_to_form(label if label != "1" else "1", model).scale(c)
-    return out
-
-
-def _form_to_vec(f: Form, alg: FiniteGradedAlgebra) -> FiniteVector:
-    """Read a constant-coefficient form back into CE coordinates."""
-    coeffs = [_ZERO] * alg.dim(f.degree)
-    pos = {label: i for i, label in enumerate(alg.labels(f.degree))}
-    for idx, p in f.terms.items():
-        sign, word = _sort_letters([_GEN_LETTER[i] for i in idx])
-        coeffs[pos[_word_label(word)]] += sign * p.constant_value()
-    return FiniteVector(alg, f.degree, coeffs)
-
-
-_RUMIN_IDX = {"1": (), "a": (1,), "b": (2,), "ca": (0, 1), "cb": (0, 2), "cab": (0, 1, 2)}
-
-
-def _form_to_rumin_vec(f: Form, alg: FiniteGradedAlgebra) -> FiniteVector:
-    # The chosen subcomplex basis words c^a, c^b, c^a^b are single coframe
-    # monomials with coefficient +1, so projection is a direct read-off.
-    labels = alg.labels(f.degree)
-    coeffs = [f.coefficient(_RUMIN_IDX[label]).constant_value() for label in labels]
-    consumed = {_RUMIN_IDX[label] for label in labels}
-    if any(idx not in consumed for idx in f.terms):
-        raise DomainError(f"form is not in the invariant Rumin subspace: {f}")
-    return FiniteVector(alg, f.degree, coeffs)
+    return _ce_words()[0]
 
 
 def heisenberg_rumin_model() -> FiniteGradedAlgebra:
     """The six-dimensional subcomplex 1; a, b; c^a, c^b; c^a^b with zero
-    differential and the projected wedge as its product (computed through
-    the symbolic operators, which preserve constant coefficients)."""
-    model = _model3()
-    basis = {0: ["1"], 1: ["a", "b"], 2: ["ca", "cb"], 3: ["cab"]}
-    forms = {label: rumin.certify(_word_to_form(label, model)) for row in basis.values() for label in row}
-    shell = FiniteGradedAlgebra(basis, {}, {}, name="heisenberg-rumin")  # for coordinates
-    mu: dict = {}
-    for u, fu in forms.items():
-        for v, fv in forms.items():
-            prod = rumin.m2(fu, fv).form
-            if prod.is_zero():
-                continue
-            vec = _form_to_rumin_vec(prod, shell)
-            row = {
-                label: c
-                for label, c in zip(shell.labels(vec.degree), vec.coeffs)
-                if c
-            }
-            if row:
-                mu[(u, v)] = row
-    d: dict = {}
-    for label, fe in forms.items():
-        df = rumin.m1(fe).form
-        if not df.is_zero():
-            vec = _form_to_rumin_vec(df, shell)
-            d[label] = {
-                dst: c for dst, c in zip(shell.labels(vec.degree), vec.coeffs) if c
-            }
-    return FiniteGradedAlgebra(basis, d, mu, name="heisenberg-rumin")
+    differential and the projected wedge pi(u ^ v) as its product."""
+    return _rumin_words()[0]
 
 
 @dataclass
@@ -632,26 +593,11 @@ def heisenberg_ce_retract() -> FiniteModelBundle:
     applied as exact matrices, which keeps exhaustive transfer sweeps over
     all basis tuples cheap.
     """
-    model = _model3()
-    ce = heisenberg_ce_algebra()
-    rm = heisenberg_rumin_model()
-
-    def include_symbolic(b: FiniteVector) -> FiniteVector:
-        total = Form.zero(model, b.degree)
-        for c, label in zip(b.coeffs, rm.labels(b.degree)):
-            if c:
-                total = total + _word_to_form(label, model).scale(c)
-        return _form_to_vec(total, ce)
-
-    def project_symbolic(a: FiniteVector) -> FiniteVector:
-        return _form_to_rumin_vec(rumin.pi(_vec_to_form(a, model)).form, rm)
-
-    def homotopy_symbolic(a: FiniteVector) -> FiniteVector:
-        return _form_to_vec(rumin.gamma(_vec_to_form(a, model)), ce)
-
-    inclusion = CochainMap.from_function(rm, ce, include_symbolic)
-    project = CochainMap.from_function(ce, rm, project_symbolic)
-    homotopy = CochainMap.from_function(ce, ce, homotopy_symbolic, shift=-1)
+    ce_words, rm_words = _ce_words(), _rumin_words()
+    ce, rm = ce_words[0], rm_words[0]
+    inclusion = _sample(rm_words, ce_words, _identity)
+    project = _sample(ce_words, rm_words, _pi)
+    homotopy = _sample(ce_words, ce_words, rumin.gamma, shift=-1)
 
     retract = RetractData(
         d=ce.apply_d,

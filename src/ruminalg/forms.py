@@ -84,9 +84,12 @@ class ContactModel:
         return Form(self, 2, terms)
 
     def dtheta_power(self, k: int) -> "Form":
-        """(dtheta)^k, cached; (dtheta)^0 is the constant 1."""
+        """(dtheta)^k, cached; (dtheta)^0 is the constant 1, and (dtheta)^k
+        is the zero 2k-form once k > n."""
         if k < 0:
             raise DomainError(f"negative dtheta power {k}")
+        if k > self.n:
+            return Form.zero(self, 2 * k)
         if k not in self._dtheta_powers:
             if k == 0:
                 val = Form.constant(self, Poly.one(self.nvars))

@@ -23,22 +23,6 @@ def identity(k: int):
     return m
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += c * bk[j]
-    return out
-
-
 def mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), _ZERO) for row in a]
 
@@ -117,10 +101,6 @@ def solve_exact(a, b):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
-
-
-def columns(a):
-    return [[row[j] for row in a] for j in range(len(a[0]))] if a else []
 
 
 def from_columns(cols, nrows: int):

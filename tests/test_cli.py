@@ -49,6 +49,18 @@ def test_eval_power_over_term_budget_exit_1(capsys):
     assert len(err.splitlines()) == 1 and "more than 1001 terms" in err and "1000" in err
 
 
+@pytest.mark.parametrize("power", ["2000", "9" * 100])
+def test_eval_lefschetz_power_above_n_is_zero(capsys, power):
+    # dtheta^k = 0 once k > n, whatever the size of k
+    code, out, err = run(capsys, "eval", f"L(theta, {power})", "--n", "1")
+    assert code == 0 and out.strip() == "0" and err == ""
+
+
+def test_eval_lefschetz_rejects_non_vertical_exit_1(capsys):
+    code, out, err = run(capsys, "eval", "L(dx1, 1)", "--n", "1")
+    assert code == 1 and out == "" and "vertical" in err
+
+
 @pytest.mark.parametrize(
     "expr, column",
     [("(x1**" + "9" * 5000 + ")", 6), ("1/" + "7" * 5000, 3), ("dx" + "1" * 5000, 1)],
@@ -167,6 +179,10 @@ def test_cohomology_arg_validation(capsys, tmp_path):
     bad.write_text("basis u 0\nbasis v 1\nd u v 1\nd v ???\n")
     code, _, err = run(capsys, "cohomology", str(bad))
     assert code == 1 and "line 4" in err
+    undecodable = tmp_path / "undecodable.alg"
+    undecodable.write_bytes(b"basis u 0\n\xff\n")
+    code, out, err = run(capsys, "cohomology", str(undecodable))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "not UTF-8" in err
 
 
 def test_version_flag(capsys):

@@ -6,15 +6,16 @@ from ruminalg.errors import ConstructionError, DimensionError, DomainError
 from ruminalg.finite import (
     CochainMap,
     FiniteGradedAlgebra,
-    _form_to_vec,
-    _model3,
-    _vec_to_form,
+    FiniteVector,
+    _ce_words,
+    _rumin_words,
     check_ring_isomorphism,
     cohomology,
     heisenberg_ce_algebra,
     heisenberg_ce_retract,
     heisenberg_rumin_model,
 )
+from ruminalg.forms import ContactModel, wedge
 from ruminalg.linalg import identity
 from ruminalg.rumin import gamma
 
@@ -173,6 +174,79 @@ def test_duplicate_label_rejected():
 # -- file format ------------------------------------------------------------------------
 
 
+# The exact dumps() text of the built-in models: a change of sign, label or
+# basis order shows here, where a dump/load round trip would not see it.
+CE_DUMP = """\
+algebra heisenberg-ce
+basis 1 0
+basis a 1
+basis b 1
+basis c 1
+basis ab 2
+basis ac 2
+basis bc 2
+basis abc 3
+d c ab 1
+mu 1 1 1 1
+mu 1 a a 1
+mu 1 b b 1
+mu 1 c c 1
+mu 1 ab ab 1
+mu 1 ac ac 1
+mu 1 bc bc 1
+mu 1 abc abc 1
+mu a 1 a 1
+mu a b ab 1
+mu a c ac 1
+mu a bc abc 1
+mu b 1 b 1
+mu b a ab -1
+mu b c bc 1
+mu b ac abc -1
+mu c 1 c 1
+mu c a ac -1
+mu c b bc -1
+mu c ab abc 1
+mu ab 1 ab 1
+mu ab c abc 1
+mu ac 1 ac 1
+mu ac b abc -1
+mu bc 1 bc 1
+mu bc a abc 1
+mu abc 1 abc 1
+"""
+
+RUMIN_DUMP = """\
+algebra heisenberg-rumin
+basis 1 0
+basis a 1
+basis b 1
+basis ca 2
+basis cb 2
+basis cab 3
+mu 1 1 1 1
+mu 1 a a 1
+mu 1 b b 1
+mu 1 ca ca 1
+mu 1 cb cb 1
+mu 1 cab cab 1
+mu a 1 a 1
+mu a cb cab -1
+mu b 1 b 1
+mu b ca cab 1
+mu ca 1 ca 1
+mu ca b cab 1
+mu cb 1 cb 1
+mu cb a cab -1
+mu cab 1 cab 1
+"""
+
+
+def test_builtin_dumps_are_pinned():
+    assert heisenberg_ce_algebra().dumps() == CE_DUMP
+    assert heisenberg_rumin_model().dumps() == RUMIN_DUMP
+
+
 def test_dump_load_round_trip():
     ce = heisenberg_ce_algebra()
     text = ce.dumps()
@@ -249,15 +323,33 @@ def test_cochain_map_from_function():
 
 def test_shifted_map_from_gamma_is_the_retract_homotopy():
     bundle = heisenberg_ce_retract()
-    ce, model = bundle.ce, _model3()
-    h = CochainMap.from_function(
-        ce, ce, lambda a: _form_to_vec(gamma(_vec_to_form(a, model)), ce), shift=-1
-    )
+    ce = bundle.ce
+    _, forms, read = _ce_words()
+
+    def via_gamma(v):
+        # v is a basis vector: gamma of its word's form, read back one degree down
+        (label,) = [lab for c, lab in zip(v.coeffs, ce.labels(v.degree)) if c]
+        row = read(gamma(forms[label]))
+        return FiniteVector(ce, v.degree - 1, [row.get(lab, 0) for lab in ce.labels(v.degree - 1)])
+
+    h = CochainMap.from_function(ce, ce, via_gamma, shift=-1)
     assert any(not h.apply(v).is_zero() for v in ce.all_basis_vectors())
     for v in ce.all_basis_vectors():
         image = h.apply(v)
         assert image.degree == v.degree - 1
         assert image == bundle.retract.h(v)
+
+
+def test_word_forms_and_reader():
+    _, forms, read = _ce_words()
+    # each word is the wedge of its letters' generators, in order: a c = -(c a)
+    assert forms["ac"].terms[(0, 1)].constant_value() == -1
+    assert read(forms["ac"]) == {"ac": 1}
+    _, rumin_forms, rumin_read = _rumin_words()
+    assert rumin_read(rumin_forms["ca"]) == {"ca": 1}
+    model = ContactModel(1)
+    with pytest.raises(DomainError):  # a^b is not in the Rumin span
+        rumin_read(wedge(model.generator(1), model.generator(2)))
 
 
 def test_cochain_map_block_shape_checked():
