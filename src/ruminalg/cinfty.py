@@ -23,6 +23,7 @@ boolean so that failures carry witnesses.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .errors import DomainError
@@ -83,14 +84,20 @@ def shuffle_product(p: int, q: int, elements):
     if len(elements) != p + q:
         raise DomainError(f"expected {p + q} elements, got {len(elements)}")
     degrees = [e.degree for e in elements]
-    out = []
+    return [(sign * koszul_sign(perm, degrees), word) for perm, sign, word in _shuffle_table(p, q)]
+
+
+@cache
+def _shuffle_table(p: int, q: int):
+    """(s, sgn(s), word) for every (p, q)-shuffle s, where word[s[i]] = i: the
+    part of `shuffle_product` that does not depend on the elements."""
+    table = []
     for perm in shuffles(p, q):
-        sign = permutation_sign(perm) * koszul_sign(perm, degrees)
         word = [0] * (p + q)
         for src, dst in enumerate(perm):
             word[dst] = src
-        out.append((sign, tuple(word)))
-    return out
+        table.append((perm, permutation_sign(perm), tuple(word)))
+    return tuple(table)
 
 
 def apply_tensor_ops(ops, elements):
@@ -304,6 +311,23 @@ def describe_issues(issues) -> str:
     return "; ".join(f"{identity} fails on {sample}" for identity, sample, _ in issues)
 
 
+def _memoized(fn):
+    """`fn` of one argument, memoized with one dict lookup per call.  An
+    unhashable argument (a symbolic `Form`, say) is evaluated directly."""
+    memo: dict = {}
+
+    def wrapped(arg):
+        try:
+            hit = memo.get(arg)
+        except TypeError:
+            return fn(arg)
+        if hit is None:
+            hit = memo[arg] = fn(arg)
+        return hit
+
+    return wrapped
+
+
 def markl_transfer(retract: RetractData, max_arity: int):
     """Transferred homotopy structure on the subcomplex of a verified
     deformation retract, together with the quasi-isomorphism back to A.
@@ -318,65 +342,50 @@ def markl_transfer(retract: RetractData, max_arity: int):
         f_1 = i,   f_k = -h psi_k i^(x k)      (k >= 2),
 
     defined through arity `max_arity` (beyond which requesting an operator
-    raises).  Evaluation is memoized per tuple when elements are hashable,
-    which makes exhaustive finite-model sweeps cheap.
+    raises).
+
+    Memoized, when the elements are hashable: m_k and f_k per block of B, and
+    psi_k and h psi_k per block of A, for k >= 2, and i per element of B.
+    Each memo is a dict owned by this call's evaluators: it lives as long as
+    the returned families and is never shared with another call, so a new
+    call (after a monkeypatch, say) recomputes everything.  Unhashable
+    elements, such as symbolic forms, are evaluated directly every time.
     """
     if not retract.verified:
         raise DomainError("retract identities not verified; call RetractData.verify first")
     if max_arity < 2:
         raise DomainError("transfer needs max_arity >= 2")
 
-    h, mu, i, pi, d = retract.h, retract.mu, retract.i, retract.pi, retract.d
-    psi_cache: dict = {}
+    h, mu, pi = retract.h, retract.mu, retract.pi
+    lift = _memoized(retract.i)
+    psi: dict = {}
+    h_psi = {1: lambda block: block[0].scale(-1)}
 
-    def h_psi_entry(k: int):
-        if k == 1:
-            return (lambda block: block[0].scale(-1), 1, 0)
-        return (lambda block, _k=k: h(psi(_k, block)), k, 1 - k)
+    def psi_op(k: int):
+        def psi_k(elements):
+            total = None
+            for s in range(1, k):
+                sign, (u, v) = apply_tensor_ops([entries[s], entries[k - s]], elements)
+                total = _add(total, mu(u, v).scale(sign * (-1) ** (s + 1)))
+            return total
 
-    def psi(k: int, elements):
-        try:
-            key = (k, tuple(elements))
-            hit = psi_cache.get(key)
-        except TypeError:
-            key = None
-            hit = None
-        if hit is not None:
-            return hit
-        total = None
-        for s in range(1, k):
-            t = k - s
-            sign, (u, v) = apply_tensor_ops([h_psi_entry(s), h_psi_entry(t)], elements)
-            term = mu(u, v).scale(sign * (-1) ** (s + 1))
-            total = _add(total, term)
-        if key is not None:
-            psi_cache[key] = total
-        return total
+        return _memoized(psi_k)
 
-    def memoized(k: int, fn):
-        cache: dict = {}
-
-        def wrapped(block):
-            try:
-                key = (k, tuple(block))
-                hash(key)
-            except TypeError:
-                return fn(block)
-            if key not in cache:
-                cache[key] = fn(block)
-            return cache[key]
-
-        return wrapped
+    for k in range(2, max_arity + 1):
+        psi[k] = psi_op(k)
+        h_psi[k] = _memoized(lambda block, _k=k: h(psi[_k](block)))
+    # (h psi_k, arity, degree) triples for apply_tensor_ops
+    entries = {k: (fn, k, 1 - k) for k, fn in h_psi.items()}
 
     def m_op(k: int):
         if k == 1:
             return lambda block: retract.b_d(block[0])
-        return memoized(k, lambda block, _k=k: pi(psi(_k, tuple(i(b) for b in block))))
+        return _memoized(lambda block: pi(psi[k](tuple(map(lift, block)))))
 
     def f_op(k: int):
         if k == 1:
-            return lambda block: i(block[0])
-        return memoized(k, lambda block, _k=k: h(psi(_k, tuple(i(b) for b in block))).scale(-1))
+            return lambda block: lift(block[0])
+        return _memoized(lambda block: h_psi[k](tuple(map(lift, block))).scale(-1))
 
     mset = GradedOpSet(
         {k: m_op(k) for k in range(1, max_arity + 1)},

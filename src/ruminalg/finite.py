@@ -8,6 +8,14 @@ construction.  `cohomology` computes ker d / im d with representative
 cocycles and the induced product; `check_ring_isomorphism` compares two
 cohomology rings through a cochain map.
 
+Coefficients follow the rule of `ruminalg.poly`: a stored coefficient -- of a
+`FiniteVector`, of the `d` and `mu` tables, of a `CochainMap` block -- is an
+`int` when it is integral and a `Fraction` with denominator > 1 otherwise.
+Every operation normalizes its result once with `poly.exact`, so the common
+integral case builds no `Fraction`.  Since ``Fraction(2) == 2`` and
+``hash(Fraction(2)) == hash(2)``, vectors compare and hash exactly as they
+would with all-`Fraction` coordinates.
+
 The built-in model is the exterior algebra on three degree-one generators
 a, b, c with da = db = 0 and dc = a^b -- the left-invariant forms of the
 three-dimensional Heisenberg group.  It is read off `ruminalg.forms` (n = 1):
@@ -41,20 +49,22 @@ from . import linalg, rumin
 from .cinfty import GradedOpSet, RetractData, describe_issues
 from .errors import ConstructionError, DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, wedge
-from .poly import Poly
-
-_ZERO = Fraction(0)
+from .poly import Poly, exact
 
 
 class FiniteVector:
-    """Homogeneous element of a FiniteGradedAlgebra (immutable, hashable)."""
+    """Homogeneous element of a FiniteGradedAlgebra (immutable, hashable).
+
+    `coeffs` holds one exact coordinate per basis element of `degree`: an
+    `int` when it is integral, else a `Fraction` with denominator > 1.  The
+    constructor accepts any rationals and normalizes them."""
 
     __slots__ = ("algebra", "degree", "coeffs", "_hash")
 
     def __init__(self, algebra: "FiniteGradedAlgebra", degree: int, coeffs):
         self.algebra = algebra
         self.degree = degree
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(exact, coeffs))
         self._hash = None
         if len(self.coeffs) != algebra.dim(degree):
             raise DimensionError(
@@ -64,8 +74,8 @@ class FiniteVector:
 
     @classmethod
     def _make(cls, algebra, degree, coeffs) -> "FiniteVector":
-        """Internal fast path: `coeffs` must already be a tuple of Fractions
-        of the right length."""
+        """Internal fast path: `coeffs` must already be a tuple of stored
+        (`exact`) coefficients of the right length."""
         v = object.__new__(cls)
         v.algebra = algebra
         v.degree = degree
@@ -80,8 +90,12 @@ class FiniteVector:
         return self.algebra.zero(degree)
 
     def scale(self, c) -> "FiniteVector":
-        c = Fraction(c)
-        return FiniteVector._make(self.algebra, self.degree, tuple(c * x for x in self.coeffs))
+        if c == 1 or self.is_zero():
+            return self
+        if c == -1:
+            return FiniteVector._make(self.algebra, self.degree, tuple(-x for x in self.coeffs))
+        c = exact(c)
+        return FiniteVector._make(self.algebra, self.degree, tuple(exact(c * x) for x in self.coeffs))
 
     def __add__(self, other: "FiniteVector") -> "FiniteVector":
         if not isinstance(other, FiniteVector):
@@ -95,7 +109,7 @@ class FiniteVector:
         if self.degree != other.degree:
             raise DimensionError(f"adding degrees {self.degree} and {other.degree}")
         return FiniteVector._make(
-            self.algebra, self.degree, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
+            self.algebra, self.degree, tuple(exact(x + y) for x, y in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "FiniteVector") -> "FiniteVector":
@@ -149,12 +163,29 @@ class FiniteGradedAlgebra:
                 if label in self._pos:
                     raise ConstructionError(f"duplicate basis label {label!r}")
                 self._pos[label] = (deg, i)
-        self.d = {src: {dst: Fraction(c) for dst, c in row.items() if Fraction(c)} for src, row in d.items()}
+        self.d = {src: {dst: e for dst, c in row.items() if (e := exact(c))} for src, row in d.items()}
         self.mu = {
-            pair: {dst: Fraction(c) for dst, c in row.items() if Fraction(c)}
+            pair: {dst: e for dst, c in row.items() if (e := exact(c))}
             for pair, row in mu.items()
         }
-        self._validate()
+        self._check_labels()
+        # The tables by position: _d_rows[deg][j] lists (target index,
+        # coefficient) of d on basis element j of degree deg, and
+        # _mu_rows[(p, q)][i][j] does the same for the product of basis
+        # elements i of degree p and j of degree q.
+        self._d_rows = {
+            deg: [self._row(self.d.get(label)) for label in labels]
+            for deg, labels in self.basis.items()
+        }
+        self._mu_rows = {
+            (p, q): [[self._row(self.mu.get((a, b))) for b in self.basis[q]] for a in self.basis[p]]
+            for p in self.degrees
+            for q in self.degrees
+        }
+        self._check_axioms()
+
+    def _row(self, row) -> tuple:
+        return tuple((self._pos[dst][1], c) for dst, c in row.items()) if row else ()
 
     # -- basic structure -----------------------------------------------------
 
@@ -168,13 +199,13 @@ class FiniteGradedAlgebra:
         return self._pos[label][0]
 
     def zero(self, degree: int) -> FiniteVector:
-        return FiniteVector._make(self, degree, (_ZERO,) * self.dim(degree))
+        return FiniteVector._make(self, degree, (0,) * self.dim(degree))
 
     def element(self, label: str) -> FiniteVector:
         deg, i = self._pos[label]
-        coeffs = [_ZERO] * self.dim(deg)
-        coeffs[i] = Fraction(1)
-        return FiniteVector(self, deg, coeffs)
+        coeffs = [0] * self.dim(deg)
+        coeffs[i] = 1
+        return FiniteVector._make(self, deg, tuple(coeffs))
 
     def basis_vectors(self, degree: int):
         return [self.element(label) for label in self.labels(degree)]
@@ -192,28 +223,24 @@ class FiniteGradedAlgebra:
         return m
 
     def apply_d(self, v: FiniteVector) -> FiniteVector:
-        out = [_ZERO] * self.dim(v.degree + 1)
-        for j, c in enumerate(v.coeffs):
-            if not c:
-                continue
-            label = self.labels(v.degree)[j]
-            for dst, w in self.d.get(label, {}).items():
-                out[self._pos[dst][1]] += c * w
-        return FiniteVector._make(self, v.degree + 1, tuple(out))
+        out = [0] * self.dim(v.degree + 1)
+        for c, row in zip(v.coeffs, self._d_rows.get(v.degree, ())):
+            if c:
+                for dst, w in row:
+                    out[dst] += c * w
+        return FiniteVector._make(self, v.degree + 1, tuple(map(exact, out)))
 
     def mu_vec(self, u: FiniteVector, v: FiniteVector) -> FiniteVector:
         degree = u.degree + v.degree
-        out = [_ZERO] * self.dim(degree)
-        lu, lv = self.labels(u.degree), self.labels(v.degree)
-        for iu, cu in enumerate(u.coeffs):
-            if not cu:
-                continue
-            for iv, cv in enumerate(v.coeffs):
-                if not cv:
-                    continue
-                for dst, w in self.mu.get((lu[iu], lv[iv]), {}).items():
-                    out[self._pos[dst][1]] += cu * cv * w
-        return FiniteVector._make(self, degree, tuple(out))
+        out = [0] * self.dim(degree)
+        for cu, rows in zip(u.coeffs, self._mu_rows.get((u.degree, v.degree), ())):
+            if cu:
+                for cv, row in zip(v.coeffs, rows):
+                    if cv:
+                        c = cu * cv
+                        for dst, w in row:
+                            out[dst] += c * w
+        return FiniteVector._make(self, degree, tuple(map(exact, out)))
 
     def op_set(self) -> GradedOpSet:
         """The algebra as an operator family: d in arity 1, the product in
@@ -231,7 +258,7 @@ class FiniteGradedAlgebra:
 
     # -- construction checks ---------------------------------------------------
 
-    def _validate(self):
+    def _check_labels(self):
         for src, row in self.d.items():
             if src not in self._pos:
                 raise ConstructionError(f"differential from unknown label {src!r}")
@@ -246,6 +273,8 @@ class FiniteGradedAlgebra:
             for dst in row:
                 if self.degree_of(dst) != self.degree_of(a) + self.degree_of(b):
                     raise ConstructionError(f"mu {a} {b} -> {dst} violates degree additivity")
+
+    def _check_axioms(self):
         for v in self.all_basis_vectors():
             if not self.apply_d(self.apply_d(v)).is_zero():
                 raise ConstructionError(f"d^2 != 0 on {v}")
@@ -393,7 +422,12 @@ class CochainMap:
             rows, cols = dst.dim(deg + shift), src.dim(deg)
             if len(m) != rows or any(len(row) != cols for row in m):
                 raise DimensionError(f"block for degree {deg} is not {rows} x {cols}")
-            self.blocks[deg] = [[Fraction(c) for c in row] for row in m]
+            self.blocks[deg] = [[exact(c) for c in row] for row in m]
+        # Column j of a block as (row, coefficient) pairs of its nonzero entries.
+        self._columns = {
+            deg: [tuple((r, row[j]) for r, row in enumerate(m) if row[j]) for j in range(src.dim(deg))]
+            for deg, m in self.blocks.items()
+        }
 
     @classmethod
     def from_function(cls, src, dst, fn, shift: int = 0) -> "CochainMap":
@@ -405,10 +439,16 @@ class CochainMap:
         return cls(src, dst, blocks, shift)
 
     def apply(self, v: FiniteVector) -> FiniteVector:
-        block = self.blocks.get(v.degree)
-        if block is None:
-            return self.dst.zero(v.degree + self.shift)
-        return FiniteVector._make(self.dst, v.degree + self.shift, tuple(linalg.mat_vec(block, v.coeffs)))
+        degree = v.degree + self.shift
+        columns = self._columns.get(v.degree)
+        if columns is None:
+            return self.dst.zero(degree)
+        out = [0] * self.dst.dim(degree)
+        for c, column in zip(v.coeffs, columns):
+            if c:
+                for r, w in column:
+                    out[r] += c * w
+        return FiniteVector._make(self.dst, degree, tuple(map(exact, out)))
 
     def is_cochain_map(self) -> bool:
         for deg in self.src.degrees:
@@ -555,7 +595,7 @@ def _sample(src, dst, op, shift: int = 0) -> CochainMap:
                 form = form + forms[label].scale(c)
         row = read(op(form))
         degree = v.degree + shift
-        return FiniteVector(b, degree, [row.get(label, _ZERO) for label in b.labels(degree)])
+        return FiniteVector(b, degree, [row.get(label, 0) for label in b.labels(degree)])
 
     return CochainMap.from_function(a, b, fn, shift)
 

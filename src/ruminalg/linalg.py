@@ -23,10 +23,6 @@ def identity(k: int):
     return m
 
 
-def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), _ZERO) for row in a]
-
-
 def rref(a):
     """Reduced row echelon form; returns (matrix copy, pivot column list)."""
     m = [list(map(Fraction, row)) for row in a]

@@ -22,7 +22,9 @@ RATIONAL is INT or INT/INT.  Operator calls: d(.), gamma(.), pi(.),
 L(., power), m2(.;.), m3(.;.;.), f2(.;.) -- the certified-input operators
 check Rumin membership of their arguments and fail with context otherwise.
 A power that could exceed MAX_POWER_TERMS terms is refused with
-DomainError before it is computed.
+DomainError before it is computed, and parentheses and operator calls nested
+more than MAX_NESTING deep are a ParseError at the opening token, so no input
+can exhaust the interpreter's stack.
 
 Canonical output (`Form.to_text`) reparses to an equal form, and reprints
 byte-identically.
@@ -42,6 +44,10 @@ from .rumin import certify, f2, gamma, m2, m3, pi
 
 # Most terms a `**` in an expression may produce, estimated before powering.
 MAX_POWER_TERMS = 1000
+
+# Deepest nesting of parentheses and operator calls an expression may have.
+# The parser and the evaluator recurse once per level.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -163,6 +169,7 @@ class Parser:
         self.tokens = tokenize(text)
         self.model = model
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -182,6 +189,16 @@ class Parser:
     def at_sym(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == "SYM" and tok.text == text
+
+    def open_group(self, tok: Token) -> None:
+        """Enter one level of nesting at `tok`; `close_group` leaves it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+
+    def close_group(self) -> None:
+        self.expect("SYM", ")")
+        self.depth -= 1
 
     # -- form grammar ---------------------------------------------------------
 
@@ -210,9 +227,9 @@ class Parser:
         if tok.kind == "INT":
             coeff = self.parse_rational()
         elif self.at_sym("("):
-            self.advance()
+            self.open_group(self.advance())
             coeff = self.parse_polyexpr()
-            self.expect("SYM", ")")
+            self.close_group()
         if coeff is not None:
             tok = self.peek()
             if tok.kind == "NAME":
@@ -254,7 +271,7 @@ class Parser:
 
     def parse_call(self, name: str, tok: Token) -> Call:
         arity = _OPERATORS[name]
-        self.expect("SYM", "(")
+        self.open_group(self.expect("SYM", "("))
         args = [self.parse_sum()]
         while self.at_sym(";"):
             self.advance()
@@ -266,7 +283,7 @@ class Parser:
             power = _int(ptok)
         if len(args) != arity:
             raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}", tok.line, tok.col)
-        self.expect("SYM", ")")
+        self.close_group()
         return Call(name, args, power)
 
     def resolve_generator(self, name: str, tok: Token) -> int:
@@ -310,9 +327,9 @@ class Parser:
         if tok.kind == "INT":
             base = self.parse_rational()
         elif self.at_sym("("):
-            self.advance()
+            self.open_group(self.advance())
             base = self.parse_polyexpr()
-            self.expect("SYM", ")")
+            self.close_group()
         elif tok.kind == "NAME":
             base = self.resolve_coordinate(self.advance())
         else:

@@ -33,7 +33,8 @@ def exact(c):
     Fraction with denominator > 1."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

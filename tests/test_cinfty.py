@@ -1,7 +1,9 @@
+import itertools
 from dataclasses import dataclass
 
 import pytest
 
+from ruminalg import cinfty
 from ruminalg.cinfty import (
     GradedOpSet,
     apply_tensor_ops,
@@ -16,6 +18,7 @@ from ruminalg.cinfty import (
     shuffles,
 )
 from ruminalg.errors import DomainError
+from ruminalg.finite import heisenberg_ce_retract
 from ruminalg.forms import ContactModel, Form, exterior_d, random_form, wedge
 from ruminalg.prng import stream
 from ruminalg.rumin import derham_ops, gamma, pi, rumin_ops, rumin_retract
@@ -99,6 +102,22 @@ def test_shuffle_product_displayed_expansions():
                 assert sorted(got21, key=lambda p: p[1]) == sorted(
                     _expected_nu21(d0, d1, d2), key=lambda p: p[1]
                 )
+
+
+def test_shuffle_product_sees_a_patched_koszul_sign(monkeypatch):
+    # Only the elements-free part of shuffle_product is cached: after a warm
+    # call, a replaced koszul_sign still decides every sign.
+    elems = tuple(Sym(name, 1) for name in "wxyz")
+    warm = shuffle_product(2, 2, elems)
+    assert warm == shuffle_product(2, 2, elems)
+    assert all(sign == 1 for sign, _ in warm)  # odd letters: sgn * eps = 1
+    monkeypatch.setattr(cinfty, "koszul_sign", lambda perm, degrees: 1)
+    patched = shuffle_product(2, 2, elems)
+    assert [word for _, word in patched] == [word for _, word in warm]
+    assert [sign for sign, _ in patched] == [permutation_sign(perm) for perm in shuffles(2, 2)]
+    assert patched != warm
+    monkeypatch.undo()
+    assert shuffle_product(2, 2, elems) == warm
 
 
 def test_shuffle_product_length_mismatch():
@@ -302,3 +321,49 @@ def test_transferred_ops_have_declared_degrees():
         assert fset.audit_homogeneity(k, [t[:k] for t in tuples]) == []
     with pytest.raises(DomainError):
         mset.op(5)
+
+
+def _reference_transfer(retract, k, block):
+    """m_k and f_k on `block` straight from the psi recursion, without memos
+    and without apply_tensor_ops: the word h psi_s (x) h psi_t costs
+    (-1)^((1 - t) * (degrees of the first s elements))."""
+
+    def h_psi(elements):
+        if len(elements) == 1:
+            return elements[0].scale(-1)
+        return retract.h(psi(elements))
+
+    def psi(elements):
+        n = len(elements)
+        total = None
+        for s in range(1, n):
+            t = n - s
+            left, right = elements[:s], elements[s:]
+            koszul = -1 if (1 - t) * sum(e.degree for e in left) % 2 else 1
+            term = retract.mu(h_psi(left), h_psi(right)).scale(koszul * (-1) ** (s + 1))
+            total = term if total is None else total + term
+        return total
+
+    if k == 1:
+        return retract.b_d(block[0]), retract.i(block[0])
+    lifted = tuple(retract.i(b) for b in block)
+    return retract.pi(psi(lifted)), retract.h(psi(lifted)).scale(-1)
+
+
+def test_memoized_finite_transfer_matches_the_plain_recursion():
+    bundle = heisenberg_ce_retract()
+    mset, fset = markl_transfer(bundle.retract, 3)
+    basis = bundle.rumin.all_basis_vectors()
+    nonzero = {}
+    for k in (1, 2, 3):
+        for block in itertools.product(basis, repeat=k):
+            m_ref, f_ref = _reference_transfer(bundle.retract, k, block)
+            for _ in range(2):  # the second call is answered by the memos
+                assert mset(k, block) == m_ref
+                assert fset(k, block) == f_ref
+            nonzero["m", k] = nonzero.get(("m", k), 0) + (not m_ref.is_zero())
+            nonzero["f", k] = nonzero.get(("f", k), 0) + (not f_ref.is_zero())
+    # the comparison is not vacuous: m_2, m_3 and f_2 are nonzero somewhere
+    assert nonzero["m", 2] and nonzero["m", 3] and nonzero["f", 2]
+    a, b = bundle.rumin.element("a"), bundle.rumin.element("b")
+    assert mset(3, (a, b, a)) == bundle.rumin.element("ca").scale(2)

@@ -73,6 +73,19 @@ def test_eval_overlong_number_exit_2(capsys, expr, column):
     assert len(err.splitlines()) == 1 and f"column {column}: cannot read number" in err
 
 
+@pytest.mark.parametrize("depth", [400, 3000])
+def test_eval_deep_nesting_exit_2(capsys, depth):
+    code, out, err = run(capsys, "eval", "(" * depth + "x1" + ")" * depth, "--n", "1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "nesting deeper than" in err
+    assert "Traceback" not in err
+
+
+def test_eval_moderate_nesting_evaluates(capsys):
+    code, out, err = run(capsys, "eval", "(" * 50 + "x1" + ")" * 50, "--n", "1")
+    assert code == 0 and out.strip() == "(x1)" and err == ""
+
+
 def test_verify_pass_and_json_determinism(capsys, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify", "dsa-lemma", "--n", "1", "--trials", "20", "--seed", "7", "--json"]

@@ -362,3 +362,79 @@ def test_cochain_map_block_shape_checked():
         CochainMap(ce, ce, {**good, 1: [row[:-1] for row in good[1]]})
     with pytest.raises(DimensionError):  # degree-0 blocks land in degree -1 under shift -1
         CochainMap(ce, ce, {0: good[0]}, shift=-1)
+
+
+# -- the coefficient rule ------------------------------------------------------------
+
+
+def _stored(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def _assert_stored(v):
+    assert all(_stored(c) for c in v.coeffs), v.coeffs
+
+
+# d = 0; the product scales by 3/2, so Fraction arithmetic lands on integers
+RATIONAL_ALGEBRA = """\
+basis e 0
+basis t 1
+mu e e e 3/2
+mu e t t 3/2
+mu t e t 3/2
+"""
+
+
+def test_every_result_follows_the_coefficient_rule():
+    bundle = heisenberg_ce_retract()
+    rational = FiniteGradedAlgebra.loads(RATIONAL_ALGEBRA)
+    algebras = [bundle.ce, bundle.rumin, rational]
+    # the retract's projection and homotopy are bound CochainMap.apply methods
+    maps = [
+        bundle.inclusion,
+        bundle.retract.pi.__self__,
+        bundle.retract.h.__self__,
+        CochainMap.from_function(rational, rational, lambda v: v.scale(Fraction(2, 3))),
+    ]
+    scalars = [1, -1, 0, 2, Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2), Fraction(4, 2)]
+    for alg in algebras:
+        assert all(_stored(c) for row in alg.d.values() for c in row.values())
+        assert all(_stored(c) for row in alg.mu.values() for c in row.values())
+        vectors = [v.scale(c) for v in alg.all_basis_vectors() for c in scalars]
+        for v in vectors:
+            _assert_stored(v)
+            _assert_stored(alg.apply_d(v))
+            for w in vectors:
+                _assert_stored(alg.mu_vec(v, w))
+                if w.degree == v.degree:
+                    _assert_stored(v + w)
+                    _assert_stored(v - w)
+            for fmap in maps:
+                if fmap.src is alg:
+                    _assert_stored(fmap.apply(v))
+    for fmap in maps:
+        assert all(_stored(c) for m in fmap.blocks.values() for row in m for c in row)
+
+
+def test_scale_by_one_and_zero_vector_is_the_vector():
+    ce = heisenberg_ce_algebra()
+    v = ce.element("ac").scale(2) - ce.element("bc")
+    assert v.scale(1) is v and v.scale(Fraction(1)) is v
+    z = ce.zero(1)
+    assert z.scale(5) is z and z.scale(Fraction(7, 3)) is z
+    assert v.scale(-1).coeffs == tuple(-c for c in v.coeffs)
+    assert v.scale(0).is_zero()
+
+
+def test_fraction_and_int_vectors_are_equal_and_hash_alike():
+    ce = heisenberg_ce_algebra()
+    from_fractions = FiniteVector(ce, 1, [Fraction(2), Fraction(-1, 1), Fraction(0)])
+    from_ints = FiniteVector(ce, 1, [2, -1, 0])
+    assert from_fractions == from_ints and hash(from_fractions) == hash(from_ints)
+    assert len({from_fractions, from_ints}) == 1
+    halves = FiniteVector(ce, 2, [Fraction(1, 2), 0, Fraction(-3, 2)])
+    again = FiniteVector(ce, 2, ["1/2", 0, Fraction(-6, 4)])
+    assert halves == again and hash(halves) == hash(again)
+    # reached through Fraction arithmetic, the vector is stored as ints
+    doubled, ints = halves.scale(2), FiniteVector(ce, 2, [1, 0, -3])
+    assert doubled == ints and hash(doubled) == hash(ints) and doubled.coeffs == ints.coeffs

@@ -4,7 +4,7 @@ import pytest
 
 from ruminalg.errors import DomainError
 from ruminalg.forms import ContactModel, Form, random_form, wedge
-from ruminalg.parser import MAX_POWER_TERMS, ParseError, eval_text, parse_form
+from ruminalg.parser import MAX_NESTING, MAX_POWER_TERMS, ParseError, eval_text, parse_form
 from ruminalg.poly import Poly
 from ruminalg.prng import stream
 
@@ -123,6 +123,20 @@ def test_polynomial_grammar_power_and_parens():
     assert p == Form.constant(M1, Poly.one(3))
     q = eval_text("(1/2*z + 1/2*z) theta", M1)
     assert q == M1.theta().scale_poly(Poly.variable(3, 2))
+
+
+def test_nesting_bound_counts_parentheses_and_calls():
+    # the deepest allowed nesting parses; one level more fails at its '('
+    for open_, inner in (("(", "x1"), ("d(", "dx1")):
+        width = len(open_)
+        ok = open_ * MAX_NESTING + inner + ")" * MAX_NESTING
+        assert parse_form(ok, M1) is not None
+        deep = open_ * (MAX_NESTING + 1) + inner + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError, match="nesting deeper than") as err:
+            parse_form(deep, M1)
+        assert err.value.col == width * (MAX_NESTING + 1)
+    # siblings do not add up: depth is the nesting, not the count
+    assert eval_text(" + ".join(["((x1)) dx1"] * (2 * MAX_NESTING)), M1) is not None
 
 
 def test_power_term_budget():
