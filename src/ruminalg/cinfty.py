@@ -2,9 +2,10 @@
 
 Everything here is agnostic about the underlying graded vector space: an
 element only needs a ``degree`` attribute, ``+``, ``scale``, ``is_zero``,
-``zero_of_degree`` and exact equality.  Both the symbolic forms of
-`ruminalg.forms` and the finite-dimensional vectors of `ruminalg.finite`
-qualify.
+``zero_of_degree``, exact equality and a hash that agrees with it (the
+operator memos are keyed by elements).  The symbolic forms of
+`ruminalg.forms`, the Rumin elements of `ruminalg.rumin` and the
+finite-dimensional vectors of `ruminalg.finite` qualify.
 
 Sign conventions (the single source of truth for the whole package):
 
@@ -139,6 +140,13 @@ class GradedOpSet:
     operator degree (2-k for product-type families, 1-k for morphism-type).
     Arities outside `ops` fall back to `zero_maker(target_degree, elements)`
     when given; otherwise they raise (arity shortfall).
+
+    Every arity in `ops` is memoized: `op(k)` answers a block it has seen
+    from a dict keyed by the block tuple, one lookup per call, and calls
+    `ops[k]` (looked up at call time, so a replaced entry is seen) only on a
+    miss.  The memo belongs to this instance: it lives until `clear_memo` or
+    until the family is dropped, and a family built from another's `ops`
+    starts empty.  The zero-maker arities are not memoized.
     """
 
     def __init__(self, ops, degree_fn, zero_maker=None, name: str = ""):
@@ -146,13 +154,22 @@ class GradedOpSet:
         self.degree_fn = degree_fn
         self.zero_maker = zero_maker
         self.name = name
+        self._memo_ops: dict = {}  # arity -> evaluator with its own memo
 
     def degree(self, k: int) -> int:
         return self.degree_fn(k)
 
+    def clear_memo(self) -> None:
+        """Forget every memoized value (the suites call this per trial)."""
+        self._memo_ops.clear()
+
     def op(self, k: int):
+        fn = self._memo_ops.get(k)
+        if fn is not None:
+            return fn
         if k in self.ops:
-            return self.ops[k]
+            fn = self._memo_ops[k] = _memoized(lambda block: self.ops[k](block))
+            return fn
         if self.zero_maker is not None:
             deg_fn = self.degree_fn
             maker = self.zero_maker
@@ -312,15 +329,12 @@ def describe_issues(issues) -> str:
 
 
 def _memoized(fn):
-    """`fn` of one argument, memoized with one dict lookup per call.  An
-    unhashable argument (a symbolic `Form`, say) is evaluated directly."""
+    """`fn` of one hashable argument, memoized with one dict lookup per call
+    in a dict owned by the returned evaluator."""
     memo: dict = {}
 
     def wrapped(arg):
-        try:
-            hit = memo.get(arg)
-        except TypeError:
-            return fn(arg)
+        hit = memo.get(arg)
         if hit is None:
             hit = memo[arg] = fn(arg)
         return hit
@@ -342,14 +356,16 @@ def markl_transfer(retract: RetractData, max_arity: int):
         f_1 = i,   f_k = -h psi_k i^(x k)      (k >= 2),
 
     defined through arity `max_arity` (beyond which requesting an operator
-    raises).
+    raises).  A term of psi whose h psi_s or h psi_t factor is zero is
+    skipped without calling mu; when every term is, psi_n is the zero of
+    degree sum |x_i| + 2 - n.
 
-    Memoized, when the elements are hashable: m_k and f_k per block of B, and
-    psi_k and h psi_k per block of A, for k >= 2, and i per element of B.
-    Each memo is a dict owned by this call's evaluators: it lives as long as
-    the returned families and is never shared with another call, so a new
-    call (after a monkeypatch, say) recomputes everything.  Unhashable
-    elements, such as symbolic forms, are evaluated directly every time.
+    m_k and f_k are memoized per block of B by their `GradedOpSet`s.  Inside,
+    psi_k and h psi_k (k >= 2) are memoized per block of A and i per element
+    of B.  Each memo is a dict owned by this call's evaluators or families:
+    it lives as long as the returned families and is never shared with
+    another call, so a new call (after a monkeypatch, say) recomputes
+    everything.
     """
     if not retract.verified:
         raise DomainError("retract identities not verified; call RetractData.verify first")
@@ -366,7 +382,11 @@ def markl_transfer(retract: RetractData, max_arity: int):
             total = None
             for s in range(1, k):
                 sign, (u, v) = apply_tensor_ops([entries[s], entries[k - s]], elements)
+                if u.is_zero() or v.is_zero():
+                    continue
                 total = _add(total, mu(u, v).scale(sign * (-1) ** (s + 1)))
+            if total is None:
+                return elements[0].zero_of_degree(sum(e.degree for e in elements) + 2 - k)
             return total
 
         return _memoized(psi_k)
@@ -380,12 +400,12 @@ def markl_transfer(retract: RetractData, max_arity: int):
     def m_op(k: int):
         if k == 1:
             return lambda block: retract.b_d(block[0])
-        return _memoized(lambda block: pi(psi[k](tuple(map(lift, block)))))
+        return lambda block: pi(psi[k](tuple(map(lift, block))))
 
     def f_op(k: int):
         if k == 1:
-            return lambda block: lift(block[0])
-        return _memoized(lambda block: h_psi[k](tuple(map(lift, block))).scale(-1))
+            return lambda block: retract.i(block[0])
+        return lambda block: h_psi[k](tuple(map(lift, block))).scale(-1)
 
     mset = GradedOpSet(
         {k: m_op(k) for k in range(1, max_arity + 1)},

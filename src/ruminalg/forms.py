@@ -23,7 +23,7 @@ Forms are homogeneous: a Form stores a single degree and a map from strictly
 increasing coframe index tuples to nonzero polynomial coefficients.  The zero
 form of any degree is the empty map (degrees above the manifold dimension are
 allowed for zero only, so wedges may annotate their honest target degree).
-All values are immutable and all operations pure.
+All values are immutable and hashable, and all operations pure.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ class ContactModel:
 class Form:
     """Homogeneous differential form with polynomial coefficients."""
 
-    __slots__ = ("model", "degree", "terms")
+    # _hash is left unset by __init__ and filled by the first __hash__ call
+    __slots__ = ("model", "degree", "terms", "_hash")
 
     def __init__(self, model: ContactModel, degree: int, terms=None, _canonical=False):
         self.model = model
@@ -263,6 +264,16 @@ class Form:
         if self.is_zero() and other.is_zero():
             return True
         return self.degree == other.degree and self.terms == other.terms
+
+    def __hash__(self):
+        # Agrees with __eq__: every zero form hashes alike, whatever its
+        # degree, and Poly hashes int and Fraction coefficients alike.
+        try:
+            return self._hash
+        except AttributeError:
+            shape = (self.degree, frozenset(self.terms.items())) if self.terms else None
+            self._hash = hash((self.model.n, shape))
+            return self._hash
 
     # -- display -------------------------------------------------------------
 

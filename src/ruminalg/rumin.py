@@ -184,7 +184,9 @@ class RuminElement:
 
     `pi` is the canonical constructor; `certify` wraps a form after an
     explicit membership check.  The structure maps m1/m2/m3 and f2 require
-    certified inputs so their preconditions are O(1).
+    certified inputs so their preconditions are O(1).  The certificate is part
+    of equality and of the hash, so an operator memo keyed by elements never
+    answers an uncertified input with the value of a certified one.
     """
 
     __slots__ = ("form", "certified")
@@ -221,8 +223,11 @@ class RuminElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RuminElement):
-            return self.form == other.form
+            return self.certified == other.certified and self.form == other.form
         return NotImplemented
+
+    def __hash__(self):
+        return hash((self.form, self.certified))
 
     def __str__(self) -> str:
         return self.form.to_text()

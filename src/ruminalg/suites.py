@@ -263,6 +263,7 @@ def suite_stasheff(n, trials, seed, maxd, mset=None, max_relation=5):
     mset = mset or rumin_ops(model)
     rec = _Recorder()
     for t in range(trials):
+        mset.clear_memo()  # a memo spanning every trial would hold every tuple's values
         rng = stream(seed, t)
         elements = _certified_tuple(model, rng, max_relation, maxd)
         for n_rel in range(1, max_relation + 1):
@@ -278,6 +279,8 @@ def suite_shuffle_vanishing(n, trials, seed, maxd):
     rec = _Recorder()
     pairs = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
     for t in range(trials):
+        mset.clear_memo()
+        fset.clear_memo()
         rng = stream(seed, t)
         elements = _certified_tuple(model, rng, 4, maxd)
         for p, q in pairs:
@@ -299,6 +302,8 @@ def suite_morphism(n, trials, seed, maxd, fset=None, max_relation=4):
     fset = fset or rumin_morphism(model)
     rec = _Recorder()
     for t in range(trials):
+        for family in (mset, mbar, fset):
+            family.clear_memo()
         rng = stream(seed, t)
         elements = _certified_tuple(model, rng, max_relation, maxd)
         for n_rel in range(1, max_relation + 1):
@@ -338,24 +343,25 @@ def verified_rumin_retract(n: int, maxd: int = 2):
     return retract
 
 
-def _transfer(n, maxd, max_arity, rec):
-    """The transferred families of the verified rumin retract, or None after
-    recording each failed retract identity in `rec`, its sample as the
-    witness input."""
+def _transfer_retract(n, maxd, rec):
+    """The verified rumin retract, or None after recording each failed
+    retract identity in `rec`, its sample as the witness input.  The suites
+    transfer it once per trial, so that the transfer's memos hold one
+    trial's values."""
     retract, issues = _checked_rumin_retract(n, maxd)
     for _, sample, residual in issues:
         rec.residual(residual, [sample])
-    return None if issues else markl_transfer(retract, max_arity=max_arity)
+    return None if issues else retract
 
 
 def suite_transfer_match(n, trials, seed, maxd):
     model = ContactModel(n)
     rec = _Recorder()
-    transferred = _transfer(n, maxd, 3, rec)
-    if transferred is None:
+    retract = _transfer_retract(n, maxd, rec)
+    if retract is None:
         return rec
-    mset_t, fset_t = transferred
     for t in range(trials):
+        mset_t, fset_t = markl_transfer(retract, max_arity=3)
         rng = stream(seed, t)
         a, b, c = _certified_tuple(model, rng, 3, maxd)
         rec.residual((mset_t(2, (a, b)) - rumin.m2(a, b)).form, [a, b])
@@ -367,11 +373,11 @@ def suite_transfer_match(n, trials, seed, maxd):
 def suite_higher_vanish(n, trials, seed, maxd):
     model = ContactModel(n)
     rec = _Recorder()
-    transferred = _transfer(n, maxd, 5, rec)
-    if transferred is None:
+    retract = _transfer_retract(n, maxd, rec)
+    if retract is None:
         return rec
-    mset_t, fset_t = transferred
     for t in range(trials):
+        mset_t, fset_t = markl_transfer(retract, max_arity=5)
         rng = stream(seed, t)
         elements = _certified_tuple(model, rng, 5, maxd)
         rec.residual(mset_t(4, elements[:4]).form, elements[:4])

@@ -6,6 +6,7 @@ import pytest
 from ruminalg import cinfty
 from ruminalg.cinfty import (
     GradedOpSet,
+    RetractData,
     apply_tensor_ops,
     check_morphism,
     check_stasheff,
@@ -21,8 +22,13 @@ from ruminalg.errors import DomainError
 from ruminalg.finite import heisenberg_ce_retract
 from ruminalg.forms import ContactModel, Form, exterior_d, random_form, wedge
 from ruminalg.prng import stream
-from ruminalg.rumin import derham_ops, gamma, pi, rumin_ops, rumin_retract
-from ruminalg.suites import verified_rumin_retract
+from ruminalg.rumin import derham_ops, gamma, pi, rumin_morphism, rumin_ops, rumin_retract
+from ruminalg.suites import (
+    _certified_tuple,
+    corrupted_rumin_morphism,
+    corrupted_rumin_ops,
+    verified_rumin_retract,
+)
 
 M1 = ContactModel(1)
 
@@ -352,10 +358,10 @@ def _reference_transfer(retract, k, block):
 
 def test_memoized_finite_transfer_matches_the_plain_recursion():
     bundle = heisenberg_ce_retract()
-    mset, fset = markl_transfer(bundle.retract, 3)
+    mset, fset = markl_transfer(bundle.retract, 4)
     basis = bundle.rumin.all_basis_vectors()
     nonzero = {}
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         for block in itertools.product(basis, repeat=k):
             m_ref, f_ref = _reference_transfer(bundle.retract, k, block)
             for _ in range(2):  # the second call is answered by the memos
@@ -367,3 +373,68 @@ def test_memoized_finite_transfer_matches_the_plain_recursion():
     assert nonzero["m", 2] and nonzero["m", 3] and nonzero["f", 2]
     a, b = bundle.rumin.element("a"), bundle.rumin.element("b")
     assert mset(3, (a, b, a)) == bundle.rumin.element("ca").scale(2)
+
+
+def test_psi_skips_zero_factors_and_keeps_the_degree():
+    # With h = 0 every h psi_s (s >= 2) vanishes, so psi_3 and psi_4 skip all
+    # of their terms: m_k = pi psi_k is the zero of degree sum |x_i| + 2 - k,
+    # and mu runs only inside the psi_2 of the h psi_2 factors.
+    mu_calls = []
+
+    def mu(a, b):
+        mu_calls.append((a, b))
+        return wedge(a, b)
+
+    def same(x):
+        return x
+
+    retract = RetractData(exterior_d, mu, lambda a: a.zero_of_degree(a.degree - 1), same, same)
+    rng = stream(48, 0)
+    samples = [random_form(M1, rng, deg, 1) for deg in range(4)]
+    assert retract.verify(samples, samples) == []
+    mset, fset = markl_transfer(retract, 4)
+    dx, dy, theta = M1.generator(1), M1.generator(2), M1.theta()
+    x = (dx, dy, theta, wedge(dx, dy))
+    assert mset(2, x[:2]) == wedge(dx, dy) and len(mu_calls) == 1
+    mu_calls.clear()
+    for k in (3, 4):
+        out = mset(k, x[:k])
+        assert out.is_zero() and out.degree == sum(e.degree for e in x[:k]) + 2 - k
+        assert fset(k, x[:k]).is_zero()
+    assert len(mu_calls) == 2  # psi_2 on (x1, x2) and (x2, x3); (x0, x1) was memoized
+
+
+def _relation_residuals(mset, fset, mbar, elements):
+    """Every stasheff (1..4), morphism (1..3) and shuffle-vanishing (p + q <= 4)
+    residual of the families on one 4-tuple."""
+    out = [check_stasheff(mset, k, elements[:k]) for k in range(1, 5)]
+    out += [check_morphism(fset, mset, mbar, k, elements[:k]) for k in range(1, 4)]
+    for p, q in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]:
+        out.append(shuffle_vanishing_residual(mset, p, q, elements[: p + q]))
+        out.append(shuffle_vanishing_residual(fset, p, q, elements[: p + q]))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_warm_families_give_the_fresh_residuals(n):
+    model = ContactModel(n)
+    makers = [
+        lambda: (rumin_ops(model), rumin_morphism(model)),
+        lambda: (corrupted_rumin_ops(model), corrupted_rumin_morphism(model)),
+        lambda: markl_transfer(verified_rumin_retract(n), 4),
+    ]
+    nonzero = 0
+    for make in makers:
+        mset, fset = make()
+        mbar = derham_ops(model)
+        # the warm families keep their memos across tuples; the corrupted
+        # families leave nonzero residuals on streams 8 and 14 at n = 1 and
+        # on stream 11 at n = 2
+        for t in (8, 11, 14):
+            elements = _certified_tuple(model, stream(49, t), 4, 2)
+            for _ in range(2):  # the second sweep is answered by the memos
+                warm = _relation_residuals(mset, fset, mbar, elements)
+                assert warm == _relation_residuals(*make(), derham_ops(model), elements)
+                nonzero += sum(not r.is_zero() for r in warm)
+            assert mset(2, elements[:2]) is mset(2, elements[:2])
+    assert nonzero  # the corrupted families make the comparison non-vacuous

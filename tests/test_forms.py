@@ -249,6 +249,27 @@ def forms_up_to_n3(draw):
     return Form(model, degree, {idx: draw(coefficients) for idx in monomials})
 
 
+def as_fractions(w, model):
+    """w over `model` with every coefficient stored as a Fraction, past the
+    int normalization of `poly`."""
+    terms = {
+        idx: Poly(model.nvars, {ex: Fraction(c) for ex, c in p.terms.items()}, _canonical=True)
+        for idx, p in w.terms.items()
+    }
+    return Form(model, w.degree, terms, _canonical=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forms_up_to_n3(), st.integers(0, 9))
+def test_equal_forms_hash_alike(w, other_degree):
+    twin = as_fractions(w, ContactModel(w.model.n))  # another model instance
+    assert twin == w and hash(twin) == hash(w)
+    assert {w: 1}.get(twin) == 1
+    zero = Form.zero(ContactModel(w.model.n), other_degree)
+    assert zero == w.scale(0) and hash(zero) == hash(w.scale(0))
+    assert zero != Form.zero(ContactModel(w.model.n + 1), other_degree)
+
+
 @settings(max_examples=150, deadline=None)
 @given(forms_up_to_n3())
 def test_d_matches_wedge_formula_reference(w):

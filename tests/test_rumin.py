@@ -2,6 +2,8 @@ from fractions import Fraction
 from functools import cache, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruminalg import linalg, rumin
 from ruminalg.errors import DomainError
@@ -33,6 +35,8 @@ from ruminalg.rumin import (
     m3,
     mk_zero,
     pi,
+    rumin_morphism,
+    rumin_ops,
 )
 
 M1 = ContactModel(1)
@@ -376,6 +380,35 @@ def test_uncertified_inputs_rejected():
         m2(raw, raw)
     with pytest.raises(DomainError):
         f2(raw, raw)
+
+
+def test_warm_families_still_reject_uncertified_inputs():
+    # The certificate is part of equality, so a memo warmed on a certified
+    # element does not answer the same form without its certificate.
+    a, b = certify(_dx(M1)), certify(_dy(M1))
+    raw = RuminElement(_dx(M1))
+    for family in (rumin_ops(M1), rumin_morphism(M1)):
+        family(2, (a, b))
+        assert raw == RuminElement(a.form) and raw != a
+        with pytest.raises(DomainError):
+            family(2, (raw, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(0, 2**32), st.integers(0, 9))
+def test_equal_rumin_elements_hash_alike(n, seed, other_degree):
+    rng = stream(seed, 0)
+    rho = pi(random_form(ContactModel(n), rng, rng.randint(0, 2 * n + 1), 2))
+    model = ContactModel(n)  # another model instance
+    terms = {
+        idx: Poly(model.nvars, {ex: Fraction(c) for ex, c in p.terms.items()}, _canonical=True)
+        for idx, p in rho.form.terms.items()
+    }
+    twin = RuminElement(Form(model, rho.degree, terms, _canonical=True), certified=True)
+    assert twin == rho and hash(twin) == hash(rho)
+    zero = RuminElement(Form.zero(model, other_degree), certified=True)
+    assert zero == rho.zero_of_degree(rho.degree) and hash(zero) == hash(rho.zero_of_degree(rho.degree))
+    assert RuminElement(rho.form) != rho
 
 
 def test_rumin_element_algebra():

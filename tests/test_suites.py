@@ -112,6 +112,20 @@ def test_witnesses_refeed_to_eval():
         assert eval_text(witness.residual, model) is not None
 
 
+def test_a_family_built_after_a_monkeypatch_sees_it(monkeypatch):
+    # The operator memos belong to the families, not to a module: a warm
+    # family keeps its values, a new one computes with the patched code.
+    model = ContactModel(1)
+    a, b = rumin.certify(model.generator(1)), rumin.certify(model.generator(2))
+    warm = rumin.rumin_ops(model)
+    before = warm(3, (a, b, a))  # 2 theta^dx1
+    assert not before.is_zero()
+    right = rumin.m3
+    monkeypatch.setattr(rumin, "m3", lambda *block: right(*block).scale(3))
+    assert warm(3, (a, b, a)) == before
+    assert rumin.rumin_ops(model)(3, (a, b, a)) == before.scale(3)
+
+
 # -- negative controls: a corrupted operator must fail a suite -------------------
 
 
