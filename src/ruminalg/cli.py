@@ -72,14 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_eval(args) -> int:
     model = ContactModel(args.n)
     try:
-        result = eval_text(args.expr, model)
+        text = eval_text(args.expr, model).to_text()  # too long to print: DomainError
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(result.to_text())
+    print(text)
     return 0
 
 
@@ -114,13 +114,18 @@ def cmd_basis(args) -> int:
 
 def cmd_model(args) -> int:
     model = ContactModel(args.n)
+    try:
+        volume = model.volume().to_text()  # n! outgrows what str() prints for large n
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     coords = [f"x{i}" for i in range(1, model.n + 1)] + [f"y{i}" for i in range(1, model.n + 1)] + ["z"]
     print(f"H^{model.dim} (n={model.n}), coordinates: {' '.join(coords)}")
     print("coframe: " + ", ".join(f"e{i}={model.coframe_label(i)}" for i in range(model.dim)))
     theta_coords = "dz" + "".join(f" - y{i}*dx{i}" for i in range(1, model.n + 1))
     print(f"theta = {theta_coords}")
     print(f"dtheta = {model.dtheta().to_text()}")
-    print(f"volume theta^dtheta^{model.n} = {model.volume().to_text()}")
+    print(f"volume theta^dtheta^{model.n} = {volume}")
     return 0
 
 

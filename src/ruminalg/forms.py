@@ -14,10 +14,18 @@ derivative applies them to the coefficients directly: on f e^I it adds
 divides e^I, f dtheta ^ e^{I minus 0}, monomial by monomial into one
 accumulator of coefficient dictionaries; `wedge` multiplies coefficient
 pairs into the same kind of accumulator, skipping the pairs of coframe
-monomials whose index bitmasks meet.  The accumulators hold the coefficients
-of `poly` (an int when integral, else a Fraction) and are normalized to that
-form once, when they are wrapped.  User input written in coordinate
-differentials is normalized through dz = e^0 + sum_i y_i e^i.
+monomials whose index bitmasks meet.
+
+Denominators are cleared on the way in and restored once on the way out.
+A coefficient is a `poly.Poly`, int numerators over one denominator; `_blocks`
+brings the coefficients of a form to the lcm L of their denominators (free
+when every coefficient is integral, as every random input is), so the
+accumulators (`Blocks`) hold int numerators over one denominator: L for
+`exterior_d`, the product of the two operands' for `wedge`.  Only ints are
+multiplied and added, and `_form_from_accumulator` wraps each output
+coefficient once, dividing by the gcd of its denominator and content.  User
+input written in coordinate differentials is normalized through
+dz = e^0 + sum_i y_i e^i.
 
 Forms are homogeneous: a Form stores a single degree and a map from strictly
 increasing coframe index tuples to nonzero polynomial coefficients.  The zero
@@ -30,11 +38,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from operator import add, sub
 
 from .errors import DimensionError, DomainError
-from .poly import Poly, exact, exact_terms
+from .poly import Poly, coefficient_text, exact, wrap
 from .prng import SplitMix64
 
 
@@ -267,7 +275,7 @@ class Form:
 
     def __hash__(self):
         # Agrees with __eq__: every zero form hashes alike, whatever its
-        # degree, and Poly hashes int and Fraction coefficients alike.
+        # degree, and each Poly coefficient has one representation.
         try:
             return self._hash
         except AttributeError:
@@ -289,12 +297,13 @@ class Form:
             word = "^".join(self.model.coframe_label(i) for i in idx)
             if p.is_constant():
                 c = p.constant_value()
+                text = coefficient_text(abs(c.numerator), c.denominator)
                 if not word:
-                    rendered.append((c < 0, str(abs(c))))
+                    rendered.append((c < 0, text))
                 elif abs(c) == 1:
                     rendered.append((c < 0, word))
                 else:
-                    rendered.append((c < 0, f"{abs(c)} {word}"))
+                    rendered.append((c < 0, f"{text} {word}"))
             else:
                 body = f"({p.to_text()})"
                 rendered.append((False, f"{body} {word}" if word else body))
@@ -338,30 +347,30 @@ def merge_indices(i, j):
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product; graded commutative and associative.
 
-    Each coefficient product is multiplied straight into the accumulator of
-    its merged index, with the merge sign folded into the left factor."""
+    Both operands are brought to their common denominators, and each product
+    of int numerators is multiplied straight into the accumulator of its
+    merged index, with the merge sign folded into the left factor."""
     a._check(b)
     degree = a.degree + b.degree
     if a.is_zero() or b.is_zero() or degree > a.model.dim:
         return Form.zero(a.model, degree)
-    right = [(ib, _mask(ib), pb.terms.items()) for ib, pb in b.terms.items()]
-    out = {}
-    for ia, pa in a.terms.items():
+    left, right = _blocks(a.terms), _blocks(b.terms)
+    right_items = [(ib, _mask(ib), tb.items()) for ib, tb in right.items()]
+    out = Blocks(left.den * right.den)
+    for ia, ta in left.items():
         ma = _mask(ia)
-        for ib, mb, tb in right:
+        for ib, mb, tb in right_items:
             if ma & mb:  # a shared generator: the product vanishes
                 continue
             sign, merged = merge_indices(ia, ib)
             acc = out.setdefault(merged, {})
-            for ea, ca in pa.terms.items():
+            for ea, ca in ta.items():
                 if sign < 0:
                     ca = -ca
                 for eb, cb in tb:
                     ex = tuple(map(add, ea, eb))
-                    s = acc.get(ex)
-                    if s is None:  # not 0 + product: a Fraction would be rebuilt
-                        acc[ex] = ca * cb
-                    elif s := s + ca * cb:
+                    s = acc.get(ex, 0) + ca * cb
+                    if s:
                         acc[ex] = s
                     else:
                         del acc[ex]
@@ -376,11 +385,33 @@ def _mask(idx) -> int:
     return m
 
 
-def _form_from_accumulator(model: ContactModel, degree: int, out) -> Form:
-    """Wrap {index tuple: {exponent tuple: nonzero coefficient}} as a Form,
-    dropping the indices whose coefficients cancelled to nothing."""
-    nvars = model.nvars
-    terms = {idx: Poly(nvars, exact_terms(t), _canonical=True) for idx, t in out.items() if t}
+class Blocks(dict):
+    """Coefficient blocks {index tuple: {exponent tuple: nonzero int}} over
+    one positive denominator `den`: the accumulators of `wedge`,
+    `exterior_d` and gamma."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int = 1):
+        self.den = den
+
+
+def _blocks(terms: dict) -> Blocks:
+    """The coefficients {index: Poly} over the lcm of their denominators; an
+    integral coefficient keeps its numerators as they are (shared, never
+    mutated)."""
+    den = lcm(*[p.den for p in terms.values()])
+    out = Blocks(den)
+    for idx, p in terms.items():
+        out[idx] = p.num if p.den == den else {ex: v * (den // p.den) for ex, v in p.num.items()}
+    return out
+
+
+def _form_from_accumulator(model: ContactModel, degree: int, out: Blocks) -> Form:
+    """Wrap the blocks as a Form of the given degree, each coefficient in
+    lowest terms, dropping the indices whose coefficients cancelled."""
+    nvars, den = model.nvars, out.den
+    terms = {idx: wrap(nvars, t, den) for idx, t in out.items() if t}
     return Form(model, degree, terms, _canonical=True)
 
 
@@ -411,8 +442,9 @@ def exterior_d(w: Form) -> Form:
     moves = [(z, None, 0)]
     for i in range(1, n + 1):
         moves += [(i - 1, None, i), (z, n + i - 1, i), (n + i - 1, None, n + i)]
-    out = {}
-    for idx, f in w.terms.items():
+    blocks = _blocks(w.terms)
+    out = Blocks(blocks.den)
+    for idx, f in blocks.items():
         # (sign, accumulator) of e^j ^ e^I for every j not in I
         target = {}
         pos = 0  # the number of indices of I below j
@@ -423,17 +455,15 @@ def exterior_d(w: Form) -> Form:
                 merged = idx[:pos] + (j,) + idx[pos:]
                 target[j] = (-1 if pos & 1 else 1, out.setdefault(merged, {}))
         active = [(p, q, *target[j]) for p, q, j in moves if j in target]
-        for ex, c in f.terms.items():
+        for ex, c in f.items():
             for p, q, sign, acc in active:
                 e = ex[p]
                 if e:
                     key = ex[:p] + (e - 1,) + ex[p + 1 :]
                     if q is not None:
                         key = key[:q] + (key[q] + 1,) + key[q + 1 :]
-                    s = acc.get(key)
-                    if s is None:
-                        acc[key] = c * (sign * e)
-                    elif s := s + c * (sign * e):
+                    s = acc.get(key, 0) + c * (sign * e)
+                    if s:
                         acc[key] = s
                     else:
                         del acc[key]
@@ -443,7 +473,7 @@ def exterior_d(w: Form) -> Form:
                 if not sign:
                     continue
                 acc = out.setdefault(merged, {})
-                for ex, c in f.terms.items():
+                for ex, c in f.items():
                     s = acc.get(ex, 0) + (c if sign > 0 else -c)
                     if s:
                         acc[ex] = s

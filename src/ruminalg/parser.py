@@ -341,7 +341,7 @@ class Parser:
         if self.at_sym("**"):
             self.advance()
             k = _int(self.expect("INT"))
-            m = len(base.terms)
+            m = len(base.num)
             if m > 1:
                 # p**k has at most comb(k + m - 1, m - 1) terms, the monomials
                 # of degree k in m letters.  The count grows with k, so it is

@@ -1,36 +1,44 @@
-"""Exact multivariate polynomials over the rationals.
+"""Exact multivariate polynomials over the rationals, as scaled integers.
 
 These are the coefficient functions of all differential forms in the package:
 polynomials in the coordinates x_1..x_n, y_1..y_n, z of the Heisenberg group
 H^{2n+1}, with exact rational coefficients.  All identities checked
 downstream are exact ring identities, so no floating point appears anywhere.
 
-A polynomial is canonically a map from exponent tuples (length 2n+1, entries
->= 0, coordinate order x_1..x_n, y_1..y_n, z) to nonzero rationals; the zero
-polynomial is the empty map.  A stored coefficient is a Python `int` when it
-is integral and a `fractions.Fraction` with denominator > 1 otherwise (see
-`exact`), so the common integral case pays no gcd.  Since
-``Fraction(2) == 2`` and ``hash(Fraction(2)) == hash(2)``, the term map
-compares and hashes like the same map with all-`Fraction` values.  Values are
-immutable after construction and all operations are pure, so sharing across
-threads is safe.
+A polynomial is stored as integer numerators over one positive denominator:
+`num` maps exponent tuples (length 2n+1, entries >= 0, coordinate order
+x_1..x_n, y_1..y_n, z) to nonzero ints, and `den` is a positive int.  The
+pair is in lowest terms, gcd(den, every numerator) = 1, and the zero
+polynomial is the empty map over den 1, so each value has exactly one
+representation and equality and hashing use (nvars, den, num).  Every
+arithmetic result is built by `wrap`, which divides by gcd(den, content) once
+per result; an integral polynomial has den 1 and pays no gcd at all.  So
+`+`, `-`, `*`, `scale` and `deriv` multiply and add ints only, after bringing
+two operands to the lcm of their dens (`forms` does the same for whole forms).
+Values are immutable after construction and all operations are pure, so
+sharing across threads is safe.
 
-The arithmetic works on raw term dictionaries (exponent tuple -> nonzero
-coefficient, zero never stored); `forms.wedge` and `forms.exterior_d` build
-such dictionaries themselves and wrap them as `Poly` once.
+`terms` is the read-only {exponent: coefficient} view for readers of values,
+built on demand: each coefficient in lowest terms, an `int` when integral and
+a `fractions.Fraction` otherwise.  No arithmetic reads it.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
+
+_new = object.__new__
 
 
 def exact(c):
-    """The stored form of the rational c: an int when it is integral, else a
-    Fraction with denominator > 1."""
+    """The rational c as an int when it is integral, else as a Fraction with
+    denominator > 1 (how `finite` stores coordinates)."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
@@ -38,51 +46,60 @@ def exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def exact_terms(terms: dict) -> dict:
-    """Make every value of a term dictionary `exact`, in place; arithmetic on
-    Fractions can land on integers, arithmetic on ints stays integral."""
-    for ex, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[ex] = c.numerator
-    return terms
+def _ratio(c) -> tuple:
+    """(numerator, denominator) of the rational c, the denominator > 0."""
+    if type(c) is int:
+        return c, 1
+    c = Fraction(c)
+    return c.numerator, c.denominator
 
 
-def _add_terms(a, b):
-    """a + b on term dictionaries."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for ex, c in b.items():
-        s = out.get(ex, 0) + c
-        if s:
-            out[ex] = s
-        elif ex in out:
-            del out[ex]
-    return out
+def wrap(nvars: int, num: dict, den: int) -> "Poly":
+    """The polynomial num / den, for nonzero int numerators and den > 0, in
+    lowest terms: both are divided by gcd(den, content), and the empty map
+    gets den 1.  The caller hands over `num`, which is kept when no division
+    is needed."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {ex: v // g for ex, v in num.items()}
+    p = _new(Poly)
+    p.nvars = nvars
+    p.num = num
+    p.den = den
+    return p
 
 
-def _add_scaled_terms(a, b, c):
-    """a + c*b on term dictionaries, without an intermediate scaled copy."""
-    if not c or not b:
-        return dict(a)
-    out = dict(a)
+def coefficient_text(v: int, den: int) -> str:
+    """The rational v / den (v >= 0, den > 0) as canonical text, "a" or
+    "a/b" in lowest terms.  A number with more digits than Python prints
+    (and than the parser reads back) is a DomainError."""
+    if den != 1:
+        g = gcd(v, den)
+        v, den = v // g, den // g
+    try:
+        return str(v) if den == 1 else f"{v}/{den}"
+    except ValueError:
+        raise DomainError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits, too long to print"
+        ) from None
+
+
+def _combine(a: dict, fa: int, b: dict, fb: int) -> dict:
+    """fa*a + fb*b on numerator dictionaries."""
+    out = dict(a) if fa == 1 else {ex: v * fa for ex, v in a.items()}
     for ex, v in b.items():
-        s = out.get(ex, 0) + c * v
+        s = out.get(ex, 0) + fb * v
         if s:
             out[ex] = s
         elif ex in out:
             del out[ex]
     return out
-
-
-def _neg_terms(a):
-    return {ex: -c for ex, c in a.items()}
 
 
 def _mul_terms(a, b):
-    """a * b on term dictionaries: exponents add, coefficients multiply."""
+    """a * b on numerator dictionaries: exponents add, numerators multiply."""
     if not a or not b:
         return {}
     out = {}
@@ -92,9 +109,34 @@ def _mul_terms(a, b):
             s = out.get(ex, 0) + ca * cb
             if s:
                 out[ex] = s
-            elif ex in out:
+            else:
                 del out[ex]
     return out
+
+
+def _scaled(nvars: int, terms: dict, checked: bool) -> tuple:
+    """(num, den) in lowest terms of a {exponent: rational} dictionary, whose
+    values may be ints, Fractions or anything Fraction reads; values of one
+    exponent add up.  `checked` skips the exponent validation."""
+    values = {}
+    for ex, c in terms.items():
+        if not checked:
+            ex = tuple([int(e) for e in ex])
+            if len(ex) != nvars or min(ex, default=0) < 0:
+                raise DimensionError(f"bad exponent tuple {ex} for {nvars} variables")
+        if type(c) is not int:
+            c = Fraction(c)
+        if c:
+            values[ex] = values.get(ex, 0) + c
+    # lowest terms already: a prime of the lcm divides no numerator of a
+    # reduced fraction with the largest power of it in its denominator
+    den = lcm(*[c.denominator for c in values.values() if type(c) is not int])
+    num = {
+        ex: c * den if type(c) is int else c.numerator * (den // c.denominator)
+        for ex, c in values.items()
+        if c
+    }
+    return num, den
 
 
 def var_name(nvars: int, index: int) -> str:
@@ -108,43 +150,31 @@ def var_name(nvars: int, index: int) -> str:
 
 
 class Poly:
-    """Immutable exact polynomial in ``nvars`` coordinates."""
+    """Immutable exact polynomial in ``nvars`` coordinates: int numerators
+    `num` over the positive denominator `den`, in lowest terms."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int, terms=None, _canonical=False):
+        """The polynomial with the rational coefficients `terms`
+        ({exponent: rational}); `_canonical` vouches for the exponents."""
         self.nvars = nvars
-        if terms is None:
-            self.terms = {}
-        elif _canonical:
-            self.terms = terms
-        else:
-            clean = {}
-            for ex, c in terms.items():
-                ex = tuple(int(e) for e in ex)
-                if len(ex) != nvars or any(e < 0 for e in ex):
-                    raise DimensionError(f"bad exponent tuple {ex} for {nvars} variables")
-                c = exact(c)
-                if c:
-                    clean[ex] = clean.get(ex, 0) + c
-            self.terms = exact_terms({ex: c for ex, c in clean.items() if c})
+        self.num, self.den = _scaled(nvars, terms, _canonical) if terms else ({}, 1)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, {}, _canonical=True)
+        return wrap(nvars, {}, 1)
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Poly":
-        c = exact(value)
-        if not c:
-            return cls.zero(nvars)
-        return cls(nvars, {(0,) * nvars: c}, _canonical=True)
+        v, den = _ratio(value)
+        return wrap(nvars, {(0,) * nvars: v} if v else {}, den)
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
-        return cls.constant(nvars, 1)
+        return wrap(nvars, {(0,) * nvars: 1}, 1)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -152,10 +182,7 @@ class Poly:
             raise DimensionError(f"variable index {index} out of range for {nvars} variables")
         ex = [0] * nvars
         ex[index] = 1
-        return cls(nvars, {tuple(ex): 1}, _canonical=True)
-
-    def _wrap(self, terms) -> "Poly":
-        return Poly(self.nvars, exact_terms(terms), _canonical=True)
+        return wrap(nvars, {tuple(ex): 1}, 1)
 
     def _check(self, other: "Poly") -> None:
         if self.nvars != other.nvars:
@@ -163,57 +190,74 @@ class Poly:
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only {exponent: coefficient} view, built on demand; each
+        coefficient in lowest terms, an int when integral, else a Fraction."""
+        den = self.den
+        if den == 1:
+            return MappingProxyType(self.num)
+        return MappingProxyType(
+            {ex: Fraction(v, den) if v % den else v // den for ex, v in self.num.items()}
+        )
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.nvars in self.terms)
+        return not self.num or (len(self.num) == 1 and (0,) * self.nvars in self.num)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self.terms[(0,) * self.nvars])
+        return Fraction(self.num[(0,) * self.nvars], self.den)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.num:
             return 0
-        return max(sum(ex) for ex in self.terms)
+        return max(sum(ex) for ex in self.num)
 
     # -- arithmetic --------------------------------------------------------
+
+    def _linear(self, other: "Poly", cn: int, cd: int) -> "Poly":
+        """self + (cn / cd) * other, over the lcm of the two denominators."""
+        self._check(other)
+        da, db = self.den, other.den * cd
+        if da == db:
+            return wrap(self.nvars, _combine(self.num, 1, other.num, cn), da)
+        den = lcm(da, db)
+        return wrap(self.nvars, _combine(self.num, den // da, other.num, cn * (den // db)), den)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check(other)
-        return self._wrap(_add_terms(self.terms, other.terms))
+        return self._linear(other, 1, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check(other)
-        return self._wrap(_add_scaled_terms(self.terms, other.terms, -1))
+        return self._linear(other, -1, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, _neg_terms(self.terms), _canonical=True)
+        return wrap(self.nvars, {ex: -v for ex, v in self.num.items()}, self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return self._wrap(_mul_terms(self.terms, other.terms))
+        return wrap(self.nvars, _mul_terms(self.num, other.num), self.den * other.den)
 
     def scale(self, c) -> "Poly":
-        c = exact(c)
-        if not c:
-            return self._wrap({})
-        return self._wrap({ex: c * v for ex, v in self.terms.items()})
+        cn, cd = _ratio(c)
+        if not cn:
+            return wrap(self.nvars, {}, 1)
+        return wrap(self.nvars, {ex: cn * v for ex, v in self.num.items()}, self.den * cd)
 
     def add_scaled(self, other: "Poly", c) -> "Poly":
         """self + c*other."""
-        self._check(other)
-        return self._wrap(_add_scaled_terms(self.terms, other.terms, exact(c)))
+        return self._linear(other, *_ratio(c))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -233,33 +277,39 @@ class Poly:
         if not 0 <= index < self.nvars:
             raise DimensionError(f"derivative index {index} out of range for {self.nvars} variables")
         out = {}
-        for ex, c in self.terms.items():
+        for ex, c in self.num.items():
             e = ex[index]
             if e:
                 nex = ex[:index] + (e - 1,) + ex[index + 1 :]
                 s = out.get(nex, 0) + c * e
                 if s:
                     out[nex] = s
-                elif nex in out:
+                else:
                     del out[nex]
-        return self._wrap(out)
+        return wrap(self.nvars, out, self.den)
 
     # -- equality / display ------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
+        return (
+            isinstance(other, Poly)
+            and self.nvars == other.nvars
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.num.items())))
 
     def to_text(self) -> str:
         """Canonical text: monomials in descending lexicographic exponent
         order, `**` for powers, `*` between factors, e.g. ``3/2*x1**2*y1``."""
-        if not self.terms:
+        if not self.num:
             return "0"
+        den = self.den
         pieces = []
-        for ex in sorted(self.terms, reverse=True):
-            c = self.terms[ex]
+        for ex in sorted(self.num, reverse=True):
+            v = self.num[ex]
             factors = []
             for i, e in enumerate(ex):
                 if e == 1:
@@ -267,12 +317,12 @@ class Poly:
                 elif e > 1:
                     factors.append(f"{var_name(self.nvars, i)}**{e}")
             if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = coefficient_text(abs(v), den)
+            elif abs(v) == den:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(c))] + factors)
-            pieces.append((c < 0, body))
+                body = "*".join([coefficient_text(abs(v), den)] + factors)
+            pieces.append((v < 0, body))
         out = []
         for i, (negative, body) in enumerate(pieces):
             if i == 0:

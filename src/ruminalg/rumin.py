@@ -15,6 +15,15 @@ for k <= n and of theta ^ w = zeta ^ dtheta^(k-n), gamma(w) = zeta ^ dtheta^(k-n
 for k >= n+1.  No basis or matrix is built, and a form is primitive when
 Lambda kills its horizontal part.
 
+gamma runs on integers.  The horizontal part comes in as `forms.Blocks`, int
+numerators over the lcm of its coefficients' denominators; the pair weights
+of L and Lambda, the scalars c_j and the theta factor each become int
+numerators over one denominator (`_over_one_den`), and every step multiplies
+the block denominator by the operator's.  The Horner sum brings its two
+summands to the lcm of their denominators, which at the unscaled contact form
+is always the denominator they already share, so it clears nothing after the
+first step; the output blocks are wrapped once, in lowest terms.
+
 `pi(w) = w - d gamma(w) - gamma(dw)` projects onto the subcomplex R of forms
 that are primitive with primitive differential; gamma is the homotopy of the
 resulting deformation retract of the de Rham algebra.  The transferred
@@ -33,19 +42,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from math import prod
+from math import lcm, prod
 
 from .cinfty import GradedOpSet, RetractData, apply_tensor_ops
 from .errors import DomainError
-from .forms import ContactModel, Form, _form_from_accumulator, exterior_d, merge_indices, wedge
-from .poly import exact
+from .forms import (
+    Blocks,
+    ContactModel,
+    Form,
+    _blocks,
+    _form_from_accumulator,
+    exterior_d,
+    merge_indices,
+    wedge,
+)
 
 _ONE = Fraction(1)
 
 
-def _accumulate(out: dict, key, coeffs: dict, c) -> None:
-    """out[key] += c * coeffs on {exponent: coefficient} dicts.  A unit c adds
-    or negates instead of multiplying, and a new key starts as a copy."""
+def _over_one_den(values) -> tuple:
+    """The rationals `values` as (int numerators, their least common
+    denominator)."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*[v.denominator for v in values])
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _accumulate(out: dict, key, coeffs: dict, c: int) -> None:
+    """out[key] += c * coeffs on {exponent: int} dicts.  A unit c adds or
+    negates instead of multiplying, and a new key starts as a copy."""
     if c == -1:
         coeffs = {ex: -v for ex, v in coeffs.items()}
     elif c != 1:
@@ -62,11 +87,14 @@ def _accumulate(out: dict, key, coeffs: dict, c) -> None:
             del acc[ex]
 
 
-def _pair_op(terms: dict, n: int, weights, lower: bool) -> dict:
+def _pair_op(terms: Blocks, n: int, weights, lower: bool) -> Blocks:
     """L, which adds each free pair (e^i, e^{n+i}) with weight c_i, or Lambda
     (`lower`), which removes each full pair with weight 1/c_i, on a horizontal
-    form held as {index: {exponent: coefficient}}; the signs are merge_indices'."""
-    out = {}
+    form held as Blocks; the signs are merge_indices'.  `weights` are the
+    weights as (int numerators, denominator), and the output is over
+    terms.den times that denominator."""
+    nums, den = weights
+    out = Blocks(terms.den * den)
     for idx, coeffs in terms.items():
         if lower:
             members = set(idx)
@@ -76,27 +104,48 @@ def _pair_op(terms: dict, n: int, weights, lower: bool) -> dict:
                 if i + n in members:
                     rest = tuple(j for j in idx if j != i and j != i + n)
                     sign, _ = merge_indices((i, i + n), rest)
-                    _accumulate(out, rest, coeffs, sign * weights[i - 1])
+                    _accumulate(out, rest, coeffs, sign * nums[i - 1])
         else:
             for i in range(1, n + 1):
                 sign, merged = merge_indices((i, i + n), idx)
                 if sign:
-                    _accumulate(out, merged, coeffs, sign * weights[i - 1])
+                    _accumulate(out, merged, coeffs, sign * nums[i - 1])
     return out
 
 
 def _pair_weights(dtheta: Form):
     """The c_i of dtheta = sum_i c_i e^i ^ e^{n+i} and their inverses, read
-    off the form itself, so a rescaled gamma is built from the rescaled form.
-    constant_value() is a Fraction, so 1 / x is exact."""
+    off the form itself, so a rescaled gamma is built from the rescaled form;
+    each list as (int numerators, common denominator)."""
     n = dtheta.model.n
     c = [dtheta.terms[(i, n + i)].constant_value() for i in range(1, n + 1)]
-    return [exact(x) for x in c], [exact(1 / x) for x in c]
+    return _over_one_den(c), _over_one_den([1 / x for x in c])
 
 
-def _horizontal(w: Form) -> dict:
-    """The part of w free of e^0, as {index: {exponent: coefficient}}."""
-    return {idx: p.terms for idx, p in w.terms.items() if not idx or idx[0]}
+def _horizontal(w: Form) -> Blocks:
+    """The part of w free of e^0, as Blocks over one denominator."""
+    return _blocks({idx: p for idx, p in w.terms.items() if not idx or idx[0]})
+
+
+def _add_blocks(acc: Blocks, term: Blocks, c: int, cden: int) -> Blocks:
+    """acc + (c / cden) * term, in place, over the lcm of the two
+    denominators; acc is rescaled only when its denominator is not already a
+    multiple of the other."""
+    den = term.den * cden
+    if not acc:
+        acc.den = den
+    elif acc.den != den:
+        both = lcm(acc.den, den)
+        if both != acc.den:
+            f = both // acc.den
+            for coeffs in acc.values():
+                for ex in coeffs:
+                    coeffs[ex] *= f
+            acc.den = both
+        c *= both // den
+    for idx, coeffs in term.items():
+        _accumulate(acc, idx, coeffs, c)
+    return acc
 
 
 @cache
@@ -108,7 +157,8 @@ def _gamma_scalars(n: int, k: int) -> tuple:
     r0 = max(1, k - n)), the j-th operator maps L^r alpha_r to L^(r-1) alpha_r
     times prod_{i<j} (r -+ i)(n - k + r + 1 +- i), which is 0 for the r below
     the j-th piece, so the c_j solve a triangular system; `rest` starts from
-    the Fraction 1, so each division is exact."""
+    the Fraction 1, so each division is exact.  gamma takes the c_j over one
+    denominator."""
     sign = -1 if k <= n + 1 else 1
 
     def factor(r, j):
@@ -118,7 +168,7 @@ def _gamma_scalars(n: int, k: int) -> tuple:
     for r in range(max(1, k - n), k // 2 + 1):
         rest = _ONE - sum(cj * factor(r, j) for j, cj in enumerate(c, 1))
         c.append(rest / factor(r, len(c) + 1))
-    return tuple(map(exact, c))
+    return tuple(c)
 
 
 def gamma(w: Form, _lam: Fraction = _ONE) -> Form:
@@ -133,6 +183,7 @@ def gamma(w: Form, _lam: Fraction = _ONE) -> Form:
     alpha = _horizontal(w)
     if not c or not alpha:
         return Form.zero(model, max(k - 1, 0))
+    c, cden = _over_one_den(c)
     up, down = _pair_weights(model.dtheta().scale(_lam))
     lift = partial(_pair_op, n=n, weights=up, lower=False)
     drop = partial(_pair_op, n=n, weights=down, lower=True)
@@ -141,17 +192,16 @@ def gamma(w: Form, _lam: Fraction = _ONE) -> Form:
     chain = [drop(alpha) if descend else alpha]  # Lambda^j alpha or L^(j-1) alpha
     for _ in c[1:]:
         chain.append(walk(chain[-1]))
-    acc: dict = {}  # Horner, from the top j down
+    acc = Blocks()  # Horner, from the top j down
     for cj, term in zip(reversed(c), reversed(chain)):
-        acc = back(acc)
-        for idx, coeffs in term.items():
-            _accumulate(acc, idx, coeffs, cj)
+        acc = _add_blocks(back(acc), term, cj, cden)
     if not descend:
         acc = drop(acc)
-    t = exact(model.theta().scale(_lam).terms[(0,)].constant_value())
-    out: dict = {}
-    for idx, coeffs in acc.items():
-        _accumulate(out, (0,) + idx, coeffs, t)
+    t = model.theta().scale(_lam).terms[(0,)].constant_value()
+    tn = t.numerator
+    out = Blocks(acc.den * t.denominator)
+    for idx, coeffs in acc.items():  # acc's dicts are its own: no copy
+        out[(0,) + idx] = coeffs if tn == 1 else {ex: v * tn for ex, v in coeffs.items()}
     return _form_from_accumulator(model, k - 1, out)
 
 

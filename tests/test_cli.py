@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ruminalg
 from ruminalg import __version__
 from ruminalg.cli import main
 from ruminalg.finite import heisenberg_ce_algebra
@@ -71,6 +76,25 @@ def test_eval_overlong_number_exit_2(capsys, expr, column):
     code, out, err = run(capsys, "eval", expr)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and f"column {column}: cannot read number" in err
+
+
+@pytest.mark.parametrize(
+    "expr", ["((2*x1)**15000)", "((1/2*x1)**15000)", "((2)**15000) dx1"],
+    ids=["numerator", "denominator", "constant"],
+)
+def test_eval_overlong_output_exit_1(capsys, expr):
+    # a coefficient with more digits than Python prints, which the parser
+    # would refuse to read back
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "too long to print" in err
+
+
+def test_model_overlong_volume_exit_1(capsys):
+    # the volume coefficient 1800! has 5,080 digits
+    code, out, err = run(capsys, "model", "--n", "1800")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "too long to print" in err
 
 
 @pytest.mark.parametrize("depth", [400, 3000])
@@ -204,3 +228,20 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out == f"ruminalg {__version__}\n"
+
+
+def test_python_m_ruminalg_runs_the_cli():
+    # `python -m ruminalg` is the `ruminalg` command, exit codes included
+    src = str(Path(ruminalg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ruminalg", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    done = run_module("eval", "gamma(dx1^dy1)")
+    assert done.returncode == 0 and done.stdout == "theta\n" and done.stderr == ""
+    failed = run_module("eval", "theta ^")
+    assert failed.returncode == 2 and failed.stdout == ""
+    assert len(failed.stderr.splitlines()) == 1 and "syntax error" in failed.stderr

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from ruminalg import cinfty, cli, rumin, suites
-from ruminalg.forms import ContactModel, exterior_d
+from ruminalg import cinfty, cli, forms, rumin, suites
+from ruminalg.forms import ContactModel, Form, exterior_d
 from ruminalg.parser import eval_text
 from ruminalg.suites import (
     SUITES,
@@ -153,10 +155,28 @@ def _drop_koszul_sign(monkeypatch):
     monkeypatch.setattr(cinfty, "koszul_sign", lambda perm, degrees: 1)
 
 
+def _wedge_rescales_by_own_den(monkeypatch):
+    # wedge bringing an operand's coefficient p to the operand's common
+    # denominator L by multiplying by p.den instead of L / p.den: p enters
+    # the product as p * p.den**2 / L
+    right = forms.wedge
+
+    def skewed(w):
+        den = lcm(*[p.den for p in w.terms.values()])
+        return Form(w.model, w.degree, {idx: p.scale(Fraction(p.den**2, den)) for idx, p in w.terms.items()})
+
+    def wedge(a, b):
+        return right(skewed(a), skewed(b))
+
+    for module in (forms, rumin, suites):
+        monkeypatch.setattr(module, "wedge", wedge)
+
+
 @pytest.mark.parametrize(
     "corrupt, n",
-    [(_double_one_gamma_scalar, 1), (_flip_gamma_d_in_pi, 1), (_drop_koszul_sign, 2)],
-    ids=["gamma-scalar", "pi-gamma-d-sign", "koszul-sign"],
+    [(_double_one_gamma_scalar, 1), (_flip_gamma_d_in_pi, 1), (_drop_koszul_sign, 2),
+     (_wedge_rescales_by_own_den, 2)],
+    ids=["gamma-scalar", "pi-gamma-d-sign", "koszul-sign", "wedge-own-den"],
 )
 def test_corrupted_operator_fails_a_suite_with_witness(monkeypatch, corrupt, n):
     corrupt(monkeypatch)
