@@ -126,11 +126,7 @@ def apply_tensor_ops(ops, elements):
     return sign, tuple(outputs)
 
 
-_IDENTITY_ENTRY = (lambda block: block[0], 1, 0)
-
-
-def _identity_op():
-    return _IDENTITY_ENTRY
+IDENTITY_ENTRY = (lambda block: block[0], 1, 0)  # the identity as an apply_tensor_ops entry
 
 
 class GradedOpSet:
@@ -218,15 +214,20 @@ def check_stasheff(mset: GradedOpSet, n: int, elements):
     elements = tuple(elements)
     if len(elements) != n:
         raise DomainError(f"relation {n} needs an {n}-tuple, got {len(elements)}")
+    return _insertion_sum(mset, mset, n, elements)
+
+
+def _insertion_sum(outer_set: GradedOpSet, mset: GradedOpSet, n: int, elements):
+    """sum over r+s+t=n of (-1)^(r+st) outer_{r+t+1} (1^r (x) m_s (x) 1^t) on
+    the n-tuple `elements`."""
     residual = None
     for s in range(1, n + 1):
         for r in range(0, n - s + 1):
             t = n - s - r
-            word = [_identity_op()] * r + [mset.entry(s)] + [_identity_op()] * t
+            word = [IDENTITY_ENTRY] * r + [mset.entry(s)] + [IDENTITY_ENTRY] * t
             sign, mids = apply_tensor_ops(word, elements)
-            outer = mset(r + t + 1, mids)
-            coeff = sign * (-1) ** (r + s * t)
-            residual = _add(residual, outer.scale(coeff))
+            outer = outer_set(r + t + 1, mids)
+            residual = _add(residual, outer.scale(sign * (-1) ** (r + s * t)))
     return residual
 
 
@@ -251,14 +252,7 @@ def check_morphism(fset: GradedOpSet, mset: GradedOpSet, mbar: GradedOpSet, n: i
     elements = tuple(elements)
     if len(elements) != n:
         raise DomainError(f"relation {n} needs an {n}-tuple, got {len(elements)}")
-    residual = None
-    for s in range(1, n + 1):
-        for r in range(0, n - s + 1):
-            t = n - s - r
-            word = [_identity_op()] * r + [mset.entry(s)] + [_identity_op()] * t
-            sign, mids = apply_tensor_ops(word, elements)
-            outer = fset(r + t + 1, mids)
-            residual = _add(residual, outer.scale(sign * (-1) ** (r + s * t)))
+    residual = _insertion_sum(fset, mset, n, elements)
     for r in range(1, n + 1):
         for comp in compositions(n, r):
             word = [fset.entry(i) for i in comp]

@@ -89,10 +89,11 @@ def cmd_verify(args) -> int:
         print("error: no suite given (positional or --suite)", file=sys.stderr)
         return 2
     kwargs = dict(n=args.n, trials=args.trials, seed=args.seed, max_poly_degree=args.max_poly_degree)
-    if suite == "all":
-        reports = run_all(**kwargs)
-    else:
-        reports = [run_suite(suite, **kwargs)]
+    try:
+        reports = run_all(**kwargs) if suite == "all" else [run_suite(suite, **kwargs)]
+    except DomainError as exc:  # e.g. a basis too large to enumerate
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for report in reports:
         print(format_report(report))
     if args.json:
@@ -102,11 +103,12 @@ def cmd_verify(args) -> int:
 
 def cmd_basis(args) -> int:
     model = ContactModel(args.n)
-    monos = (
-        model.vertical_monomials(args.degree)
-        if args.vertical
-        else model.coframe_monomials(args.degree)
-    )
+    try:
+        listing = model.vertical_monomials if args.vertical else model.coframe_monomials
+        monos = listing(args.degree)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for idx in monos:
         print("^".join(model.coframe_label(i) for i in idx) or "1")
     return 0

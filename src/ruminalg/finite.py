@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg, rumin
-from .cinfty import GradedOpSet, RetractData, describe_issues
+from .cinfty import RetractData, describe_issues
 from .errors import ConstructionError, DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, wedge
 from .poly import Poly, exact
@@ -241,20 +241,6 @@ class FiniteGradedAlgebra:
                         for dst, w in row:
                             out[dst] += c * w
         return FiniteVector._make(self, degree, tuple(map(exact, out)))
-
-    def op_set(self) -> GradedOpSet:
-        """The algebra as an operator family: d in arity 1, the product in
-        arity 2, zero above."""
-        ops = {
-            1: lambda block: self.apply_d(block[0]),
-            2: lambda block: self.mu_vec(block[0], block[1]),
-        }
-        return GradedOpSet(
-            ops,
-            degree_fn=lambda k: 2 - k,
-            zero_maker=lambda target, elements: self.zero(target),
-            name=self.name or "finite algebra",
-        )
 
     # -- construction checks ---------------------------------------------------
 

@@ -22,10 +22,15 @@ brings the coefficients of a form to the lcm L of their denominators (free
 when every coefficient is integral, as every random input is), so the
 accumulators (`Blocks`) hold int numerators over one denominator: L for
 `exterior_d`, the product of the two operands' for `wedge`.  Only ints are
-multiplied and added, and `_form_from_accumulator` wraps each output
-coefficient once, dividing by the gcd of its denominator and content.  User
-input written in coordinate differentials is normalized through
-dz = e^0 + sum_i y_i e^i.
+multiplied and added, by `poly.mul_into` (one call per pair of disjoint
+blocks in `wedge`) and `poly.add_into` (the dtheta term of `exterior_d`);
+only exterior_d's frame derivatives keep a loop of their own.
+`_form_from_accumulator` wraps each output coefficient once, dividing by the
+gcd of its denominator and content.  User input written in coordinate
+differentials is normalized through dz = e^0 + sum_i y_i e^i.
+
+Listing a coframe basis is bounded: a degree with more than MAX_MONOMIALS
+monomials is a DomainError before any is built.
 
 Forms are homogeneous: a Form stores a single degree and a map from strictly
 increasing coframe index tuples to nonzero polynomial coefficients.  The zero
@@ -42,8 +47,21 @@ from math import factorial, lcm
 from operator import add, sub
 
 from .errors import DimensionError, DomainError
-from .poly import Poly, coefficient_text, exact, wrap
+from .poly import Poly, add_into, coefficient_text, exact, mul_into, wrap
 from .prng import SplitMix64
+
+MAX_MONOMIALS = 10**5  # the most coframe monomials one basis query lists
+
+
+def _check_count(m: int, k: int, what: str) -> None:
+    """Raise DomainError when C(m, k), the number of `what`, exceeds
+    MAX_MONOMIALS.  The count is built one factor at a time and stops there,
+    so a huge count costs no more than a small one."""
+    count = 1
+    for i in range(min(k, m - k)):
+        count = count * (m - i) // (i + 1)  # C(m, i + 1)
+        if count > MAX_MONOMIALS:
+            raise DomainError(f"{what}: C({m}, {k}) of them, more than {MAX_MONOMIALS} to list")
 
 
 class ContactModel:
@@ -115,10 +133,12 @@ class ContactModel:
 
     def coframe_monomials(self, degree: int):
         """All strictly increasing index tuples of the given cardinality,
-        in lexicographic order."""
+        in lexicographic order; DomainError when there are more than
+        MAX_MONOMIALS."""
         key = ("all", degree)
         if key not in self._monomial_cache:
             if 0 <= degree <= self.dim:
+                _check_count(self.dim, degree, f"coframe monomials of degree {degree} at n={self.n}")
                 self._monomial_cache[key] = list(combinations(range(self.dim), degree))
             else:
                 self._monomial_cache[key] = []
@@ -126,10 +146,13 @@ class ContactModel:
 
     def vertical_monomials(self, degree: int):
         """Index tuples containing 0, i.e. the coframe basis of forms
-        divisible by theta."""
+        divisible by theta; DomainError when there are more than
+        MAX_MONOMIALS."""
         key = ("vert", degree)
         if key not in self._monomial_cache:
             if 1 <= degree <= self.dim:
+                what = f"vertical monomials of degree {degree} at n={self.n}"
+                _check_count(self.dim - 1, degree - 1, what)
                 self._monomial_cache[key] = [
                     (0,) + rest for rest in combinations(range(1, self.dim), degree - 1)
                 ]
@@ -355,7 +378,7 @@ def wedge(a: Form, b: Form) -> Form:
     if a.is_zero() or b.is_zero() or degree > a.model.dim:
         return Form.zero(a.model, degree)
     left, right = _blocks(a.terms), _blocks(b.terms)
-    right_items = [(ib, _mask(ib), tb.items()) for ib, tb in right.items()]
+    right_items = [(ib, _mask(ib), tb) for ib, tb in right.items()]
     out = Blocks(left.den * right.den)
     for ia, ta in left.items():
         ma = _mask(ia)
@@ -363,17 +386,7 @@ def wedge(a: Form, b: Form) -> Form:
             if ma & mb:  # a shared generator: the product vanishes
                 continue
             sign, merged = merge_indices(ia, ib)
-            acc = out.setdefault(merged, {})
-            for ea, ca in ta.items():
-                if sign < 0:
-                    ca = -ca
-                for eb, cb in tb:
-                    ex = tuple(map(add, ea, eb))
-                    s = acc.get(ex, 0) + ca * cb
-                    if s:
-                        acc[ex] = s
-                    else:
-                        del acc[ex]
+            mul_into(out.setdefault(merged, {}), ta, tb, sign)
     return _form_from_accumulator(a.model, degree, out)
 
 
@@ -470,15 +483,8 @@ def exterior_d(w: Form) -> Form:
         if idx and idx[0] == 0:
             for i in range(1, n + 1):
                 sign, merged = merge_indices((i, n + i), idx[1:])
-                if not sign:
-                    continue
-                acc = out.setdefault(merged, {})
-                for ex, c in f.items():
-                    s = acc.get(ex, 0) + (c if sign > 0 else -c)
-                    if s:
-                        acc[ex] = s
-                    else:
-                        del acc[ex]
+                if sign:
+                    add_into(out.setdefault(merged, {}), f, sign)
     return _form_from_accumulator(model, w.degree + 1, out)
 
 

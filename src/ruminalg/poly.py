@@ -14,9 +14,17 @@ representation and equality and hashing use (nvars, den, num).  Every
 arithmetic result is built by `wrap`, which divides by gcd(den, content) once
 per result; an integral polynomial has den 1 and pays no gcd at all.  So
 `+`, `-`, `*`, `scale` and `deriv` multiply and add ints only, after bringing
-two operands to the lcm of their dens (`forms` does the same for whole forms).
-Values are immutable after construction and all operations are pure, so
-sharing across threads is safe.
+two operands to the lcm of their dens.  Values are immutable after
+construction and all operations are pure, so sharing across threads is safe.
+
+This module holds the integer arithmetic of the whole package, on numerator
+maps {exponent: int}: `add_into` (acc += c * terms) and `mul_into`
+(acc += c * a * b) accumulate in place and drop what cancels, and `over_lcm`
+brings rationals to their least common denominator.  `Poly` is built on
+them, and so are `forms.wedge`, the dtheta term of `forms.exterior_d` and
+gamma's pair operators and Horner sum in `rumin`, which run on whole blocks
+of numerators.  `deriv` keeps its own loop: the tests check `exterior_d`
+against it as an independent reference.
 
 `terms` is the read-only {exponent: coefficient} view for readers of values,
 built on demand: each coefficient in lowest terms, an `int` when integral and
@@ -86,32 +94,47 @@ def coefficient_text(v: int, den: int) -> str:
         ) from None
 
 
-def _combine(a: dict, fa: int, b: dict, fb: int) -> dict:
-    """fa*a + fb*b on numerator dictionaries."""
-    out = dict(a) if fa == 1 else {ex: v * fa for ex, v in a.items()}
-    for ex, v in b.items():
-        s = out.get(ex, 0) + fb * v
+def add_into(acc: dict, terms: dict, c: int) -> None:
+    """acc += c * terms on {exponent: int} dictionaries, dropping the entries
+    that cancel; c = 0 does nothing.  An empty acc is filled with a copy,
+    never with `terms` itself, which other values may share."""
+    if not c:
+        return
+    if not acc:
+        acc.update(terms if c == 1 else {ex: v * c for ex, v in terms.items()})
+        return
+    for ex, v in terms.items():
+        s = acc.get(ex, 0) + c * v
         if s:
-            out[ex] = s
-        elif ex in out:
-            del out[ex]
-    return out
+            acc[ex] = s
+        else:
+            del acc[ex]
 
 
-def _mul_terms(a, b):
-    """a * b on numerator dictionaries: exponents add, numerators multiply."""
-    if not a or not b:
-        return {}
-    out = {}
+def mul_into(acc: dict, a: dict, b: dict, c: int) -> None:
+    """acc += c * a * b on {exponent: int} dictionaries: exponents add and
+    numerators multiply, and the entries that cancel are dropped."""
+    if not c:
+        return
+    b = b.items()
     for ea, ca in a.items():
-        for eb, cb in b.items():
+        ca *= c
+        for eb, cb in b:
             ex = tuple(map(add, ea, eb))
-            s = out.get(ex, 0) + ca * cb
+            s = acc.get(ex, 0) + ca * cb
             if s:
-                out[ex] = s
+                acc[ex] = s
             else:
-                del out[ex]
-    return out
+                del acc[ex]
+
+
+def over_lcm(values) -> tuple:
+    """(numerators, den): the rationals `values` (a sequence of ints and
+    Fractions) as ints over their least common denominator, in order."""
+    # lowest terms already: a prime of the lcm divides no numerator of a
+    # reduced fraction with the largest power of it in its denominator
+    den = lcm(*[c.denominator for c in values if type(c) is not int])
+    return [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in values], den
 
 
 def _scaled(nvars: int, terms: dict, checked: bool) -> tuple:
@@ -128,15 +151,8 @@ def _scaled(nvars: int, terms: dict, checked: bool) -> tuple:
             c = Fraction(c)
         if c:
             values[ex] = values.get(ex, 0) + c
-    # lowest terms already: a prime of the lcm divides no numerator of a
-    # reduced fraction with the largest power of it in its denominator
-    den = lcm(*[c.denominator for c in values.values() if type(c) is not int])
-    num = {
-        ex: c * den if type(c) is int else c.numerator * (den // c.denominator)
-        for ex, c in values.items()
-        if c
-    }
-    return num, den
+    nums, den = over_lcm(values.values())
+    return {ex: v for ex, v in zip(values, nums) if v}, den
 
 
 def var_name(nvars: int, index: int) -> str:
@@ -225,10 +241,11 @@ class Poly:
         """self + (cn / cd) * other, over the lcm of the two denominators."""
         self._check(other)
         da, db = self.den, other.den * cd
-        if da == db:
-            return wrap(self.nvars, _combine(self.num, 1, other.num, cn), da)
         den = lcm(da, db)
-        return wrap(self.nvars, _combine(self.num, den // da, other.num, cn * (den // db)), den)
+        out = {}
+        add_into(out, self.num, den // da)
+        add_into(out, other.num, cn * (den // db))
+        return wrap(self.nvars, out, den)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -247,7 +264,9 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return wrap(self.nvars, _mul_terms(self.num, other.num), self.den * other.den)
+        out = {}
+        mul_into(out, self.num, other.num, 1)
+        return wrap(self.nvars, out, self.den * other.den)
 
     def scale(self, c) -> "Poly":
         cn, cd = _ratio(c)

@@ -15,11 +15,12 @@ for k <= n and of theta ^ w = zeta ^ dtheta^(k-n), gamma(w) = zeta ^ dtheta^(k-n
 for k >= n+1.  No basis or matrix is built, and a form is primitive when
 Lambda kills its horizontal part.
 
-gamma runs on integers.  The horizontal part comes in as `forms.Blocks`, int
-numerators over the lcm of its coefficients' denominators; the pair weights
-of L and Lambda, the scalars c_j and the theta factor each become int
-numerators over one denominator (`_over_one_den`), and every step multiplies
-the block denominator by the operator's.  The Horner sum brings its two
+gamma runs on integers, through the kernels of `poly`.  The horizontal part
+comes in as `forms.Blocks`, int numerators over the lcm of its coefficients'
+denominators; the pair weights of L and Lambda, the scalars c_j and the theta
+factor each become int numerators over one denominator (`poly.over_lcm`),
+and every step multiplies the block denominator by the operator's; each
+block moves with one `poly.add_into`.  The Horner sum brings its two
 summands to the lcm of their denominators, which at the unscaled contact form
 is always the denominator they already share, so it clears nothing after the
 first step; the output blocks are wrapped once, in lowest terms.
@@ -44,7 +45,7 @@ from fractions import Fraction
 from functools import cache, partial
 from math import lcm, prod
 
-from .cinfty import GradedOpSet, RetractData, apply_tensor_ops
+from .cinfty import IDENTITY_ENTRY, GradedOpSet, RetractData, apply_tensor_ops
 from .errors import DomainError
 from .forms import (
     Blocks,
@@ -56,35 +57,9 @@ from .forms import (
     merge_indices,
     wedge,
 )
+from .poly import add_into, over_lcm
 
 _ONE = Fraction(1)
-
-
-def _over_one_den(values) -> tuple:
-    """The rationals `values` as (int numerators, their least common
-    denominator)."""
-    values = [Fraction(v) for v in values]
-    den = lcm(*[v.denominator for v in values])
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
-
-
-def _accumulate(out: dict, key, coeffs: dict, c: int) -> None:
-    """out[key] += c * coeffs on {exponent: int} dicts.  A unit c adds or
-    negates instead of multiplying, and a new key starts as a copy."""
-    if c == -1:
-        coeffs = {ex: -v for ex, v in coeffs.items()}
-    elif c != 1:
-        coeffs = {ex: v * c for ex, v in coeffs.items()}
-    acc = out.get(key)
-    if acc is None:
-        out[key] = dict(coeffs) if c == 1 else coeffs
-        return
-    for ex, v in coeffs.items():
-        s = acc.get(ex, 0) + v
-        if s:
-            acc[ex] = s
-        else:
-            del acc[ex]
 
 
 def _pair_op(terms: Blocks, n: int, weights, lower: bool) -> Blocks:
@@ -104,12 +79,12 @@ def _pair_op(terms: Blocks, n: int, weights, lower: bool) -> Blocks:
                 if i + n in members:
                     rest = tuple(j for j in idx if j != i and j != i + n)
                     sign, _ = merge_indices((i, i + n), rest)
-                    _accumulate(out, rest, coeffs, sign * nums[i - 1])
+                    add_into(out.setdefault(rest, {}), coeffs, sign * nums[i - 1])
         else:
             for i in range(1, n + 1):
                 sign, merged = merge_indices((i, i + n), idx)
                 if sign:
-                    _accumulate(out, merged, coeffs, sign * nums[i - 1])
+                    add_into(out.setdefault(merged, {}), coeffs, sign * nums[i - 1])
     return out
 
 
@@ -119,7 +94,7 @@ def _pair_weights(dtheta: Form):
     each list as (int numerators, common denominator)."""
     n = dtheta.model.n
     c = [dtheta.terms[(i, n + i)].constant_value() for i in range(1, n + 1)]
-    return _over_one_den(c), _over_one_den([1 / x for x in c])
+    return over_lcm(c), over_lcm([1 / x for x in c])
 
 
 def _horizontal(w: Form) -> Blocks:
@@ -144,7 +119,7 @@ def _add_blocks(acc: Blocks, term: Blocks, c: int, cden: int) -> Blocks:
             acc.den = both
         c *= both // den
     for idx, coeffs in term.items():
-        _accumulate(acc, idx, coeffs, c)
+        add_into(acc.setdefault(idx, {}), coeffs, c)
     return acc
 
 
@@ -183,7 +158,7 @@ def gamma(w: Form, _lam: Fraction = _ONE) -> Form:
     alpha = _horizontal(w)
     if not c or not alpha:
         return Form.zero(model, max(k - 1, 0))
-    c, cden = _over_one_den(c)
+    c, cden = over_lcm(c)
     up, down = _pair_weights(model.dtheta().scale(_lam))
     lift = partial(_pair_op, n=n, weights=up, lower=False)
     drop = partial(_pair_op, n=n, weights=down, lower=True)
@@ -323,17 +298,13 @@ def _gamma_mu_entry():
     return (lambda block: gamma(wedge(block[0], block[1])), 2, -1)
 
 
-def _id_entry():
-    return (lambda block: block[0], 1, 0)
-
-
 def m3(rho: RuminElement, sigma: RuminElement, tau: RuminElement) -> RuminElement:
     """Ternary product pi . wedge . (gamma-wedge (x) 1  -  1 (x) gamma-wedge),
     with the interior Koszul sign supplied by the generic tensor engine."""
     _require_certified("m3", rho, sigma, tau)
     forms = (rho.form, sigma.form, tau.form)
-    s1, (u1, v1) = apply_tensor_ops([_gamma_mu_entry(), _id_entry()], forms)
-    s2, (u2, v2) = apply_tensor_ops([_id_entry(), _gamma_mu_entry()], forms)
+    s1, (u1, v1) = apply_tensor_ops([_gamma_mu_entry(), IDENTITY_ENTRY], forms)
+    s2, (u2, v2) = apply_tensor_ops([IDENTITY_ENTRY, _gamma_mu_entry()], forms)
     total = wedge(u1, v1).scale(s1) - wedge(u2, v2).scale(s2)
     return pi(total)
 

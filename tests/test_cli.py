@@ -172,6 +172,20 @@ def test_basis_listing(capsys):
     assert out.splitlines() == ["theta^dx1", "theta^dy1"]
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [(("basis", "--n", "1000000000", "--degree", "1"), "C(2000000001, 1)"),
+     (("basis", "--n", "14", "--degree", "14"), "C(29, 14)"),
+     (("verify", "lefschetz-iso", "--n", "200", "--trials", "1"), "C(400, 199)")],
+    ids=["basis-huge-n", "basis-middle-degree", "verify-lefschetz-iso"],
+)
+def test_basis_over_the_enumeration_limit_exit_1(capsys, argv, count):
+    # refused before a single monomial is built
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and count in err
+
+
 def test_model_command(capsys):
     code, out, _ = run(capsys, "model", "--n", "2")
     assert code == 0

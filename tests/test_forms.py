@@ -363,6 +363,22 @@ def test_corrupted_d_fails_a_suite_with_witness(monkeypatch, corruption):
 # -- verticality and the Lefschetz operator ---------------------------------------
 
 
+@pytest.mark.parametrize(
+    "n, degree, vertical",
+    [(8, 8, False), (9, 9, False), (9, 10, True), (10, 10, False), (10, 11, True), (1000, 2, False)],
+)
+def test_basis_enumeration_is_bounded(n, degree, vertical):
+    # C(17, 8) at n = 8 is what verify dsq --n 8 lists; C(21, 10) is past the limit
+    m, k = 2 * n + 1 - vertical, degree - vertical
+    model = ContactModel(n)
+    listing = model.vertical_monomials if vertical else model.coframe_monomials
+    if math.comb(m, k) <= forms.MAX_MONOMIALS:
+        assert len(listing(degree)) == math.comb(m, k)
+    else:
+        with pytest.raises(DomainError, match=rf"C\({m}, {k}\)"):
+            listing(degree)
+
+
 def test_is_vertical():
     assert is_vertical(wedge(M1.theta(), M1.generator(1)))
     assert not is_vertical(wedge(M1.generator(1), M1.generator(2)))

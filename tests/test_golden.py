@@ -22,6 +22,7 @@ DATA = Path(__file__).resolve().parent / "data"
 OPS_FILE = DATA / "golden_ops.txt"
 REPORT_FILE = DATA / "golden_failing_report.json"
 SAMPLES = {1: 12, 2: 8, 3: 4}  # tuples per n
+LAM = Fraction(3, 7)  # a rescaled contact form: gamma's Horner sum meets unequal denominators
 
 
 def _fraction_form(model, rng, degree):
@@ -53,6 +54,8 @@ def golden_ops_text() -> str:
                 ("m2(pi(a), pi(b))", m2(rho, sigma)),
                 ("m3(pi(a), pi(b), pi(c))", m3(rho, sigma, tau)),
                 ("f2(pi(a), pi(b))", f2(rho, sigma)),
+                ("gamma(a, _lam=3/7)", gamma(a, _lam=LAM)),
+                ("gamma(wedge(a, b), _lam=3/7)", gamma(wedge(a, b), _lam=LAM)),
             ]
             lines += [f"n={n} #{t} {name} = {value}" for name, value in rows]
     return "\n".join(lines) + "\n"

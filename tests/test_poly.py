@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruminalg.errors import DimensionError
-from ruminalg.poly import Poly
+from ruminalg.poly import Poly, add_into, mul_into, over_lcm
 
 X1, Y1, Z = (Poly.variable(3, i) for i in range(3))
 
@@ -196,3 +196,34 @@ def test_constant_value_is_a_fraction():
     for value in (0, 3, Fraction(3, 4)):
         got = Poly.constant(3, value).constant_value()
         assert type(got) is Fraction and got == value
+
+
+def test_add_into_copies_and_ignores_zero_multiples():
+    terms = {(1, 0, 0): 2, (0, 0, 1): -3}
+    acc = {}
+    add_into(acc, terms, 1)
+    assert acc == terms and acc is not terms
+    acc[(1, 0, 0)] = 7  # the accumulator owns its entries
+    assert terms == {(1, 0, 0): 2, (0, 0, 1): -3}
+    add_into(acc, {(0, 1, 0): 5, (1, 0, 0): 1}, 0)  # c = 0 neither adds nor drops
+    assert acc == {(1, 0, 0): 7, (0, 0, 1): -3}
+    add_into(acc, {(0, 0, 1): 1, (0, 1, 0): 4}, 3)  # -3 + 3 cancels and is dropped
+    assert acc == {(1, 0, 0): 7, (0, 1, 0): 12}
+    fresh = {}
+    add_into(fresh, terms, -2)
+    assert fresh == {(1, 0, 0): -4, (0, 0, 1): 6}
+
+
+def test_mul_into_accumulates_signed_products():
+    x_plus_1, x_minus_1 = {(1, 0, 0): 1, (0, 0, 0): 1}, {(1, 0, 0): 1, (0, 0, 0): -1}
+    acc = {(2, 0, 0): 2, (0, 1, 0): 5}
+    mul_into(acc, x_plus_1, x_minus_1, -2)  # -2 (x^2 - 1) cancels the x^2 entry
+    assert acc == {(0, 1, 0): 5, (0, 0, 0): 2}
+    mul_into(acc, x_plus_1, x_minus_1, 0)
+    assert acc == {(0, 1, 0): 5, (0, 0, 0): 2}
+
+
+def test_over_lcm():
+    assert over_lcm([Fraction(1, 2), 3, Fraction(-2, 3), Fraction(4)]) == ([3, 18, -4, 24], 6)
+    assert over_lcm([2, -5]) == ([2, -5], 1)
+    assert over_lcm([]) == ([], 1)

@@ -172,11 +172,18 @@ def _wedge_rescales_by_own_den(monkeypatch):
         monkeypatch.setattr(module, "wedge", wedge)
 
 
+def _wedge_ignores_merge_sign(monkeypatch):
+    # wedge multiplying every pair of disjoint coframe monomials into the
+    # product with sign +1 (the kernel is patched where forms binds it)
+    right = forms.mul_into
+    monkeypatch.setattr(forms, "mul_into", lambda acc, a, b, sign: right(acc, a, b, abs(sign)))
+
+
 @pytest.mark.parametrize(
     "corrupt, n",
     [(_double_one_gamma_scalar, 1), (_flip_gamma_d_in_pi, 1), (_drop_koszul_sign, 2),
-     (_wedge_rescales_by_own_den, 2)],
-    ids=["gamma-scalar", "pi-gamma-d-sign", "koszul-sign", "wedge-own-den"],
+     (_wedge_rescales_by_own_den, 2), (_wedge_ignores_merge_sign, 2)],
+    ids=["gamma-scalar", "pi-gamma-d-sign", "koszul-sign", "wedge-own-den", "wedge-merge-sign"],
 )
 def test_corrupted_operator_fails_a_suite_with_witness(monkeypatch, corrupt, n):
     corrupt(monkeypatch)
