@@ -19,7 +19,16 @@ Sign conventions (the single source of truth for the whole package):
   elements it jumps over.
 
 Relation checkers return the would-be-zero residual element rather than a
-boolean so that failures carry witnesses.
+boolean so that failures carry witnesses.  They do only the work their
+operator values need:
+
+* The shuffle sums read their signs from one cached table,
+  `_signed_shuffles`, keyed by (p, q), the parities of the degrees and the
+  `koszul_sign` in force, so each sign is computed once per parity pattern.
+* A value that is zero is neither scaled nor added, and an operator is not
+  applied to a block holding a zero value (every operator is multilinear).
+  A relation whose terms all vanish still returns a zero of the relation's
+  codomain.
 """
 
 from __future__ import annotations
@@ -76,7 +85,7 @@ def shuffles(p: int, q: int):
 def shuffle_product(p: int, q: int, elements):
     """Signed sum of shuffled tensor words.
 
-    Returns a list of (sign, word) pairs where `word` is a tuple of indices
+    Returns a tuple of (sign, word) pairs where `word` is a tuple of indices
     into `elements`: position r of the output word holds element word[r].
     The sign is sgn(s) times the Koszul sign of s on the element degrees, so
     e.g. for p = q = 1 the result is  x0 (x) x1  minus
@@ -84,20 +93,23 @@ def shuffle_product(p: int, q: int, elements):
     """
     if len(elements) != p + q:
         raise DomainError(f"expected {p + q} elements, got {len(elements)}")
-    degrees = [e.degree for e in elements]
-    return [(sign * koszul_sign(perm, degrees), word) for perm, sign, word in _shuffle_table(p, q)]
+    parities = tuple(e.degree & 1 for e in elements)
+    return _signed_shuffles(p, q, parities, koszul_sign)
 
 
 @cache
-def _shuffle_table(p: int, q: int):
-    """(s, sgn(s), word) for every (p, q)-shuffle s, where word[s[i]] = i: the
-    part of `shuffle_product` that does not depend on the elements."""
+def _signed_shuffles(p: int, q: int, parities: tuple, koszul):
+    """(sgn(s) * koszul(s, parities), word) for every (p, q)-shuffle s, where
+    word[s[i]] = i.  A Koszul sign depends on the degrees only through their
+    parities, so the table is shared by every tuple of that parity pattern.
+    `koszul` is part of the key: callers pass the module's `koszul_sign` as
+    it is at call time, so a replaced one never meets a stale entry."""
     table = []
     for perm in shuffles(p, q):
         word = [0] * (p + q)
         for src, dst in enumerate(perm):
             word[dst] = src
-        table.append((perm, permutation_sign(perm), tuple(word)))
+        table.append((permutation_sign(perm) * koszul(perm, parities), tuple(word)))
     return tuple(table)
 
 
@@ -219,16 +231,31 @@ def check_stasheff(mset: GradedOpSet, n: int, elements):
 
 def _insertion_sum(outer_set: GradedOpSet, mset: GradedOpSet, n: int, elements):
     """sum over r+s+t=n of (-1)^(r+st) outer_{r+t+1} (1^r (x) m_s (x) 1^t) on
-    the n-tuple `elements`."""
-    residual = None
+    the n-tuple `elements`.
+
+    m_s moves past the first r elements, so the term also carries
+    (-1)^(|m_s| * (|x_1| + ... + |x_r|)), read off a running prefix parity.
+    The outer operator is multilinear, so a term whose m_s value is zero is
+    skipped, except r = t = 0: that term runs last, and when every term
+    vanishes its zero (outer_1 of a zero) is the residual, in the outer
+    operator's codomain."""
+    prefix = [0]  # prefix[r] = parity of |x_1| + ... + |x_r|
+    for e in elements:
+        prefix.append(prefix[-1] ^ (e.degree & 1))
+    residual = value = None
     for s in range(1, n + 1):
+        inner, odd = mset.op(s), mset.degree(s) & 1
         for r in range(0, n - s + 1):
             t = n - s - r
-            word = [IDENTITY_ENTRY] * r + [mset.entry(s)] + [IDENTITY_ENTRY] * t
-            sign, mids = apply_tensor_ops(word, elements)
-            outer = outer_set(r + t + 1, mids)
-            residual = _add(residual, outer.scale(sign * (-1) ** (r + s * t)))
-    return residual
+            mid = inner(elements[r : r + s])
+            if mid.is_zero() and (r or t):
+                continue
+            value = outer_set.op(r + t + 1)(elements[:r] + (mid,) + elements[r + s :])
+            if value.is_zero():
+                continue
+            sign = -1 if (odd and prefix[r]) ^ ((r + s * t) & 1) else 1
+            residual = _add(residual, value.scale(sign))
+    return value if residual is None else residual
 
 
 def compositions(n: int, r: int):
@@ -255,24 +282,29 @@ def check_morphism(fset: GradedOpSet, mset: GradedOpSet, mbar: GradedOpSet, n: i
     residual = _insertion_sum(fset, mset, n, elements)
     for r in range(1, n + 1):
         for comp in compositions(n, r):
-            word = [fset.entry(i) for i in comp]
-            sign, mids = apply_tensor_ops(word, elements)
+            sign, mids = apply_tensor_ops([fset.entry(i) for i in comp], elements)
+            if any(m.is_zero() for m in mids):
+                continue  # mbar_r is multilinear
             ell = sum((r - j) * (comp[j - 1] - 1) for j in range(1, r + 1))
-            outer = mbar(r, mids)
-            residual = _add(residual, outer.scale(-sign * (-1) ** ell))
+            residual = residual + mbar(r, mids).scale(-sign * (-1) ** ell)
     return residual
 
 
 def shuffle_vanishing_residual(opset: GradedOpSet, p: int, q: int, elements):
     """Residual of op_{p+q} composed with the (p,q)-shuffle sum; zero is the
-    graded-commutativity constraint distinguishing the commutative case."""
+    graded-commutativity constraint distinguishing the commutative case.
+
+    Values that are zero are neither scaled nor added; when all of them are,
+    the last one is returned, a zero in the operator's codomain."""
     elements = tuple(elements)
     signed_words = shuffle_product(p, q, elements)
-    residual = None
+    op = opset.op(p + q)
+    residual = value = None
     for sign, word in signed_words:
-        value = opset(p + q, tuple(elements[i] for i in word))
-        residual = _add(residual, value.scale(sign))
-    return residual
+        value = op(tuple(elements[i] for i in word))
+        if not value.is_zero():
+            residual = _add(residual, value.scale(sign))
+    return value if residual is None else residual
 
 
 class RetractData:

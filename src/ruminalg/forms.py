@@ -41,8 +41,9 @@ All values are immutable and hashable, and all operations pure.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import factorial, lcm
 from operator import add, sub
 
@@ -449,25 +450,26 @@ def exterior_d(w: Form) -> Form:
     model = w.model
     n = model.n
     z = 2 * n
-    # Each frame field is a sum of moves (p, q, j): the term q-th coordinate
-    # (or 1 when q is None) times d/d(p-th coordinate) of the field dual to
-    # e^j.  Coordinate positions are x_1..x_n, y_1..y_n, z.
-    moves = [(z, None, 0)]
-    for i in range(1, n + 1):
-        moves += [(i - 1, None, i), (z, n + i - 1, i), (n + i - 1, None, n + i)]
+    # A frame field is a sum of moves (q, j): the q-th coordinate (1 when q is
+    # None) times d/dp, feeding e^j.  Coordinate positions are x_1..x_n,
+    # y_1..y_n, z; d/dx_i (p = i - 1) feeds X_i and d/dy_i (p = n + i - 1)
+    # feeds Y_i, so both land on e^(p + 1), and d/dz feeds T and every X_i.
+    z_moves = [(None, 0)] + [(n + i - 1, i) for i in range(1, n + 1)]
     blocks = _blocks(w.terms)
     out = Blocks(blocks.den)
     for idx, f in blocks.items():
-        # (sign, accumulator) of e^j ^ e^I for every j not in I
-        target = {}
-        pos = 0  # the number of indices of I below j
-        for j in range(model.dim):
-            if pos < len(idx) and idx[pos] == j:
-                pos += 1
-            else:
-                merged = idx[:pos] + (j,) + idx[pos:]
-                target[j] = (-1 if pos & 1 else 1, out.setdefault(merged, {}))
-        active = [(p, q, *target[j]) for p, q, j in moves if j in target]
+        # moves only for the coordinates f depends on, each with (sign,
+        # accumulator) of e^j ^ e^I for j not in I
+        used = set()
+        for ex in f:
+            used.update(compress(range(len(ex)), ex))
+        active = []
+        for p in sorted(used):
+            for q, j in z_moves if p == z else ((None, p + 1),):
+                pos = bisect_left(idx, j)
+                if pos == len(idx) or idx[pos] != j:
+                    merged = idx[:pos] + (j,) + idx[pos:]
+                    active.append((p, q, -1 if pos & 1 else 1, out.setdefault(merged, {})))
         for ex, c in f.items():
             for p, q, sign, acc in active:
                 e = ex[p]

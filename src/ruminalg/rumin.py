@@ -20,10 +20,9 @@ comes in as `forms.Blocks`, int numerators over the lcm of its coefficients'
 denominators; the pair weights of L and Lambda, the scalars c_j and the theta
 factor each become int numerators over one denominator (`poly.over_lcm`),
 and every step multiplies the block denominator by the operator's; each
-block moves with one `poly.add_into`.  The Horner sum brings its two
-summands to the lcm of their denominators, which at the unscaled contact form
-is always the denominator they already share, so it clears nothing after the
-first step; the output blocks are wrapped once, in lowest terms.
+block moves with one `poly.add_into`.  The Horner sum's accumulator is over
+a multiple of each next summand's denominator, so only the summand's scalar
+is brought up to it; the output blocks are wrapped once, in lowest terms.
 
 `pi(w) = w - d gamma(w) - gamma(dw)` projects onto the subcomplex R of forms
 that are primitive with primitive differential; gamma is the homotopy of the
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from math import lcm, prod
+from math import prod
 
 from .cinfty import IDENTITY_ENTRY, GradedOpSet, RetractData, apply_tensor_ops
 from .errors import DomainError
@@ -103,21 +102,16 @@ def _horizontal(w: Form) -> Blocks:
 
 
 def _add_blocks(acc: Blocks, term: Blocks, c: int, cden: int) -> Blocks:
-    """acc + (c / cden) * term, in place, over the lcm of the two
-    denominators; acc is rescaled only when its denominator is not already a
-    multiple of the other."""
+    """acc + (c / cden) * term, in place.  gamma's Horner sum keeps acc's
+    denominator a multiple of term.den * cden: both are alpha's denominator
+    times powers of the pair-weight denominators, and each step multiplies
+    acc's by one more power than the next term's.  So acc is never
+    rescaled; c is brought up to acc's denominator instead."""
     den = term.den * cden
     if not acc:
         acc.den = den
     elif acc.den != den:
-        both = lcm(acc.den, den)
-        if both != acc.den:
-            f = both // acc.den
-            for coeffs in acc.values():
-                for ex in coeffs:
-                    coeffs[ex] *= f
-            acc.den = both
-        c *= both // den
+        c *= acc.den // den
     for idx, coeffs in term.items():
         add_into(acc.setdefault(idx, {}), coeffs, c)
     return acc

@@ -5,6 +5,7 @@ import pytest
 
 from ruminalg import cinfty
 from ruminalg.cinfty import (
+    IDENTITY_ENTRY,
     GradedOpSet,
     RetractData,
     apply_tensor_ops,
@@ -124,6 +125,17 @@ def test_shuffle_product_sees_a_patched_koszul_sign(monkeypatch):
     assert patched != warm
     monkeypatch.undo()
     assert shuffle_product(2, 2, elems) == warm
+
+
+def test_warm_signed_shuffles_see_a_patched_koszul_sign(monkeypatch):
+    # The signed table is keyed by the koszul_sign in force: entries warmed
+    # with the real one are never served once it is replaced.
+    ops = derham_ops(M1)
+    dx, dy = M1.generator(1), M1.generator(2)
+    assert shuffle_vanishing_residual(ops, 1, 1, (dx, dy)).is_zero()
+    monkeypatch.setattr(cinfty, "koszul_sign", lambda perm, degrees: 1)
+    # dx^dy - dy^dx: the swap keeps only its permutation sign
+    assert shuffle_vanishing_residual(ops, 1, 1, (dx, dy)) == wedge(dx, dy).scale(2)
 
 
 def test_shuffle_product_length_mismatch():
@@ -438,3 +450,144 @@ def test_warm_families_give_the_fresh_residuals(n):
                 nonzero += sum(not r.is_zero() for r in warm)
             assert mset(2, elements[:2]) is mset(2, elements[:2])
     assert nonzero  # the corrupted families make the comparison non-vacuous
+
+
+# -- the relation sums against their tensor-word form ------------------------------
+
+
+def _reference_insertion_sum(outer_set, mset, n, elements):
+    """sum over r+s+t=n of (-1)^(r+st) outer_{r+t+1} (1^r (x) m_s (x) 1^t),
+    every term built as a tensor word and applied by apply_tensor_ops."""
+    residual = None
+    for s in range(1, n + 1):
+        for r in range(0, n - s + 1):
+            t = n - s - r
+            word = [IDENTITY_ENTRY] * r + [mset.entry(s)] + [IDENTITY_ENTRY] * t
+            sign, mids = apply_tensor_ops(word, elements)
+            term = outer_set(r + t + 1, mids).scale(sign * (-1) ** (r + s * t))
+            residual = term if residual is None else residual + term
+    return residual
+
+
+def _reference_morphism(fset, mset, mbar, n, elements):
+    residual = _reference_insertion_sum(fset, mset, n, elements)
+    for r in range(1, n + 1):
+        for comp in compositions(n, r):
+            sign, mids = apply_tensor_ops([fset.entry(i) for i in comp], elements)
+            ell = sum((r - j) * (comp[j - 1] - 1) for j in range(1, r + 1))
+            residual = residual + mbar(r, mids).scale(-sign * (-1) ** ell)
+    return residual
+
+
+def _reference_shuffle_sum(opset, p, q, elements):
+    """op_{p+q} on the shuffle product, each sign sgn(s) * koszul_sign(s)
+    worked out from the shuffle itself, every term scaled and added."""
+    degrees = [e.degree for e in elements]
+    residual = None
+    for perm in shuffles(p, q):
+        word = [0] * (p + q)
+        for src, dst in enumerate(perm):
+            word[dst] = src
+        sign = permutation_sign(perm) * koszul_sign(perm, degrees)
+        term = opset(p + q, tuple(elements[i] for i in word)).scale(sign)
+        residual = term if residual is None else residual + term
+    return residual
+
+
+SHUFFLE_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    assert got == want
+
+
+def _assert_sums_match(mset, fset, mbar, elements):
+    """Stasheff relations 1..5, morphism relations 1..4 and the shuffle sums
+    up to p + q = 4 on prefixes of the 5-tuple `elements`, each against its
+    reference; returns the number of nonzero residuals."""
+    nonzero = 0
+    for k in range(1, 6):
+        got = check_stasheff(mset, k, elements[:k])
+        _assert_same(got, _reference_insertion_sum(mset, mset, k, elements[:k]))
+        nonzero += not got.is_zero()
+    for k in range(1, 5):
+        got = check_morphism(fset, mset, mbar, k, elements[:k])
+        _assert_same(got, _reference_morphism(fset, mset, mbar, k, elements[:k]))
+        nonzero += not got.is_zero()
+    for p, q in SHUFFLE_PAIRS:
+        for family in (mset, fset):
+            got = shuffle_vanishing_residual(family, p, q, elements[: p + q])
+            _assert_same(got, _reference_shuffle_sum(family, p, q, elements[: p + q]))
+            nonzero += not got.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_relation_sums_match_the_tensor_word_reference(n):
+    model = ContactModel(n)
+    families = [
+        (rumin_ops(model), rumin_morphism(model)),
+        (corrupted_rumin_ops(model), corrupted_rumin_morphism(model)),
+        markl_transfer(verified_rumin_retract(n), 5),
+    ]
+    mbar = derham_ops(model)
+    nonzero = 0
+    # the seeded tuples mix degrees and hold zeros of their own; streams 3 and
+    # 5 (n = 1) and 4 (n = 2) give the corrupted families nonzero residuals
+    for t in range(6):
+        elements = _certified_tuple(model, stream(52, t), 5, 2)
+        with_zero = elements[:t % 5] + (elements[t % 5].scale(0),) + elements[t % 5 + 1 :]
+        for mset, fset in families:
+            for tup in (elements, with_zero):
+                nonzero += _assert_sums_match(mset, fset, mbar, tup)
+    assert nonzero  # the corrupted families make the comparison non-vacuous
+
+
+def test_relation_sums_match_the_reference_on_every_ce_tuple():
+    bundle = heisenberg_ce_retract()
+    ce = bundle.ce
+    mset, fset = markl_transfer(bundle.retract, 4)
+    mbar = GradedOpSet(
+        {1: lambda block: ce.apply_d(block[0]), 2: lambda block: ce.mu_vec(*block)},
+        degree_fn=lambda k: 2 - k,
+        zero_maker=lambda target, elements: ce.zero(target),
+        name="CE algebra",
+    )
+    # m3 doubled: relation 4 and the morphism relations see it
+    doubled = GradedOpSet(
+        {**mset.ops, 3: lambda block: mset.ops[3](block).scale(2)}, mset.degree_fn, name="m3 doubled"
+    )
+    basis = bundle.rumin.all_basis_vectors()
+    nonzero = {}
+    for k in range(1, 5):
+        for elements in itertools.product(basis, repeat=k):
+            for products in (mset, doubled):
+                got = check_stasheff(products, k, elements)
+                _assert_same(got, _reference_insertion_sum(products, products, k, elements))
+                nonzero[products.name] = nonzero.get(products.name, 0) + (not got.is_zero())
+                got = check_morphism(fset, products, mbar, k, elements)
+                _assert_same(got, _reference_morphism(fset, products, mbar, k, elements))
+                nonzero[products.name] += not got.is_zero()
+            for p, q in SHUFFLE_PAIRS:
+                if p + q == k:
+                    for family in (mset, fset):
+                        got = shuffle_vanishing_residual(family, p, q, elements)
+                        _assert_same(got, _reference_shuffle_sum(family, p, q, elements))
+                        nonzero[family.name] = nonzero.get(family.name, 0) + (not got.is_zero())
+    assert nonzero.pop("m3 doubled") and not any(nonzero.values())
+
+
+def test_a_relation_whose_terms_all_vanish_returns_a_zero_of_its_codomain():
+    # On zero inputs every term vanishes; the morphism relation lands in the
+    # forms, so its residual is a zero Form, not a zero RuminElement.
+    model = M1
+    zero = pi(M1.generator(1)).scale(0)
+    w = random_form(model, stream(51, 0), 2, 2)
+    for n_rel in (1, 2, 3):
+        res = check_morphism(rumin_morphism(model), rumin_ops(model), derham_ops(model), n_rel, (zero,) * n_rel)
+        assert res.is_zero() and isinstance(res, Form)
+        assert res + w == w
+        stasheff = check_stasheff(rumin_ops(model), n_rel, (zero,) * n_rel)
+        assert stasheff.is_zero() and stasheff.certified
+    assert shuffle_vanishing_residual(rumin_morphism(model), 1, 1, (zero, zero)) + w == w

@@ -176,11 +176,13 @@ def test_basis_listing(capsys):
     "argv, count",
     [(("basis", "--n", "1000000000", "--degree", "1"), "C(2000000001, 1)"),
      (("basis", "--n", "14", "--degree", "14"), "C(29, 14)"),
-     (("verify", "lefschetz-iso", "--n", "200", "--trials", "1"), "C(400, 199)")],
-    ids=["basis-huge-n", "basis-middle-degree", "verify-lefschetz-iso"],
+     (("verify", "lefschetz-iso", "--n", "200", "--trials", "1"), "C(400, 199)"),
+     (("verify", "dsq", "--n", "10", "--trials", "1"), "C(21, 10)")],
+    ids=["basis-huge-n", "basis-middle-degree", "verify-lefschetz-iso", "verify-dsq"],
 )
 def test_basis_over_the_enumeration_limit_exit_1(capsys, argv, count):
-    # refused before a single monomial is built
+    # refused before a single monomial is built; a suite that samples every
+    # degree is refused at its largest basis, C(2n+1, n), before its first trial
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and count in err

@@ -315,6 +315,15 @@ def test_d_squared_zero_random():
             assert exterior_d(exterior_d(w)).is_zero()
 
 
+def test_d_squared_zero_at_large_n():
+    # d((x1*z) dx1) has one block per X_i; d of it stays linear in n because a
+    # block only gets moves for the coordinates its coefficient depends on.
+    model = ContactModel(400)
+    dw = exterior_d(eval_text("(x1*z) dx1", model))
+    assert len(dw.terms) == model.n
+    assert exterior_d(dw).is_zero()
+
+
 def test_graded_leibniz_random():
     rng = stream(7, 0)
     for t in range(15):

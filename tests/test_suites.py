@@ -179,11 +179,23 @@ def _wedge_ignores_merge_sign(monkeypatch):
     monkeypatch.setattr(forms, "mul_into", lambda acc, a, b, sign: right(acc, a, b, abs(sign)))
 
 
+def _stale_signed_shuffle(monkeypatch):
+    # a signed shuffle table whose last entry has the wrong sign
+    right = cinfty._signed_shuffles
+
+    def stale(p, q, parities, koszul):
+        *rest, (sign, word) = right(p, q, parities, koszul)
+        return (*rest, (-sign, word))
+
+    monkeypatch.setattr(cinfty, "_signed_shuffles", stale)
+
+
 @pytest.mark.parametrize(
     "corrupt, n",
     [(_double_one_gamma_scalar, 1), (_flip_gamma_d_in_pi, 1), (_drop_koszul_sign, 2),
-     (_wedge_rescales_by_own_den, 2), (_wedge_ignores_merge_sign, 2)],
-    ids=["gamma-scalar", "pi-gamma-d-sign", "koszul-sign", "wedge-own-den", "wedge-merge-sign"],
+     (_wedge_rescales_by_own_den, 2), (_wedge_ignores_merge_sign, 2), (_stale_signed_shuffle, 2)],
+    ids=["gamma-scalar", "pi-gamma-d-sign", "koszul-sign", "wedge-own-den", "wedge-merge-sign",
+         "stale-signed-shuffle"],
 )
 def test_corrupted_operator_fails_a_suite_with_witness(monkeypatch, corrupt, n):
     corrupt(monkeypatch)
