@@ -33,7 +33,7 @@ operator values need:
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 from .errors import DomainError
@@ -146,15 +146,16 @@ class GradedOpSet:
 
     `ops` maps arity k to a callable on k-tuples; `degree_fn(k)` declares the
     operator degree (2-k for product-type families, 1-k for morphism-type).
-    Arities outside `ops` fall back to `zero_maker(target_degree, elements)`
-    when given; otherwise they raise (arity shortfall).
+    Arities outside `ops` fall back to `zero_maker(k, elements)` when given;
+    otherwise they raise (arity shortfall).
 
     Every arity in `ops` is memoized: `op(k)` answers a block it has seen
     from a dict keyed by the block tuple, one lookup per call, and calls
     `ops[k]` (looked up at call time, so a replaced entry is seen) only on a
-    miss.  The memo belongs to this instance: it lives until `clear_memo` or
-    until the family is dropped, and a family built from another's `ops`
-    starts empty.  The zero-maker arities are not memoized.
+    miss.  The memo belongs to this instance and lives as long as the family
+    (the seeded suites build their families per trial), and a family built
+    from another's `ops` starts empty.  The zero-maker arities are not
+    memoized.
     """
 
     def __init__(self, ops, degree_fn, zero_maker=None, name: str = ""):
@@ -162,32 +163,22 @@ class GradedOpSet:
         self.degree_fn = degree_fn
         self.zero_maker = zero_maker
         self.name = name
-        self._memo_ops: dict = {}  # arity -> evaluator with its own memo
+        self._memo_ops: dict = {}  # arity -> its evaluator, built once
 
     def degree(self, k: int) -> int:
         return self.degree_fn(k)
 
-    def clear_memo(self) -> None:
-        """Forget every memoized value (the suites call this per trial)."""
-        self._memo_ops.clear()
-
     def op(self, k: int):
         fn = self._memo_ops.get(k)
-        if fn is not None:
-            return fn
-        if k in self.ops:
-            fn = self._memo_ops[k] = _memoized(lambda block: self.ops[k](block))
-            return fn
-        if self.zero_maker is not None:
-            deg_fn = self.degree_fn
-            maker = self.zero_maker
-
-            def zero_op(elements, _k=k):
-                target = sum(e.degree for e in elements) + deg_fn(_k)
-                return maker(target, elements)
-
-            return zero_op
-        raise DomainError(f"{self.name or 'operator family'} has no arity-{k} operator")
+        if fn is None:
+            if k in self.ops:
+                fn = _memoized(lambda block: self.ops[k](block))
+            elif self.zero_maker is not None:
+                fn = partial(self.zero_maker, k)
+            else:
+                raise DomainError(f"{self.name or 'operator family'} has no arity-{k} operator")
+            self._memo_ops[k] = fn
+        return fn
 
     def __call__(self, k: int, elements):
         return self.op(k)(tuple(elements))

@@ -334,6 +334,12 @@ def fk_zero(k: int, elements) -> Form:
     return Form.zero(elements[0].model, target)
 
 
+def _derham_zero(k: int, elements) -> Form:
+    """The de Rham algebra's operators of arity k >= 3: zero of degree
+    sum(|args|) + 2 - k."""
+    return Form.zero(elements[0].model, sum(e.degree for e in elements) + 2 - k)
+
+
 # -- operator families for the generic relation checkers ---------------------
 
 
@@ -345,11 +351,7 @@ def rumin_ops(model: ContactModel) -> GradedOpSet:
         2: lambda block: m2(block[0], block[1]),
         3: lambda block: m3(block[0], block[1], block[2]),
     }
-
-    def zero_maker(target_degree, elements):
-        return RuminElement(Form.zero(model, target_degree), certified=True)
-
-    return GradedOpSet(ops, degree_fn=lambda k: 2 - k, zero_maker=zero_maker, name="rumin products")
+    return GradedOpSet(ops, degree_fn=lambda k: 2 - k, zero_maker=mk_zero, name="rumin products")
 
 
 def rumin_morphism(model: ContactModel) -> GradedOpSet:
@@ -359,11 +361,7 @@ def rumin_morphism(model: ContactModel) -> GradedOpSet:
         1: lambda block: f1(block[0]),
         2: lambda block: f2(block[0], block[1]),
     }
-
-    def zero_maker(target_degree, elements):
-        return Form.zero(model, target_degree)
-
-    return GradedOpSet(ops, degree_fn=lambda k: 1 - k, zero_maker=zero_maker, name="rumin morphism")
+    return GradedOpSet(ops, degree_fn=lambda k: 1 - k, zero_maker=fk_zero, name="rumin morphism")
 
 
 def derham_ops(model: ContactModel) -> GradedOpSet:
@@ -372,11 +370,7 @@ def derham_ops(model: ContactModel) -> GradedOpSet:
         1: lambda block: exterior_d(block[0]),
         2: lambda block: wedge(block[0], block[1]),
     }
-
-    def zero_maker(target_degree, elements):
-        return Form.zero(model, target_degree)
-
-    return GradedOpSet(ops, degree_fn=lambda k: 2 - k, zero_maker=zero_maker, name="de Rham")
+    return GradedOpSet(ops, degree_fn=lambda k: 2 - k, zero_maker=_derham_zero, name="de Rham")
 
 
 def rumin_retract(model: ContactModel) -> RetractData:

@@ -6,6 +6,13 @@ evaluate the would-be-zero residual, record a witness when it is not zero.
 Identical seed and parameters produce an identical report, independent of
 evaluation order.
 
+Every suite but lefschetz-iso and ce-cohomology, which draw nothing, is a
+body run once per trial by one loop, `_trials`.  It refuses a model whose
+largest basis is over forms.MAX_MONOMIALS before any draw, and hands each
+body the trial's stream and the shared recorder.  A body builds the operator
+families it uses, so their memos end with the trial; the transfer suites
+check the rumin retract once and transfer it afresh per trial.
+
 Suites:
 
     dsq               d^2 = 0 on random forms
@@ -38,6 +45,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from . import cinfty, finite, rumin
 from ._version import __version__
@@ -105,13 +113,24 @@ class _Recorder:
             self.failures.append(Failure([str(x) for x in inputs], note))
 
 
-def _degrees(model: ContactModel):
-    """Every form degree, 0..2n+1.  The largest coframe basis among them,
-    C(2n+1, n), is listed here, so that a suite which calls this before its
-    first trial is refused (DomainError, past forms.MAX_MONOMIALS) before it
-    does any work rather than at the first degree over the cap."""
-    model.coframe_monomials(model.n)
-    return range(0, model.dim + 1)
+def _trials(n: int, trials: int, seed: int, trial) -> _Recorder:
+    """Run `trial(model, rng, rec)` for t = 0..trials-1 on the model
+    H^{2n+1}, with `rng = stream(seed, t)`, into one recorder."""
+    model = _guarded_model(n)
+    rec = _Recorder()
+    for t in range(trials):
+        trial(model, stream(seed, t), rec)
+    return rec
+
+
+def _guarded_model(n: int) -> ContactModel:
+    """The model H^{2n+1} with its largest coframe basis, C(2n+1, n),
+    listed: every seeded draw comes after this, so a suite past
+    forms.MAX_MONOMIALS is refused (DomainError) before it does any work
+    rather than at the first degree over the cap."""
+    model = ContactModel(n)
+    model.coframe_monomials(n)
+    return model
 
 
 def _certified(model: ContactModel, rng, degree: int, maxd: int) -> RuminElement:
@@ -135,24 +154,17 @@ def _certified_tuple(model: ContactModel, rng, count: int, maxd: int):
 
 
 def suite_dsq(n, trials, seed, maxd):
-    model = ContactModel(n)
-    degrees = _degrees(model)
-    rec = _Recorder()
-    for t in range(trials):
-        rng = stream(seed, t)
-        for deg in degrees:
+    def trial(model, rng, rec):
+        for deg in range(model.dim + 1):
             w = random_form(model, rng, deg, maxd)
             rec.residual(exterior_d(exterior_d(w)), [w])
-    return rec
+
+    return _trials(n, trials, seed, trial)
 
 
 def suite_leibniz(n, trials, seed, maxd):
-    model = ContactModel(n)
-    degrees = _degrees(model)
-    rec = _Recorder()
-    for t in range(trials):
-        rng = stream(seed, t)
-        for a in degrees:
+    def trial(model, rng, rec):
+        for a in range(model.dim + 1):
             b = rng.randint(0, model.dim)
             w = random_form(model, rng, a, maxd)
             tau = random_form(model, rng, b, maxd)
@@ -160,19 +172,18 @@ def suite_leibniz(n, trials, seed, maxd):
                 w, exterior_d(tau)
             ).scale(-1 if a & 1 else 1)
             rec.residual(res, [w, tau])
-    return rec
+
+    return _trials(n, trials, seed, trial)
 
 
 def suite_dsa_lemma(n, trials, seed, maxd):
-    model = ContactModel(n)
-    theta, dtheta = model.theta(), model.dtheta()
-    rec = _Recorder()
-    for t in range(trials):
-        rng = stream(seed, t)
+    def trial(model, rng, rec):
+        theta, dtheta = model.theta(), model.dtheta()
         for deg in range(1, model.dim + 1):
             w = random_form(model, rng, deg, maxd, vertical=True)
             rec.residual(wedge(theta, exterior_d(w)) - wedge(w, dtheta), [w])
-    return rec
+
+    return _trials(n, trials, seed, trial)
 
 
 def suite_lefschetz_iso(n, trials, seed, maxd):
@@ -190,15 +201,11 @@ def suite_lefschetz_iso(n, trials, seed, maxd):
 
 
 def suite_gamma_props(n, trials, seed, maxd):
-    model = ContactModel(n)
-    degrees = _degrees(model)
-    rec = _Recorder()
-    for t in range(trials):
-        rng = stream(seed, t)
+    def trial(model, rng, rec):
         for deg in range(1, model.dim + 1):
             v = random_form(model, rng, deg, maxd, vertical=True)
             rec.residual(gamma(v), [v])
-        for deg in degrees:
+        for deg in range(model.dim + 1):
             w = random_form(model, rng, deg, maxd)
             rec.residual(gamma(exterior_d(gamma(w))) - gamma(w), [w])
             rec.residual(gamma(gamma(w)), [w])
@@ -210,17 +217,14 @@ def suite_gamma_props(n, trials, seed, maxd):
         rec.residual(wedge(gamma(a), gamma(b)), [a, b])
         rec.residual(gamma(wedge(gamma(a), b)), [a, b])
         rec.residual(gamma(wedge(a, gamma(b))), [a, b])
-    return rec
+
+    return _trials(n, trials, seed, trial)
 
 
 def suite_gamma_invariance(n, trials, seed, maxd):
-    model = ContactModel(n)
-    degrees = _degrees(model)
-    rec = _Recorder()
-    for t in range(trials):
-        rng = stream(seed, t)
+    def trial(model, rng, rec):
         lams = [Fraction(2), Fraction(3, 7), Fraction(rng.randint(1, 9), rng.randint(1, 9))]
-        for deg in degrees:
+        for deg in range(model.dim + 1):
             w = random_form(model, rng, deg, maxd)
             for lam in lams:
                 rec.expect(
@@ -228,16 +232,13 @@ def suite_gamma_invariance(n, trials, seed, maxd):
                     [w],
                     f"gamma changed under contact form rescaled by {lam}",
                 )
-    return rec
+
+    return _trials(n, trials, seed, trial)
 
 
 def suite_retract(n, trials, seed, maxd):
-    model = ContactModel(n)
-    degrees = _degrees(model)
-    rec = _Recorder()
-    for t in range(trials):
-        rng = stream(seed, t)
-        for deg in degrees:
+    def trial(model, rng, rec):
+        for deg in range(model.dim + 1):
             w = random_form(model, rng, deg, maxd)
             p = pi(w)
             rec.residual(pi(p.form).form - p.form, [w])  # pi^2 = pi and pi i = 1
@@ -246,16 +247,13 @@ def suite_retract(n, trials, seed, maxd):
             rec.expect(in_rumin(p.form), [w], "pi output fails membership")
             direct = w - exterior_d(gamma(w)) - gamma(exterior_d(w))
             rec.residual(p.form - direct, [w])  # i pi = 1 - d gamma - gamma d
-    return rec
+
+    return _trials(n, trials, seed, trial)
 
 
 def suite_rumin_membership(n, trials, seed, maxd):
-    model = ContactModel(n)
-    degrees = _degrees(model)
-    rec = _Recorder()
-    for t in range(trials):
-        rng = stream(seed, t)
-        for deg in degrees:
+    def trial(model, rng, rec):
+        for deg in range(model.dim + 1):
             w = random_form(model, rng, deg, maxd)
             via_powers = in_rumin(w)
             via_gamma = gamma(w).is_zero() and gamma(exterior_d(w)).is_zero()
@@ -266,35 +264,29 @@ def suite_rumin_membership(n, trials, seed, maxd):
             )
             rho = pi(w)
             rec.expect(in_rumin(rumin.m1(rho).form), [w], "d leaves the subcomplex")
-    return rec
+
+    return _trials(n, trials, seed, trial)
 
 
-def suite_stasheff(n, trials, seed, maxd, mset=None, max_relation=5):
-    model = ContactModel(n)
-    mset = mset or rumin_ops(model)
-    rec = _Recorder()
-    for t in range(trials):
-        mset.clear_memo()  # a memo spanning every trial would hold every tuple's values
-        rng = stream(seed, t)
+def suite_stasheff(n, trials, seed, maxd, max_relation=5):
+    def trial(model, rng, rec):
+        mset = rumin_ops(model)
         elements = _certified_tuple(model, rng, max_relation, maxd)
         for n_rel in range(1, max_relation + 1):
             res = check_stasheff(mset, n_rel, elements[:n_rel])
             rec.residual(res, list(elements[:n_rel]))
-    return rec
+
+    return _trials(n, trials, seed, trial)
+
+
+SHUFFLE_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
 
 
 def suite_shuffle_vanishing(n, trials, seed, maxd):
-    model = ContactModel(n)
-    mset = rumin_ops(model)
-    fset = rumin_morphism(model)
-    rec = _Recorder()
-    pairs = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
-    for t in range(trials):
-        mset.clear_memo()
-        fset.clear_memo()
-        rng = stream(seed, t)
+    def trial(model, rng, rec):
+        mset, fset = rumin_ops(model), rumin_morphism(model)
         elements = _certified_tuple(model, rng, 4, maxd)
-        for p, q in pairs:
+        for p, q in SHUFFLE_PAIRS:
             rec.residual(
                 shuffle_vanishing_residual(mset, p, q, elements[: p + q]),
                 elements[: p + q],
@@ -303,24 +295,19 @@ def suite_shuffle_vanishing(n, trials, seed, maxd):
                 shuffle_vanishing_residual(fset, p, q, elements[: p + q]),
                 elements[: p + q],
             )
-    return rec
+
+    return _trials(n, trials, seed, trial)
 
 
-def suite_morphism(n, trials, seed, maxd, fset=None, max_relation=4):
-    model = ContactModel(n)
-    mset = rumin_ops(model)
-    mbar = derham_ops(model)
-    fset = fset or rumin_morphism(model)
-    rec = _Recorder()
-    for t in range(trials):
-        for family in (mset, mbar, fset):
-            family.clear_memo()
-        rng = stream(seed, t)
+def suite_morphism(n, trials, seed, maxd, max_relation=4):
+    def trial(model, rng, rec):
+        mset, mbar, fset = rumin_ops(model), derham_ops(model), rumin_morphism(model)
         elements = _certified_tuple(model, rng, max_relation, maxd)
         for n_rel in range(1, max_relation + 1):
             res = check_morphism(fset, mset, mbar, n_rel, elements[:n_rel])
             rec.residual(res, list(elements[:n_rel]))
-    return rec
+
+    return _trials(n, trials, seed, trial)
 
 
 _retract_cache: dict = {}
@@ -334,9 +321,9 @@ def _checked_rumin_retract(n: int, maxd: int):
     key = (n, maxd)
     if key in _retract_cache:
         return _retract_cache[key], []
-    model = ContactModel(n)
+    model = _guarded_model(n)
     retract = rumin_retract(model)
-    degrees = _degrees(model)
+    degrees = range(model.dim + 1)
     rng = stream(20_000 + n, 0)
     a_samples = [random_form(model, rng, deg, maxd) for deg in degrees for _ in range(3)]
     b_samples = [_certified(model, rng, deg, maxd) for deg in degrees for _ in range(3)]
@@ -355,48 +342,43 @@ def verified_rumin_retract(n: int, maxd: int = 2):
     return retract
 
 
-def _transfer_retract(n, maxd, rec):
-    """The verified rumin retract, or None after recording each failed
-    retract identity in `rec`, its sample as the witness input.  The suites
-    transfer it once per trial, so that the transfer's memos hold one
-    trial's values."""
+def _transfer_trials(n, trials, seed, maxd, max_arity, trial) -> _Recorder:
+    """Check the rumin retract once; when it holds, run
+    `trial(model, rng, rec, mset, fset)` through `_trials` on a fresh
+    `markl_transfer` of it per trial.  Otherwise no trial runs, and each
+    failed retract identity is recorded with its sample as the witness
+    input."""
     retract, issues = _checked_rumin_retract(n, maxd)
-    for _, sample, residual in issues:
-        rec.residual(residual, [sample])
-    return None if issues else retract
+    if issues:
+        rec = _Recorder()
+        for _, sample, residual in issues:
+            rec.residual(residual, [sample])
+        return rec
+    return _trials(
+        n, trials, seed,
+        lambda model, rng, rec: trial(model, rng, rec, *markl_transfer(retract, max_arity=max_arity)),
+    )
 
 
 def suite_transfer_match(n, trials, seed, maxd):
-    model = ContactModel(n)
-    rec = _Recorder()
-    retract = _transfer_retract(n, maxd, rec)
-    if retract is None:
-        return rec
-    for t in range(trials):
-        mset_t, fset_t = markl_transfer(retract, max_arity=3)
-        rng = stream(seed, t)
+    def trial(model, rng, rec, mset_t, fset_t):
         a, b, c = _certified_tuple(model, rng, 3, maxd)
         rec.residual((mset_t(2, (a, b)) - rumin.m2(a, b)).form, [a, b])
         rec.residual((mset_t(3, (a, b, c)) - rumin.m3(a, b, c)).form, [a, b, c])
         rec.residual(fset_t(2, (a, b)) - rumin.f2(a, b), [a, b])
-    return rec
+
+    return _transfer_trials(n, trials, seed, maxd, 3, trial)
 
 
 def suite_higher_vanish(n, trials, seed, maxd):
-    model = ContactModel(n)
-    rec = _Recorder()
-    retract = _transfer_retract(n, maxd, rec)
-    if retract is None:
-        return rec
-    for t in range(trials):
-        mset_t, fset_t = markl_transfer(retract, max_arity=5)
-        rng = stream(seed, t)
+    def trial(model, rng, rec, mset_t, fset_t):
         elements = _certified_tuple(model, rng, 5, maxd)
         rec.residual(mset_t(4, elements[:4]).form, elements[:4])
         rec.residual(mset_t(5, elements).form, elements)
         rec.residual(fset_t(3, elements[:3]), elements[:3])
         rec.residual(fset_t(4, elements[:4]), elements[:4])
-    return rec
+
+    return _transfer_trials(n, trials, seed, maxd, 5, trial)
 
 
 def suite_ce_cohomology(n, trials, seed, maxd, max_relation=5):
@@ -421,18 +403,12 @@ def suite_ce_cohomology(n, trials, seed, maxd, max_relation=5):
     mset, fset = markl_transfer(bundle.retract, max_arity=max(max_relation, 4))
     basis = bundle.rumin.all_basis_vectors()
 
-    def tuples(count):
-        if count == 1:
-            return [(v,) for v in basis]
-        return [prev + (v,) for prev in tuples(count - 1) for v in basis]
-
     for n_rel in range(1, max_relation + 1):
-        for elements in tuples(n_rel):
+        for elements in product(basis, repeat=n_rel):
             res = check_stasheff(mset, n_rel, elements)
             rec.residual(res, list(elements) + [f"stasheff {n_rel}"])
-    pairs = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
-    for p, q in pairs:
-        for elements in tuples(p + q):
+    for p, q in SHUFFLE_PAIRS:
+        for elements in product(basis, repeat=p + q):
             rec.residual(
                 shuffle_vanishing_residual(mset, p, q, elements),
                 list(elements) + [f"nu({p},{q}) on products"],
@@ -453,12 +429,14 @@ def suite_ce_cohomology(n, trials, seed, maxd, max_relation=5):
 
 
 # -- corrupted families for negative controls -----------------------------------
+# A control patches one in as `suites.rumin_ops` or `suites.rumin_morphism`;
+# they build from the `rumin` originals, so the patch does not recurse.
 
 
 def corrupted_rumin_ops(model: ContactModel) -> cinfty.GradedOpSet:
     """The closed-form products with the sign of one m3 term flipped; the
     relation-3 residuals must catch this."""
-    good = rumin_ops(model)
+    good = rumin.rumin_ops(model)
 
     def bad_m3(block):
         rho, sigma, tau = block
@@ -476,7 +454,7 @@ def corrupted_rumin_ops(model: ContactModel) -> cinfty.GradedOpSet:
 def corrupted_rumin_morphism(model: ContactModel) -> cinfty.GradedOpSet:
     """The morphism family with f2 negated; the relation-2 morphism residuals
     must catch this."""
-    good = rumin_morphism(model)
+    good = rumin.rumin_morphism(model)
     ops = dict(good.ops)
     ops[2] = lambda block: gamma(wedge(block[0].form, block[1].form))  # missing minus
     return cinfty.GradedOpSet(ops, good.degree_fn, good.zero_maker, name="corrupted morphism")

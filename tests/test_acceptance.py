@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ruminalg import finite
+from ruminalg import finite, suites
 from ruminalg.cinfty import shuffle_product
 from ruminalg.forms import ContactModel, lefschetz_power_matrix
 from ruminalg import linalg
@@ -220,13 +220,15 @@ def test_criterion_8_finite_model_end_to_end():
     )
 
 
-def test_criterion_9_negative_controls():
+def test_criterion_9_negative_controls(monkeypatch):
     start = time.perf_counter()
-    model = ContactModel(1)
-    stasheff_rec = suite_stasheff(1, 30, 0, 2, mset=corrupted_rumin_ops(model), max_relation=3)
+    with monkeypatch.context() as m:
+        m.setattr(suites, "rumin_ops", corrupted_rumin_ops)
+        stasheff_rec = suite_stasheff(1, 30, 0, 2, max_relation=3)
     ok = bool(stasheff_rec.failures)
     ok = ok and all(f.inputs and f.residual for f in stasheff_rec.failures)
-    morphism_rec = suite_morphism(1, 30, 0, 2, fset=corrupted_rumin_morphism(model), max_relation=2)
+    monkeypatch.setattr(suites, "rumin_morphism", corrupted_rumin_morphism)
+    morphism_rec = suite_morphism(1, 30, 0, 2, max_relation=2)
     ok = ok and bool(morphism_rec.failures)
     ok = ok and all(f.inputs and f.residual for f in morphism_rec.failures)
     _report(

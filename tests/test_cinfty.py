@@ -259,7 +259,7 @@ def test_identity_morphism_relations():
     ident = GradedOpSet(
         {1: lambda block: block[0]},
         degree_fn=lambda k: 1 - k,
-        zero_maker=lambda target, elements: Form.zero(M1, target),
+        zero_maker=lambda k, elements: Form.zero(M1, sum(e.degree for e in elements) + 1 - k),
         name="identity",
     )
     rng = stream(42, 0)
@@ -551,7 +551,7 @@ def test_relation_sums_match_the_reference_on_every_ce_tuple():
     mbar = GradedOpSet(
         {1: lambda block: ce.apply_d(block[0]), 2: lambda block: ce.mu_vec(*block)},
         degree_fn=lambda k: 2 - k,
-        zero_maker=lambda target, elements: ce.zero(target),
+        zero_maker=lambda k, elements: ce.zero(sum(e.degree for e in elements) + 2 - k),
         name="CE algebra",
     )
     # m3 doubled: relation 4 and the morphism relations see it

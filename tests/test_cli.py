@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import ruminalg
 from ruminalg import __version__
 from ruminalg.cli import main
 from ruminalg.finite import heisenberg_ce_algebra
+from ruminalg.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -172,20 +174,31 @@ def test_basis_listing(capsys):
     assert out.splitlines() == ["theta^dx1", "theta^dy1"]
 
 
+SEEDED_SUITES = [name for name in SUITES if name not in ("lefschetz-iso", "ce-cohomology")]
+
+
 @pytest.mark.parametrize(
     "argv, count",
     [(("basis", "--n", "1000000000", "--degree", "1"), "C(2000000001, 1)"),
      (("basis", "--n", "14", "--degree", "14"), "C(29, 14)"),
-     (("verify", "lefschetz-iso", "--n", "200", "--trials", "1"), "C(400, 199)"),
-     (("verify", "dsq", "--n", "10", "--trials", "1"), "C(21, 10)")],
-    ids=["basis-huge-n", "basis-middle-degree", "verify-lefschetz-iso", "verify-dsq"],
+     (("verify", "lefschetz-iso", "--n", "200", "--trials", "1"), "C(400, 199)")]
+    + [(("verify", name, "--n", "10", "--trials", "1"), "C(21, 10)") for name in SEEDED_SUITES],
+    ids=["basis-huge-n", "basis-middle-degree", "verify-lefschetz-iso"]
+    + [f"verify-{name}" for name in SEEDED_SUITES],
 )
 def test_basis_over_the_enumeration_limit_exit_1(capsys, argv, count):
-    # refused before a single monomial is built; a suite that samples every
-    # degree is refused at its largest basis, C(2n+1, n), before its first trial
+    # refused before a single monomial is built; a seeded suite is refused at
+    # its largest basis, C(2n+1, n), before its first draw
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and count in err
+
+
+def test_ce_cohomology_ignores_n(capsys):
+    code, out, err = run(capsys, "verify", "ce-cohomology", "--n", "10", "--trials", "1")
+    assert code == 0 and "PASS" in out and err == ""
 
 
 def test_model_command(capsys):

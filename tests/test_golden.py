@@ -13,9 +13,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from ruminalg.forms import ContactModel, Form, exterior_d, random_poly, wedge
 from ruminalg.prng import stream
 from ruminalg.rumin import f2, gamma, m2, m3, pi
+from ruminalg import suites
 from ruminalg.suites import corrupted_rumin_ops, run_suite
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -62,8 +65,9 @@ def golden_ops_text() -> str:
 
 
 def failing_report() -> dict:
-    report = run_suite("stasheff", n=2, trials=30, seed=0,
-                       mset=corrupted_rumin_ops(ContactModel(2)), max_relation=3)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(suites, "rumin_ops", corrupted_rumin_ops)
+        report = run_suite("stasheff", n=2, trials=30, seed=0, max_relation=3)
     data = report.to_json_dict()
     data.pop("wallTimeSeconds")
     return data

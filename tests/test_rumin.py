@@ -380,6 +380,15 @@ def test_uncertified_inputs_rejected():
         m2(raw, raw)
     with pytest.raises(DomainError):
         f2(raw, raw)
+    # the vanishing arities reject it too, as operators and as families
+    with pytest.raises(DomainError):
+        mk_zero(4, (raw,) * 4)
+    with pytest.raises(DomainError):
+        fk_zero(3, (raw,) * 3)
+    with pytest.raises(DomainError):
+        rumin_ops(M1)(4, (raw,) * 4)
+    with pytest.raises(DomainError):
+        rumin_morphism(M1)(3, (raw,) * 3)
 
 
 def test_warm_families_still_reject_uncertified_inputs():
