@@ -330,12 +330,14 @@ class RetractData:
                 issues.append((identity, sample, residual))
 
         for a in a_samples:
-            rhs = a - self.d(self.h(a)) - self.h(self.d(a))
-            expect_zero("i pi = 1 - dh - hd", a, self.i(self.pi(a)) - rhs)
-            expect_zero("pi d = d pi", a, self.pi(self.d(a)) - self.b_d(self.pi(a)))
+            da, pa = self.d(a), self.pi(a)
+            rhs = a - self.d(self.h(a)) - self.h(da)
+            expect_zero("i pi = 1 - dh - hd", a, self.i(pa) - rhs)
+            expect_zero("pi d = d pi", a, self.pi(da) - self.b_d(pa))
         for b in b_samples:
-            expect_zero("pi i = 1", b, self.pi(self.i(b)) - b)
-            expect_zero("d i = i d", b, self.d(self.i(b)) - self.i(self.b_d(b)))
+            ib = self.i(b)
+            expect_zero("pi i = 1", b, self.pi(ib) - b)
+            expect_zero("d i = i d", b, self.d(ib) - self.i(self.b_d(b)))
         self.verified = not issues
         return issues
 

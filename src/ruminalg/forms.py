@@ -24,7 +24,9 @@ accumulators (`Blocks`) hold int numerators over one denominator: L for
 `exterior_d`, the product of the two operands' for `wedge`.  Only ints are
 multiplied and added, by `poly.mul_into` (one call per pair of disjoint
 blocks in `wedge`) and `poly.add_into` (the dtheta term of `exterior_d`);
-only exterior_d's frame derivatives keep a loop of their own.
+only exterior_d's frame derivatives keep a loop of their own.  The dtheta
+term, like gamma's L and Lambda, moves coframe pairs by bisection
+(`pair_moves`); `merge_indices` serves `wedge` alone.
 `_form_from_accumulator` wraps each output coefficient once, dividing by the
 gcd of its denominator and content.  User input written in coordinate
 differentials is normalized through dz = e^0 + sum_i y_i e^i.
@@ -165,8 +167,10 @@ class ContactModel:
 class Form:
     """Homogeneous differential form with polynomial coefficients."""
 
-    # _hash is left unset by __init__ and filled by the first __hash__ call
-    __slots__ = ("model", "degree", "terms", "_hash")
+    # _hash and _gamma are left unset by __init__: the first __hash__ call
+    # fills _hash, and the first unscaled rumin.gamma(self) fills _gamma with
+    # its value, which lives as long as the form; neither enters == or hash
+    __slots__ = ("model", "degree", "terms", "_hash", "_gamma")
 
     def __init__(self, model: ContactModel, degree: int, terms=None, _canonical=False):
         self.model = model
@@ -368,6 +372,36 @@ def merge_indices(i, j):
     return (-1 if inversions & 1 else 1), merged
 
 
+def pair_moves(idx: tuple, n: int, lower: bool = False) -> list:
+    """The moves of the coframe pairs (e^i, e^{n+i}) on e^idx, for a sorted
+    idx free of e^0: a list of (i, sign, moved).
+
+    Raising (L) puts a pair that idx lacks entirely at the bisection
+    positions p1 of i and p2 of n + i, with e^i ^ e^{n+i} ^ e^idx =
+    (-1)^(p1+p2) e^moved.  Lowering (Lambda) takes out a pair that idx holds
+    at p1 < p2, with e^idx = (-1)^(p1+p2-1) e^i ^ e^{n+i} ^ e^moved.  A pair
+    with one member in idx has no move."""
+    size = len(idx)
+    moves = []
+    if lower:
+        for p1, i in enumerate(idx):
+            if i > n:
+                break
+            p2 = bisect_left(idx, n + i, p1 + 1)
+            if p2 < size and idx[p2] == n + i:
+                moves.append((i, 1 if (p1 + p2) & 1 else -1, idx[:p1] + idx[p1 + 1 : p2] + idx[p2 + 1 :]))
+    else:
+        for i in range(1, n + 1):
+            p1 = bisect_left(idx, i)
+            if p1 < size and idx[p1] == i:
+                continue
+            p2 = bisect_left(idx, n + i, p1)
+            if p2 < size and idx[p2] == n + i:
+                continue
+            moves.append((i, -1 if (p1 + p2) & 1 else 1, idx[:p1] + (i,) + idx[p1:p2] + (n + i,) + idx[p2:]))
+    return moves
+
+
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product; graded commutative and associative.
 
@@ -483,10 +517,8 @@ def exterior_d(w: Form) -> Form:
                     else:
                         del acc[key]
         if idx and idx[0] == 0:
-            for i in range(1, n + 1):
-                sign, merged = merge_indices((i, n + i), idx[1:])
-                if sign:
-                    add_into(out.setdefault(merged, {}), f, sign)
+            for _, sign, merged in pair_moves(idx[1:], n):
+                add_into(out.setdefault(merged, {}), f, sign)
     return _form_from_accumulator(model, w.degree + 1, out)
 
 

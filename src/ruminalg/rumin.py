@@ -20,9 +20,18 @@ comes in as `forms.Blocks`, int numerators over the lcm of its coefficients'
 denominators; the pair weights of L and Lambda, the scalars c_j and the theta
 factor each become int numerators over one denominator (`poly.over_lcm`),
 and every step multiplies the block denominator by the operator's; each
-block moves with one `poly.add_into`.  The Horner sum's accumulator is over
-a multiple of each next summand's denominator, so only the summand's scalar
-is brought up to it; the output blocks are wrapped once, in lowest terms.
+block moves with one `poly.add_into`.  L and Lambda find a pair's place in a
+sorted coframe index by bisection (`forms.pair_moves`): L inserts
+(e^i, e^{n+i}) at p1 = bisect(I, i) and p2 = bisect(I, n+i) with sign
+(-1)^(p1+p2), and Lambda removes the pair it finds at p1 < p2 with sign
+(-1)^(p1+p2-1).  The Horner sum's accumulator is over a multiple of each
+next summand's denominator, so only the summand's scalar is brought up to
+it; the output blocks are wrapped once, in lowest terms.
+
+A form keeps its gamma: the first gamma(w) stores the value on w, and each
+later call returns it, so identities such as gamma(d gamma w) = gamma(w)
+compute gamma(w) once.  The value lives exactly as long as w, and the
+rescaled gamma of `gamma_invariance_check` is always computed afresh.
 
 `pi(w) = w - d gamma(w) - gamma(dw)` projects onto the subcomplex R of forms
 that are primitive with primitive differential; gamma is the homotopy of the
@@ -44,6 +53,7 @@ from fractions import Fraction
 from functools import cache, partial
 from math import prod
 
+from . import forms
 from .cinfty import IDENTITY_ENTRY, GradedOpSet, RetractData, apply_tensor_ops
 from .errors import DomainError
 from .forms import (
@@ -53,7 +63,6 @@ from .forms import (
     _blocks,
     _form_from_accumulator,
     exterior_d,
-    merge_indices,
     wedge,
 )
 from .poly import add_into, over_lcm
@@ -64,26 +73,15 @@ _ONE = Fraction(1)
 def _pair_op(terms: Blocks, n: int, weights, lower: bool) -> Blocks:
     """L, which adds each free pair (e^i, e^{n+i}) with weight c_i, or Lambda
     (`lower`), which removes each full pair with weight 1/c_i, on a horizontal
-    form held as Blocks; the signs are merge_indices'.  `weights` are the
-    weights as (int numerators, denominator), and the output is over
-    terms.den times that denominator."""
+    form held as Blocks, with the moves and signs of `forms.pair_moves`.
+    `weights` are the weights as (int numerators, denominator), and the
+    output is over terms.den times that denominator."""
     nums, den = weights
     out = Blocks(terms.den * den)
+    moves = forms.pair_moves
     for idx, coeffs in terms.items():
-        if lower:
-            members = set(idx)
-            for i in idx:
-                if i > n:
-                    break
-                if i + n in members:
-                    rest = tuple(j for j in idx if j != i and j != i + n)
-                    sign, _ = merge_indices((i, i + n), rest)
-                    add_into(out.setdefault(rest, {}), coeffs, sign * nums[i - 1])
-        else:
-            for i in range(1, n + 1):
-                sign, merged = merge_indices((i, i + n), idx)
-                if sign:
-                    add_into(out.setdefault(merged, {}), coeffs, sign * nums[i - 1])
+        for i, sign, moved in moves(idx, n, lower):
+            add_into(out.setdefault(moved, {}), coeffs, sign * nums[i - 1])
     return out
 
 
@@ -140,12 +138,24 @@ def _gamma_scalars(n: int, k: int) -> tuple:
     return tuple(c)
 
 
-def gamma(w: Form, _lam: Fraction = _ONE) -> Form:
+def gamma(w: Form, _lam: Fraction | None = None) -> Form:
     """Contact-invariant degree -1 operator; output is always vertical.
 
-    The private `_lam` recomputes gamma from the contact form rescaled by a
-    positive constant (used by `gamma_invariance_check`).
+    The value is kept on w, so a second gamma(w) returns it.  The private
+    `_lam` recomputes gamma from the contact form rescaled by a positive
+    constant (used by `gamma_invariance_check`), and never reads or keeps
+    the value on w.
     """
+    if _lam is not None:
+        return _gamma(w, _lam)
+    out = getattr(w, "_gamma", None)
+    if out is None:
+        out = w._gamma = _gamma(w, _ONE)
+    return out
+
+
+def _gamma(w: Form, lam: Fraction) -> Form:
+    """gamma(w) from the contact form rescaled by lam, computed afresh."""
     model = w.model
     n, k = model.n, w.degree
     c = _gamma_scalars(n, k)
@@ -153,7 +163,7 @@ def gamma(w: Form, _lam: Fraction = _ONE) -> Form:
     if not c or not alpha:
         return Form.zero(model, max(k - 1, 0))
     c, cden = over_lcm(c)
-    up, down = _pair_weights(model.dtheta().scale(_lam))
+    up, down = _pair_weights(model.dtheta().scale(lam))
     lift = partial(_pair_op, n=n, weights=up, lower=False)
     drop = partial(_pair_op, n=n, weights=down, lower=True)
     descend = k <= n + 1
@@ -166,7 +176,7 @@ def gamma(w: Form, _lam: Fraction = _ONE) -> Form:
         acc = _add_blocks(back(acc), term, cj, cden)
     if not descend:
         acc = drop(acc)
-    t = model.theta().scale(_lam).terms[(0,)].constant_value()
+    t = model.theta().scale(lam).terms[(0,)].constant_value()
     tn = t.numerator
     out = Blocks(acc.den * t.denominator)
     for idx, coeffs in acc.items():  # acc's dicts are its own: no copy
@@ -296,9 +306,9 @@ def m3(rho: RuminElement, sigma: RuminElement, tau: RuminElement) -> RuminElemen
     """Ternary product pi . wedge . (gamma-wedge (x) 1  -  1 (x) gamma-wedge),
     with the interior Koszul sign supplied by the generic tensor engine."""
     _require_certified("m3", rho, sigma, tau)
-    forms = (rho.form, sigma.form, tau.form)
-    s1, (u1, v1) = apply_tensor_ops([_gamma_mu_entry(), IDENTITY_ENTRY], forms)
-    s2, (u2, v2) = apply_tensor_ops([IDENTITY_ENTRY, _gamma_mu_entry()], forms)
+    block = (rho.form, sigma.form, tau.form)
+    s1, (u1, v1) = apply_tensor_ops([_gamma_mu_entry(), IDENTITY_ENTRY], block)
+    s2, (u2, v2) = apply_tensor_ops([IDENTITY_ENTRY, _gamma_mu_entry()], block)
     total = wedge(u1, v1).scale(s1) - wedge(u2, v2).scale(s2)
     return pi(total)
 

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from ruminalg import linalg, rumin
 from ruminalg.errors import DomainError
 from ruminalg.forms import (
+    Blocks,
     ContactModel,
     Form,
     _form_from_accumulator,
     exterior_d,
     is_vertical,
     lefschetz_power_matrix,
+    merge_indices,
     random_form,
     wedge,
     wedge_dtheta_power,
@@ -216,10 +218,9 @@ def test_gamma_at_lambda_3_7_leaves_the_integers():
     assert got == gamma(w)
 
 
-def test_wrong_dtheta_pair_changes_gamma(monkeypatch):
+def _wrong_dtheta_pair(monkeypatch):
     # Pair weights read off a rescaled dtheta with one pair's coefficient
-    # changed must change the rescaled gamma, so gamma_invariance_check can
-    # fail.
+    # changed; returns the rescaling and the inputs whose gamma it changes.
     lam = Fraction(3, 7)
     wrong_terms = dict(M2.dtheta().terms)
     wrong_terms[(1, 3)] = Poly.constant(M2.nvars, 2)
@@ -228,9 +229,58 @@ def test_wrong_dtheta_pair_changes_gamma(monkeypatch):
     monkeypatch.setattr(
         rumin, "_pair_weights", lambda dtheta: right(dtheta if dtheta == M2.dtheta() else wrong)
     )
-    for w in (wedge(_dx(M2), _dy(M2)), wedge(_dx(M2, 2), wedge(_dx(M2), _dy(M2)))):
+    return lam, (wedge(_dx(M2), _dy(M2)), wedge(_dx(M2, 2), wedge(_dx(M2), _dy(M2))))
+
+
+def test_wrong_dtheta_pair_changes_gamma(monkeypatch):
+    # The wrong weights must change the rescaled gamma, so
+    # gamma_invariance_check can fail.
+    lam, inputs = _wrong_dtheta_pair(monkeypatch)
+    for w in inputs:
         assert gamma(w, _lam=lam) != gamma(w)
         assert not gamma_invariance_check(w, lam)
+
+
+def test_a_kept_gamma_does_not_mask_a_rescaled_one(monkeypatch):
+    # gamma(w) computed and kept first: the rescaled gamma is still computed
+    # afresh with the wrong weights, and never reads or fills the kept value.
+    lam, inputs = _wrong_dtheta_pair(monkeypatch)
+    for w in inputs:
+        kept = gamma(w)
+        assert gamma(w, _lam=lam) != kept
+        assert not gamma_invariance_check(w, lam)
+        assert gamma(w) is kept
+    fresh = wedge(_dx(M2), _dy(M2))
+    gamma(fresh, _lam=lam)
+    assert getattr(fresh, "_gamma", None) is None
+
+
+def test_gamma_is_kept_on_its_form():
+    rng = stream(44, 0)
+    for deg in range(0, M2.dim + 1):
+        w = random_form(M2, rng, deg, 2)
+        assert gamma(w) is gamma(w)
+        assert gamma(w) == gamma(w, _lam=Fraction(1))
+
+
+def test_a_kept_gamma_leaves_equality_and_hash_alone():
+    # Forms equal in value stay equal and hash alike whether or not one of
+    # them holds its gamma, and whether the hash was taken before or after.
+    rng = stream(45, 0)
+    inputs = [random_form(M2, rng, deg, 2) for deg in range(0, M2.dim + 1)]
+    inputs += [Form.zero(M2, deg) for deg in (0, 2, 5)] + [wedge(_dx(M2), _dy(M2))]
+    for w in inputs:
+        before = Form(M2, w.degree, dict(w.terms), _canonical=True)
+        hashed_first = hash(before)
+        gamma(before)
+        after = Form(M2, w.degree, dict(w.terms), _canonical=True)
+        gamma(after)
+        assert before == w == after and before._gamma == gamma(w)
+        assert hashed_first == hash(before) == hash(after) == hash(w)
+    zeros = [Form.zero(M2, deg) for deg in (0, 3)]
+    gamma(zeros[0])
+    assert zeros[0] == zeros[1] and hash(zeros[0]) == hash(zeros[1])
+    assert zeros[0] != wedge(_dx(M2), _dy(M2))
 
 
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 7)])
@@ -249,6 +299,56 @@ def test_lambda_l_commutator(lam):
                 l_lam = rumin._pair_op(lowered, n, up, lower=False)
                 as_form = partial(_form_from_accumulator, model, k)
                 assert as_form(lam_l) - as_form(l_lam) == as_form(alpha).scale(n - k)
+
+
+def _pair_op_reference(terms, n, weights, lower):
+    """L or Lambda on blocks, move by move through merge_indices."""
+    nums, den = weights
+    out = {}
+    for idx, coeffs in terms.items():
+        for i in range(1, n + 1):
+            if lower:
+                if i not in idx or n + i not in idx:
+                    continue
+                moved = tuple(j for j in idx if j not in (i, n + i))
+                sign, _ = merge_indices((i, n + i), moved)
+            else:
+                sign, moved = merge_indices((i, n + i), idx)
+                if not sign:
+                    continue
+            acc = out.setdefault(moved, {})
+            for ex, v in coeffs.items():
+                acc[ex] = acc.get(ex, 0) + sign * nums[i - 1] * v
+    cleaned = {idx: {ex: v for ex, v in t.items() if v} for idx, t in out.items()}
+    return {idx: t for idx, t in cleaned.items() if t}, terms.den * den
+
+
+@st.composite
+def _pair_blocks(draw):
+    """n in 1..5 and horizontal blocks whose indices hold both, one or
+    neither member of each pair (e^i, e^{n+i})."""
+    n = draw(st.integers(1, 5))
+    blocks = Blocks(draw(st.integers(1, 6)))
+    for _ in range(draw(st.integers(1, 4))):
+        held = draw(st.lists(st.sampled_from(["both", "i", "n+i", "neither"]), min_size=n, max_size=n))
+        idx = tuple(sorted(
+            [i for i, h in enumerate(held, 1) if h in ("both", "i")]
+            + [n + i for i, h in enumerate(held, 1) if h in ("both", "n+i")]
+        ))
+        ex = tuple(draw(st.integers(0, 2)) for _ in range(2 * n + 1))
+        blocks[idx] = {ex: draw(st.integers(-9, 9).filter(bool))}
+    return n, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_blocks(), st.sampled_from([Fraction(1), Fraction(3, 7)]))
+def test_pair_op_matches_the_merge_indices_reference(case, lam):
+    n, blocks = case
+    for weights, lower in zip(rumin._pair_weights(ContactModel(n).dtheta().scale(lam)), (False, True)):
+        got = rumin._pair_op(blocks, n, weights, lower)
+        assert ({idx: t for idx, t in got.items() if t}, got.den) == _pair_op_reference(
+            blocks, n, weights, lower
+        )
 
 
 # -- primitivity and membership ------------------------------------------------------
