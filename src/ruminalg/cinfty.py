@@ -187,20 +187,6 @@ class GradedOpSet:
         """(callable, arity, degree) triple for apply_tensor_ops."""
         return (self.op(k), k, self.degree(k))
 
-    def audit_homogeneity(self, k: int, sample_tuples):
-        """Check |op_k(x_1..x_k)| = sum |x_i| + degree(k) on samples; returns
-        a list of mismatch descriptions (empty when all pass)."""
-        issues = []
-        for elements in sample_tuples:
-            out = self(k, elements)
-            if out.is_zero():
-                continue
-            expected = sum(e.degree for e in elements) + self.degree(k)
-            if out.degree != expected:
-                issues.append(
-                    f"arity {k}: output degree {out.degree}, expected {expected}"
-                )
-        return issues
 
 
 def _add(acc, x):

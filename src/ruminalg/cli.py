@@ -7,13 +7,15 @@ Subcommands:
     model                print the contact form, its differential, the coframe
     cohomology           Betti numbers / classes of a finite algebra file
 
-Exit codes: 0 success, 1 verification failure or domain error, 2 usage or
-syntax error.
+Exit codes: 0 success, 1 verification failure, domain error or a reader
+that closed the output early, 2 usage, syntax or file error.  The handlers
+raise; only `main` turns an error into its `error:` line and exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ._version import __version__
@@ -70,15 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_eval(args) -> int:
-    model = ContactModel(args.n)
-    try:
-        text = eval_text(args.expr, model).to_text()  # too long to print: DomainError
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    text = eval_text(args.expr, ContactModel(args.n)).to_text()  # too long to print: DomainError
     print(text)
     return 0
 
@@ -89,11 +83,8 @@ def cmd_verify(args) -> int:
         print("error: no suite given (positional or --suite)", file=sys.stderr)
         return 2
     kwargs = dict(n=args.n, trials=args.trials, seed=args.seed, max_poly_degree=args.max_poly_degree)
-    try:
-        reports = run_all(**kwargs) if suite == "all" else [run_suite(suite, **kwargs)]
-    except DomainError as exc:  # e.g. a basis too large to enumerate
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # A basis too large to enumerate is a DomainError before any output.
+    reports = run_all(**kwargs) if suite == "all" else [run_suite(suite, **kwargs)]
     for report in reports:
         print(format_report(report))
     if args.json:
@@ -103,24 +94,15 @@ def cmd_verify(args) -> int:
 
 def cmd_basis(args) -> int:
     model = ContactModel(args.n)
-    try:
-        listing = model.vertical_monomials if args.vertical else model.coframe_monomials
-        monos = listing(args.degree)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for idx in monos:
+    listing = model.vertical_monomials if args.vertical else model.coframe_monomials
+    for idx in listing(args.degree):
         print("^".join(model.coframe_label(i) for i in idx) or "1")
     return 0
 
 
 def cmd_model(args) -> int:
     model = ContactModel(args.n)
-    try:
-        volume = model.volume().to_text()  # n! outgrows what str() prints for large n
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    volume = model.volume().to_text()  # n! outgrows what str() prints for large n: DomainError
     coords = [f"x{i}" for i in range(1, model.n + 1)] + [f"y{i}" for i in range(1, model.n + 1)] + ["z"]
     print(f"H^{model.dim} (n={model.n}), coordinates: {' '.join(coords)}")
     print("coframe: " + ", ".join(f"e{i}={model.coframe_label(i)}" for i in range(model.dim)))
@@ -135,23 +117,17 @@ def cmd_cohomology(args) -> int:
     if bool(args.path) == bool(args.builtin):
         print("error: give exactly one of PATH or --builtin", file=sys.stderr)
         return 2
-    try:
-        if args.builtin == "ce":
-            algebra = heisenberg_ce_algebra()
-        elif args.builtin == "rumin":
-            algebra = heisenberg_rumin_model()
-        else:
+    if args.builtin == "ce":
+        algebra = heisenberg_ce_algebra()
+    elif args.builtin == "rumin":
+        algebra = heisenberg_rumin_model()
+    else:
+        try:
             with open(args.path, encoding="utf-8") as fh:
-                algebra = FiniteGradedAlgebra.loads(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: {args.path}: not UTF-8 text: {exc}", file=sys.stderr)
-        return 2
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{args.path}: not UTF-8 text: {exc}") from exc
+        algebra = FiniteGradedAlgebra.loads(text)
     if args.dump:
         print(algebra.dumps(), end="")
         return 0
@@ -191,7 +167,19 @@ def main(argv=None) -> int:
         "model": cmd_model,
         "cohomology": cmd_cohomology,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except BrokenPipeError:
+        # The reader left early (`ruminalg basis ... | head -1`).  Point stdout
+        # at devnull so the flush at exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ParseError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (DomainError, DimensionError, ConstructionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

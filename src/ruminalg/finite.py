@@ -261,25 +261,33 @@ class FiniteGradedAlgebra:
                     raise ConstructionError(f"mu {a} {b} -> {dst} violates degree additivity")
 
     def _check_axioms(self):
-        for v in self.all_basis_vectors():
+        vectors = self.all_basis_vectors()
+        for v in vectors:
             if not self.apply_d(self.apply_d(v)).is_zero():
                 raise ConstructionError(f"d^2 != 0 on {v}")
-        vectors = self.all_basis_vectors()
-        for u in vectors:
-            for v in vectors:
+        products = [[self.mu_vec(u, v) for v in vectors] for u in vectors]
+        for i, u in enumerate(vectors):
+            for j, v in enumerate(vectors):
+                uv = products[i][j]
                 sign = -1 if (u.degree & 1) and (v.degree & 1) else 1
-                if self.mu_vec(u, v) != self.mu_vec(v, u).scale(sign):
+                if uv != products[j][i].scale(sign):
                     raise ConstructionError(f"product not graded commutative on ({u}, {v})")
-                left = self.apply_d(self.mu_vec(u, v))
+                left = self.apply_d(uv)
                 right = self.mu_vec(self.apply_d(u), v) + self.mu_vec(
                     u, self.apply_d(v)
                 ).scale(-1 if u.degree & 1 else 1)
                 if left != right:
                     raise ConstructionError(f"Leibniz rule fails on ({u}, {v})")
-        for u in vectors:
-            for v in vectors:
-                for w in vectors:
-                    if self.mu_vec(self.mu_vec(u, v), w) != self.mu_vec(u, self.mu_vec(v, w)):
+        # (uv)w = u(vw) holds at once where uv and vw are both zero, so for a
+        # zero uv only the w with a nonzero vw are checked, in the same order.
+        everything = range(len(vectors))
+        nonzero = [[k for k in everything if not row[k].is_zero()] for row in products]
+        for i, u in enumerate(vectors):
+            for j, v in enumerate(vectors):
+                uv = products[i][j]
+                for k in nonzero[j] if uv.is_zero() else everything:
+                    w = vectors[k]
+                    if self.mu_vec(uv, w) != self.mu_vec(u, products[j][k]):
                         raise ConstructionError(f"product not associative on ({u}, {v}, {w})")
 
     # -- plain-text serialization ----------------------------------------------
@@ -435,13 +443,6 @@ class CochainMap:
                 for r, w in column:
                     out[r] += c * w
         return FiniteVector._make(self.dst, degree, tuple(map(exact, out)))
-
-    def is_cochain_map(self) -> bool:
-        for deg in self.src.degrees:
-            for v in self.src.basis_vectors(deg):
-                if self.apply(self.src.apply_d(v)) != self.dst.apply_d(self.apply(v)):
-                    return False
-        return True
 
 
 @dataclass

@@ -463,14 +463,6 @@ def _form_from_accumulator(model: ContactModel, degree: int, out: Blocks) -> For
     return Form(model, degree, terms, _canonical=True)
 
 
-def wedge_all(forms) -> Form:
-    it = iter(forms)
-    out = next(it)
-    for f in it:
-        out = wedge(out, f)
-    return out
-
-
 def exterior_d(w: Form) -> Form:
     """Exterior derivative, computed on the coefficients.
 

@@ -1,4 +1,4 @@
-"""Form-expression language: parser, evaluator, canonical printing.
+"""Form-expression language: a one-pass parser that evaluates as it reads.
 
 Grammar (whitespace insignificant, `#` not special):
 
@@ -17,7 +17,7 @@ Wedge is `^`, polynomial power is `**`, and a coefficient polynomial is
 parenthesized and juxtaposed before its monomial, e.g.
 ``(3/2*x1**2) dx1^dy1 + theta^dx1``; bare rationals need no parentheses
 (``2 theta^dx1``).  Generators are `theta`, `dx1..dxn`, `dy1..dyn` and `dz`,
-the last normalized through dz = theta + sum y_i dx_i at evaluation.
+the last normalized through dz = theta + sum y_i dx_i as it is read.
 RATIONAL is INT or INT/INT.  Operator calls: d(.), gamma(.), pi(.),
 L(., power), m2(.;.), m3(.;.;.), f2(.;.) -- the certified-input operators
 check Rumin membership of their arguments and fail with context otherwise.
@@ -25,6 +25,13 @@ A power that could exceed MAX_POWER_TERMS terms is refused with
 DomainError before it is computed, and parentheses and operator calls nested
 more than MAX_NESTING deep are a ParseError at the opening token, so no input
 can exhaust the interpreter's stack.
+
+The text is split into tokens first, so a character outside the language is
+a ParseError before anything is evaluated.  Then the input is read and
+evaluated in one pass, with no syntax tree: each generator, wedge, sum and
+operator call is computed as soon as it has been read.  So the first error
+met decides the exception: in ``m2(theta; theta) )`` the DomainError of m2
+comes before the ParseError of the stray ``)``.
 
 Canonical output (`Form.to_text`) reparses to an equal form, and reprints
 byte-identically.
@@ -46,7 +53,7 @@ from .rumin import certify, f2, gamma, m2, m3, pi
 MAX_POWER_TERMS = 1000
 
 # Deepest nesting of parentheses and operator calls an expression may have.
-# The parser and the evaluator recurse once per level.
+# The parser recurses a few frames per level.
 MAX_NESTING = 100
 
 
@@ -125,46 +132,27 @@ def tokenize(text: str):
     return tokens
 
 
-# -- abstract syntax ------------------------------------------------------------
+# -- one-pass parser and evaluator ---------------------------------------------
 
-
-@dataclass
-class Lit:
-    poly: Poly
-
-
-@dataclass
-class Gen:
-    index: int  # coframe index, or -1 for dz
-
-
-@dataclass
-class WedgeNode:
-    factors: list
-
-
-@dataclass
-class Scaled:
-    poly: Poly
-    inner: object
-
-
-@dataclass
-class SumNode:
-    terms: list  # (sign, node) pairs
-
-
-@dataclass
-class Call:
-    name: str
-    args: list
-    power: int | None = None
-
-
-_OPERATORS = {"d": 1, "gamma": 1, "pi": 1, "L": 1, "m2": 2, "m3": 3, "f2": 2}
+# name -> (arity, the operator applied to the argument forms and L's power).
+# Each lambda looks its operator up when it is called, so a wrapper later put
+# on the module attribute (a tracer, a test's monkeypatch) is the one that runs.
+_OPERATORS = {
+    "d": (1, lambda args, power: exterior_d(args[0])),
+    "gamma": (1, lambda args, power: gamma(args[0])),
+    "pi": (1, lambda args, power: pi(args[0]).form),
+    "L": (1, lambda args, power: lefschetz(args[0], power)),
+    "m2": (2, lambda args, power: m2(*map(certify, args)).form),
+    "m3": (3, lambda args, power: m3(*map(certify, args)).form),
+    "f2": (2, lambda args, power: f2(*map(certify, args))),
+}
 
 
 class Parser:
+    """Recursive descent over the tokens of one text.  Every `parse_*`
+    method returns the value it has read, a `Form` or a coefficient `Poly`,
+    so the input is evaluated as it is read."""
+
     def __init__(self, text: str, model: ContactModel):
         self.tokens = tokenize(text)
         self.model = model
@@ -182,9 +170,11 @@ class Parser:
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+            raise self.unexpected(tok, repr(text or kind))
         return self.advance()
+
+    def unexpected(self, tok: Token, want: str) -> ParseError:
+        return ParseError(f"expected {want}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
 
     def at_sym(self, text: str) -> bool:
         tok = self.peek()
@@ -200,42 +190,51 @@ class Parser:
         self.expect("SYM", ")")
         self.depth -= 1
 
-    # -- form grammar ---------------------------------------------------------
+    def parenthesized(self, parse_inner):
+        self.open_group(self.advance())
+        value = parse_inner()
+        self.close_group()
+        return value
 
-    def parse(self):
-        node = self.parse_sum()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-        return node
-
-    def parse_sum(self):
-        terms = []
+    def signed_sum(self, parse_term):
+        """['-'] term (('+' | '-') term)*, each term read by `parse_term` and
+        added as soon as it is read."""
         sign = 1
         if self.at_sym("-"):
             self.advance()
             sign = -1
-        terms.append((sign, self.parse_term()))
+        total = parse_term().scale(sign)
         while self.at_sym("+") or self.at_sym("-"):
             sign = 1 if self.advance().text == "+" else -1
-            terms.append((sign, self.parse_term()))
-        return terms[0][1] if len(terms) == 1 and terms[0][0] == 1 else SumNode(terms)
+            term = parse_term().scale(sign)
+            try:
+                total = total + term
+            except DimensionError as exc:
+                raise DomainError(f"degree mixing in sum: {exc}") from exc
+        return total
 
-    def parse_term(self):
-        coeff = None
+    # -- form grammar ---------------------------------------------------------
+
+    def parse(self) -> Form:
+        form = self.parse_sum()
         tok = self.peek()
-        if tok.kind == "INT":
+        if tok.kind != "EOF":
+            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        return form
+
+    def parse_sum(self) -> Form:
+        return self.signed_sum(self.parse_term)
+
+    def parse_term(self) -> Form:
+        if self.peek().kind == "INT":
             coeff = self.parse_rational()
         elif self.at_sym("("):
-            self.open_group(self.advance())
-            coeff = self.parse_polyexpr()
-            self.close_group()
-        if coeff is not None:
-            tok = self.peek()
-            if tok.kind == "NAME":
-                return Scaled(coeff, self.parse_chain())
-            return Lit(coeff)
-        return self.parse_chain()
+            coeff = self.parenthesized(self.parse_polyexpr)
+        else:
+            return self.parse_chain()
+        if self.peek().kind == "NAME":
+            return self.parse_chain().scale_poly(coeff)
+        return Form.constant(self.model, coeff)
 
     def parse_rational(self) -> Poly:
         tok = self.expect("INT")
@@ -249,28 +248,24 @@ class Parser:
             value /= den_value
         return Poly.constant(self.model.nvars, value)
 
-    def parse_chain(self):
-        factors = [self.parse_atom()]
+    def parse_chain(self) -> Form:
+        out = self.parse_atom()
         while self.at_sym("^"):
             self.advance()
-            factors.append(self.parse_atom())
-        return factors[0] if len(factors) == 1 else WedgeNode(factors)
+            out = wedge(out, self.parse_atom())
+        return out
 
-    def parse_atom(self):
+    def parse_atom(self) -> Form:
         tok = self.peek()
         if tok.kind != "NAME":
-            raise ParseError(
-                f"expected a generator or operator call, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
+            raise self.unexpected(tok, "a generator or operator call")
         name = self.advance().text
         if name in _OPERATORS and self.at_sym("("):
             return self.parse_call(name, tok)
-        return Gen(self.resolve_generator(name, tok))
+        return self.resolve_generator(name, tok)
 
-    def parse_call(self, name: str, tok: Token) -> Call:
-        arity = _OPERATORS[name]
+    def parse_call(self, name: str, tok: Token) -> Form:
+        arity, apply = _OPERATORS[name]
         self.open_group(self.expect("SYM", "("))
         args = [self.parse_sum()]
         while self.at_sym(";"):
@@ -279,41 +274,34 @@ class Parser:
         power = None
         if name == "L":
             self.expect("SYM", ",")
-            ptok = self.expect("INT")
-            power = _int(ptok)
+            power = _int(self.expect("INT"))
         if len(args) != arity:
             raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}", tok.line, tok.col)
         self.close_group()
-        return Call(name, args, power)
+        try:
+            return apply(args, power)
+        except DomainError as exc:
+            raise DomainError(f"{name}: {exc}") from exc
 
-    def resolve_generator(self, name: str, tok: Token) -> int:
-        n = self.model.n
+    def resolve_generator(self, name: str, tok: Token) -> Form:
+        model, n = self.model, self.model.n
         if name == "theta":
-            return 0
-        if name == "dz":
-            return -1
-        if name.startswith("dx") and name[2:].isdigit():
+            return model.generator(0)
+        if name == "dz":  # theta + sum_i y_i dx_i in the adapted coframe
+            terms = {(0,): Poly.one(model.nvars)}
+            for i in range(1, n + 1):
+                terms[(i,)] = Poly.variable(model.nvars, n + i - 1)
+            return Form(model, 1, terms, _canonical=True)
+        if name[:2] in ("dx", "dy") and name[2:].isdigit():
             i = _int(tok, name[2:])
             if 1 <= i <= n:
-                return i
-        if name.startswith("dy") and name[2:].isdigit():
-            i = _int(tok, name[2:])
-            if 1 <= i <= n:
-                return n + i
+                return model.generator(i if name[1] == "x" else n + i)
         raise ParseError(f"unknown generator {name!r} for n={n}", tok.line, tok.col)
 
     # -- polynomial grammar -----------------------------------------------------
 
     def parse_polyexpr(self) -> Poly:
-        sign = 1
-        if self.at_sym("-"):
-            self.advance()
-            sign = -1
-        total = self.parse_polyterm().scale(sign)
-        while self.at_sym("+") or self.at_sym("-"):
-            sign = 1 if self.advance().text == "+" else -1
-            total = total + self.parse_polyterm().scale(sign)
-        return total
+        return self.signed_sum(self.parse_polyterm)
 
     def parse_polyterm(self) -> Poly:
         value = self.parse_polyfactor()
@@ -327,17 +315,11 @@ class Parser:
         if tok.kind == "INT":
             base = self.parse_rational()
         elif self.at_sym("("):
-            self.open_group(self.advance())
-            base = self.parse_polyexpr()
-            self.close_group()
+            base = self.parenthesized(self.parse_polyexpr)
         elif tok.kind == "NAME":
             base = self.resolve_coordinate(self.advance())
         else:
-            raise ParseError(
-                f"expected a coordinate, number or '(', found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
+            raise self.unexpected(tok, "a coordinate, number or '('")
         if self.at_sym("**"):
             self.advance()
             k = _int(self.expect("INT"))
@@ -370,63 +352,6 @@ class Parser:
         raise ParseError(f"unknown coordinate {name!r} for n={n}", tok.line, tok.col)
 
 
-def parse_form(text: str, model: ContactModel):
-    """Parse to the expression tree (no evaluation)."""
-    return Parser(text, model).parse()
-
-
-def _dz_form(model: ContactModel) -> Form:
-    # dz = theta + sum_i y_i dx_i in the adapted coframe.
-    terms = {(0,): Poly.one(model.nvars)}
-    for i in range(1, model.n + 1):
-        terms[(i,)] = Poly.variable(model.nvars, model.n + i - 1)
-    return Form(model, 1, terms, _canonical=True)
-
-
-def evaluate(node, model: ContactModel) -> Form:
-    """Evaluate an expression tree to a homogeneous form."""
-    if isinstance(node, Lit):
-        return Form.constant(model, node.poly)
-    if isinstance(node, Gen):
-        return _dz_form(model) if node.index == -1 else model.generator(node.index)
-    if isinstance(node, Scaled):
-        return evaluate(node.inner, model).scale_poly(node.poly)
-    if isinstance(node, WedgeNode):
-        out = evaluate(node.factors[0], model)
-        for factor in node.factors[1:]:
-            out = wedge(out, evaluate(factor, model))
-        return out
-    if isinstance(node, SumNode):
-        total = None
-        for sign, term in node.terms:
-            value = evaluate(term, model).scale(sign)
-            try:
-                total = value if total is None else total + value
-            except DimensionError as exc:
-                raise DomainError(f"degree mixing in sum: {exc}") from exc
-        return total
-    if isinstance(node, Call):
-        args = [evaluate(a, model) for a in node.args]
-        try:
-            if node.name == "d":
-                return exterior_d(args[0])
-            if node.name == "gamma":
-                return gamma(args[0])
-            if node.name == "pi":
-                return pi(args[0]).form
-            if node.name == "L":
-                return lefschetz(args[0], node.power)
-            if node.name == "m2":
-                return m2(certify(args[0]), certify(args[1])).form
-            if node.name == "m3":
-                return m3(certify(args[0]), certify(args[1]), certify(args[2])).form
-            if node.name == "f2":
-                return f2(certify(args[0]), certify(args[1]))
-        except DomainError as exc:
-            raise DomainError(f"{node.name}: {exc}") from exc
-    raise TypeError(f"unknown expression node {node!r}")
-
-
 def eval_text(text: str, model: ContactModel) -> Form:
-    """Parse and evaluate in one step."""
-    return evaluate(parse_form(text, model), model)
+    """Read and evaluate `text` in one pass."""
+    return Parser(text, model).parse()

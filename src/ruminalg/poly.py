@@ -230,11 +230,6 @@ class Poly:
             raise ValueError(f"not a constant polynomial: {self}")
         return Fraction(self.num[(0,) * self.nvars], self.den)
 
-    def total_degree(self) -> int:
-        if not self.num:
-            return 0
-        return max(sum(ex) for ex in self.num)
-
     # -- arithmetic --------------------------------------------------------
 
     def _linear(self, other: "Poly", cn: int, cd: int) -> "Poly":

@@ -50,6 +50,21 @@ def test_eval_domain_error_exit_1(capsys):
     assert code == 1 and "m2" in err
 
 
+@pytest.mark.parametrize(
+    "expr, code, message",
+    [
+        ("m2(theta; theta) )", 1, "m2:"),  # m2's DomainError comes before the stray ')'
+        ("theta + dx1^dy1 +", 1, "degree mixing"),  # the sum fails before the missing term
+        ("theta ^", 2, "syntax error"),
+    ],
+)
+def test_eval_first_error_met_decides_exit(capsys, expr, code, message):
+    # The input is evaluated as it is read, so the first error met wins.
+    got, out, err = run(capsys, "eval", expr)
+    assert got == code and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
 def test_eval_power_over_term_budget_exit_1(capsys):
     code, out, err = run(capsys, "eval", "((1+x1)**3000)")
     assert code == 1 and out == ""
@@ -274,3 +289,22 @@ def test_python_m_ruminalg_runs_the_cli():
     failed = run_module("eval", "theta ^")
     assert failed.returncode == 2 and failed.stdout == ""
     assert len(failed.stderr.splitlines()) == 1 and "syntax error" in failed.stderr
+
+
+def test_closed_pipe_ends_quietly():
+    # `ruminalg basis ... | head -1`: the reader leaves after one line.  The
+    # listing (24,310 lines, 0.8 MB) is more than a pipe buffers, so a later
+    # write fails.
+    src = str(Path(ruminalg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "ruminalg", "basis", "--n", "8", "--degree", "8"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert first == b"theta^dx1^dx2^dx3^dx4^dx5^dx6^dx7\n"
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
