@@ -9,7 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, domain error or a reader
 that closed the output early, 2 usage, syntax or file error.  The handlers
-raise; only `main` turns an error into its `error:` line and exit code.
+raise; only `main` turns an error into its `error:` line and exit code.  A
+command line that argparse accepts but that asks for nothing runnable (an
+option out of range, no suite, both or neither of PATH and --builtin) is a
+`UsageError`, exit 2.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .finite import FiniteGradedAlgebra, cohomology, heisenberg_ce_algebra, heis
 from .forms import ContactModel
 from .parser import ParseError, eval_text
 from .suites import SUITE_NAMES, format_report, report_json, run_all, run_suite
+
+
+class UsageError(ValueError):
+    """A command line argparse accepts that names nothing to run."""
 
 
 def _add_model_arg(p) -> None:
@@ -80,8 +87,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     suite = args.suite or args.suite_opt
     if suite is None:
-        print("error: no suite given (positional or --suite)", file=sys.stderr)
-        return 2
+        raise UsageError("no suite given (positional or --suite)")
     kwargs = dict(n=args.n, trials=args.trials, seed=args.seed, max_poly_degree=args.max_poly_degree)
     # A basis too large to enumerate is a DomainError before any output.
     reports = run_all(**kwargs) if suite == "all" else [run_suite(suite, **kwargs)]
@@ -115,8 +121,7 @@ def cmd_model(args) -> int:
 
 def cmd_cohomology(args) -> int:
     if bool(args.path) == bool(args.builtin):
-        print("error: give exactly one of PATH or --builtin", file=sys.stderr)
-        return 2
+        raise UsageError("give exactly one of PATH or --builtin")
     if args.builtin == "ce":
         algebra = heisenberg_ce_algebra()
     elif args.builtin == "rumin":
@@ -144,22 +149,17 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
-def _range_error(args) -> str | None:
-    """The first numeric option outside its range, as a message, or None."""
+def _check_ranges(args) -> None:
+    """UsageError for the first numeric option outside its range."""
     limits = (("--n", "n", 1), ("--trials", "trials", 1), ("--max-poly-degree", "max_poly_degree", 0))
     for option, attr, low in limits:
         value = getattr(args, attr, None)
         if value is not None and value < low:
-            return f"{option} must be at least {low}, got {value}"
-    return None
+            raise UsageError(f"{option} must be at least {low}, got {value}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _range_error(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     handlers = {
         "eval": cmd_eval,
         "verify": cmd_verify,
@@ -168,13 +168,14 @@ def main(argv=None) -> int:
         "cohomology": cmd_cohomology,
     }
     try:
+        _check_ranges(args)
         return handlers[args.command](args)
     except BrokenPipeError:
         # The reader left early (`ruminalg basis ... | head -1`).  Point stdout
         # at devnull so the flush at exit has nowhere to fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ParseError, OSError) as exc:
+    except (ParseError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, DimensionError, ConstructionError) as exc:

@@ -260,34 +260,62 @@ class FiniteGradedAlgebra:
                 if self.degree_of(dst) != self.degree_of(a) + self.degree_of(b):
                     raise ConstructionError(f"mu {a} {b} -> {dst} violates degree additivity")
 
+    def _product_table(self) -> list:
+        """The nonzero products of basis vectors, read off the structure
+        constants: entry i maps each j with u_i.u_j != 0 to that product,
+        with i and j in the order of `all_basis_vectors`."""
+        cells = [(deg, i) for deg in self.degrees for i in range(self.dim(deg))]
+        table = []
+        for p, i in cells:
+            out = {}
+            for j, (q, jj) in enumerate(cells):
+                row = self._mu_rows[(p, q)][i][jj]
+                if row:  # stored constants are nonzero, so the product is too
+                    coeffs = [0] * self.dim(p + q)
+                    for dst, c in row:
+                        coeffs[dst] = c
+                    out[j] = FiniteVector._make(self, p + q, tuple(coeffs))
+            table.append(out)
+        return table
+
     def _check_axioms(self):
         vectors = self.all_basis_vectors()
-        for v in vectors:
-            if not self.apply_d(self.apply_d(v)).is_zero():
+        differentials = [self.apply_d(v) for v in vectors]
+        for v, dv in zip(vectors, differentials):
+            if not self.apply_d(dv).is_zero():
                 raise ConstructionError(f"d^2 != 0 on {v}")
-        products = [[self.mu_vec(u, v) for v in vectors] for u in vectors]
+        closed = [dv.is_zero() for dv in differentials]
+        products = self._product_table()
+        # A pair whose products and differentials are all zero passes both
+        # pair checks at once, so it is skipped, in the same order.
         for i, u in enumerate(vectors):
             for j, v in enumerate(vectors):
-                uv = products[i][j]
+                uv, vu = products[i].get(j), products[j].get(i)
+                if uv is None and vu is None and closed[i] and closed[j]:
+                    continue
+                zero = self.zero(u.degree + v.degree)
+                uv, vu = uv or zero, vu or zero
                 sign = -1 if (u.degree & 1) and (v.degree & 1) else 1
-                if uv != products[j][i].scale(sign):
+                if uv != vu.scale(sign):
                     raise ConstructionError(f"product not graded commutative on ({u}, {v})")
                 left = self.apply_d(uv)
-                right = self.mu_vec(self.apply_d(u), v) + self.mu_vec(
-                    u, self.apply_d(v)
+                right = self.mu_vec(differentials[i], v) + self.mu_vec(
+                    u, differentials[j]
                 ).scale(-1 if u.degree & 1 else 1)
                 if left != right:
                     raise ConstructionError(f"Leibniz rule fails on ({u}, {v})")
         # (uv)w = u(vw) holds at once where uv and vw are both zero, so for a
         # zero uv only the w with a nonzero vw are checked, in the same order.
-        everything = range(len(vectors))
-        nonzero = [[k for k in everything if not row[k].is_zero()] for row in products]
+        # Every zero vector equals every other, so one stands for a zero side.
+        everything, zero = range(len(vectors)), self.zero(0)
         for i, u in enumerate(vectors):
             for j, v in enumerate(vectors):
-                uv = products[i][j]
-                for k in nonzero[j] if uv.is_zero() else everything:
-                    w = vectors[k]
-                    if self.mu_vec(uv, w) != self.mu_vec(u, products[j][k]):
+                uv = products[i].get(j)
+                for k in everything if uv is not None else products[j]:
+                    w, vw = vectors[k], products[j].get(k)
+                    left = zero if uv is None else self.mu_vec(uv, w)
+                    right = zero if vw is None else self.mu_vec(u, vw)
+                    if left != right:
                         raise ConstructionError(f"product not associative on ({u}, {v}, {w})")
 
     # -- plain-text serialization ----------------------------------------------

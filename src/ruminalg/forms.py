@@ -24,9 +24,16 @@ accumulators (`Blocks`) hold int numerators over one denominator: L for
 `exterior_d`, the product of the two operands' for `wedge`.  Only ints are
 multiplied and added, by `poly.mul_into` (one call per pair of disjoint
 blocks in `wedge`) and `poly.add_into` (the dtheta term of `exterior_d`);
-only exterior_d's frame derivatives keep a loop of their own.  The dtheta
-term, like gamma's L and Lambda, moves coframe pairs by bisection
-(`pair_moves`); `merge_indices` serves `wedge` alone.
+only exterior_d's frame derivatives keep a loop of their own.  That loop
+works on packed exponents (`poly`): a block's used coordinates are the
+nonzero fields of the OR of its keys, and the derivative along coordinate p
+reads the field `(key >> s) & FIELD_MASK` at its offset s and moves the key
+by one precomputed step, -(1 << s), plus 1 << s_q for the y_q d/dz part of
+X_q.  That part is the one move that raises an exponent: a block with a
+monomial in z whose y_q exponent is MAX_EXPONENT is refused with DomainError
+before it is differentiated.  The dtheta term, like gamma's L and Lambda,
+moves coframe pairs by bisection (`pair_moves`); `merge_indices` serves
+`wedge` alone.
 `_form_from_accumulator` wraps each output coefficient once, dividing by the
 gcd of its denominator and content.  User input written in coordinate
 differentials is normalized through dz = e^0 + sum_i y_i e^i.
@@ -45,12 +52,25 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, compress
 from math import factorial, lcm
-from operator import add, sub
+from operator import add, or_, sub
 
 from .errors import DimensionError, DomainError
-from .poly import Poly, add_into, coefficient_text, exact, mul_into, wrap
+from .poly import (
+    FIELD,
+    FIELD_MASK,
+    MAX_EXPONENT,
+    Poly,
+    add_into,
+    coefficient_text,
+    exact,
+    exponent_error,
+    mul_into,
+    unpack,
+    wrap,
+)
 from .prng import SplitMix64
 
 MAX_MONOMIALS = 10**5  # the most coframe monomials one basis query lists
@@ -434,7 +454,7 @@ def _mask(idx) -> int:
 
 
 class Blocks(dict):
-    """Coefficient blocks {index tuple: {exponent tuple: nonzero int}} over
+    """Coefficient blocks {index tuple: {packed exponent: nonzero int}} over
     one positive denominator `den`: the accumulators of `wedge`,
     `exterior_d` and gamma."""
 
@@ -474,8 +494,8 @@ def exterior_d(w: Form) -> Form:
     output index, so cancellations such as X_1(z - x1*y1) = 0 leave nothing
     behind.  e^j ^ e^I puts j at its position p in I, with sign (-1)^p."""
     model = w.model
-    n = model.n
-    z = 2 * n
+    n, nvars = model.n, model.nvars
+    z = last = 2 * n
     # A frame field is a sum of moves (q, j): the q-th coordinate (1 when q is
     # None) times d/dp, feeding e^j.  Coordinate positions are x_1..x_n,
     # y_1..y_n, z; d/dx_i (p = i - 1) feeds X_i and d/dy_i (p = n + i - 1)
@@ -484,25 +504,31 @@ def exterior_d(w: Form) -> Form:
     blocks = _blocks(w.terms)
     out = Blocks(blocks.den)
     for idx, f in blocks.items():
-        # moves only for the coordinates f depends on, each with (sign,
-        # accumulator) of e^j ^ e^I for j not in I
-        used = set()
-        for ex in f:
-            used.update(compress(range(len(ex)), ex))
+        # moves only for the coordinates f depends on, each as (offset of
+        # p's field, step of the key, sign, accumulator of e^j ^ e^I), j not
+        # in I
+        used = unpack(nvars, reduce(or_, f))
         active = []
-        for p in sorted(used):
+        for p in compress(range(nvars), used):
+            at = FIELD * (last - p)
             for q, j in z_moves if p == z else ((None, p + 1),):
                 pos = bisect_left(idx, j)
                 if pos == len(idx) or idx[pos] != j:
+                    step = -(1 << at)
+                    if q is not None:  # y_q d/dz raises y_q's exponent
+                        at_q = FIELD * (last - q)
+                        step += 1 << at_q
+                        if used[q] == MAX_EXPONENT and any(
+                            (ex >> at_q) & FIELD_MASK == MAX_EXPONENT and ex & FIELD_MASK for ex in f
+                        ):
+                            raise exponent_error()
                     merged = idx[:pos] + (j,) + idx[pos:]
-                    active.append((p, q, -1 if pos & 1 else 1, out.setdefault(merged, {})))
+                    active.append((at, step, -1 if pos & 1 else 1, out.setdefault(merged, {})))
         for ex, c in f.items():
-            for p, q, sign, acc in active:
-                e = ex[p]
+            for at, step, sign, acc in active:
+                e = (ex >> at) & FIELD_MASK
                 if e:
-                    key = ex[:p] + (e - 1,) + ex[p + 1 :]
-                    if q is not None:
-                        key = key[:q] + (key[q] + 1,) + key[q + 1 :]
+                    key = ex + step
                     s = acc.get(key, 0) + c * (sign * e)
                     if s:
                         acc[key] = s
@@ -567,18 +593,17 @@ def lefschetz_power_matrix(model: ContactModel, k: int):
 def random_poly(rng: SplitMix64, nvars: int, max_degree: int) -> Poly:
     """Nonzero polynomial with 1..3 monomials, total degree <= max_degree,
     integer coefficients in [-9, 9] minus {0}."""
+    last = nvars - 1
     terms = {}
     for _ in range(rng.randint(1, 3)):
         total = rng.randint(0, max_degree)
-        ex = [0] * nvars
+        ex = 0  # packed: coordinate i adds 1 << FIELD * (nvars - 1 - i)
         for _ in range(total):
-            ex[rng.randint(0, nvars - 1)] += 1
+            ex += 1 << FIELD * (last - rng.randint(0, last))
         c = rng.randint(1, 9) * (1 if rng.chance(1, 2) else -1)
-        terms[tuple(ex)] = terms.get(tuple(ex), 0) + c
-    p = Poly(nvars, {ex: c for ex, c in terms.items() if c})
-    if p.is_zero():
-        return Poly.one(nvars)
-    return p
+        terms[ex] = terms.get(ex, 0) + c
+    num = {ex: c for ex, c in terms.items() if c}
+    return wrap(nvars, num, 1) if num else Poly.one(nvars)
 
 
 def random_form(

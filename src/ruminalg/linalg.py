@@ -36,7 +36,8 @@ def rref(a):
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        if inv != 1:
+            m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
                 f = m[i][c]

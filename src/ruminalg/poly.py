@@ -6,10 +6,9 @@ H^{2n+1}, with exact rational coefficients.  All identities checked
 downstream are exact ring identities, so no floating point appears anywhere.
 
 A polynomial is stored as integer numerators over one positive denominator:
-`num` maps exponent tuples (length 2n+1, entries >= 0, coordinate order
-x_1..x_n, y_1..y_n, z) to nonzero ints, and `den` is a positive int.  The
-pair is in lowest terms, gcd(den, every numerator) = 1, and the zero
-polynomial is the empty map over den 1, so each value has exactly one
+`num` maps packed exponents (below) to nonzero ints, and `den` is a positive
+int.  The pair is in lowest terms, gcd(den, every numerator) = 1, and the
+zero polynomial is the empty map over den 1, so each value has exactly one
 representation and equality and hashing use (nvars, den, num).  Every
 arithmetic result is built by `wrap`, which divides by gcd(den, content) once
 per result; an integral polynomial has den 1 and pays no gcd at all.  So
@@ -17,31 +16,88 @@ per result; an integral polynomial has den 1 and pays no gcd at all.  So
 two operands to the lcm of their dens.  Values are immutable after
 construction and all operations are pure, so sharing across threads is safe.
 
+A monomial's exponent vector (length nvars = 2n+1, coordinate order
+x_1..x_n, y_1..y_n, z) is packed into one int, Kronecker style: each
+coordinate owns a FIELD-bit field, coordinate i at bit FIELD * (nvars-1-i),
+so x_1 is the most significant field and z the least.  Int order of keys is
+then the lexicographic order of the tuples, the constant monomial is key 0,
+a monomial product is one int addition and a field is read as
+`(key >> shift) & FIELD_MASK`.  `pack` and `unpack` convert through a
+big-endian `struct` of nvars signed 32-bit fields, built once per
+coordinate count by `layout`.  Every stored exponent is
+at most MAX_EXPONENT = 2**31 - 1, so the top bit of each field (the guard,
+`layout(nvars)[1]`) is clear in every key and the sum of two keys never
+carries from one field into the next.  A sum that sets a guard bit has an
+exponent of 2**31 or more: `mul_into` refuses such a product with
+DomainError, and so do the y_i d/dz move of `forms.exterior_d`, `Poly(...)`
+and `Poly.__pow__` for an exponent they would make or are given.
+
 This module holds the integer arithmetic of the whole package, on numerator
-maps {exponent: int}: `add_into` (acc += c * terms) and `mul_into`
+maps {packed exponent: int}: `add_into` (acc += c * terms) and `mul_into`
 (acc += c * a * b) accumulate in place and drop what cancels, and `over_lcm`
 brings rationals to their least common denominator.  `Poly` is built on
 them, and so are `forms.wedge`, the dtheta term of `forms.exterior_d` and
 gamma's pair operators and Horner sum in `rumin`, which run on whole blocks
-of numerators.  `deriv` keeps its own loop: the tests check `exterior_d`
-against it as an independent reference.
+of numerators.  `deriv` keeps its own loop on unpacked tuples (unpack, slice,
+pack), sharing no field arithmetic with `exterior_d`: the tests check
+`exterior_d` against it as an independent reference.
 
-`terms` is the read-only {exponent: coefficient} view for readers of values,
-built on demand: each coefficient in lowest terms, an `int` when integral and
-a `fractions.Fraction` otherwise.  No arithmetic reads it.
+`terms` is the read-only {exponent tuple: coefficient} view for readers of
+values, built on demand: each coefficient in lowest terms, an `int` when
+integral and a `fractions.Fraction` otherwise.  No arithmetic reads it.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
+from struct import Struct
+from struct import error as StructError
 from types import MappingProxyType
 
 from .errors import DimensionError, DomainError
 
 _new = object.__new__
+
+FIELD = 32  # bits per coordinate in a packed exponent
+FIELD_MASK = (1 << FIELD) - 1
+MAX_EXPONENT = (1 << (FIELD - 1)) - 1  # the largest exponent a field may hold
+
+
+@cache
+def layout(nvars: int) -> tuple:
+    """(codec, guard) of packed exponents in nvars coordinates: the
+    big-endian Struct of nvars signed 32-bit fields, and the int with the
+    top bit of every field set."""
+    return Struct(f">{nvars}i"), int.from_bytes(b"\x80\0\0\0" * nvars, "big")
+
+
+def pack(nvars: int, ex) -> int:
+    """The exponent tuple ex (nvars ints, each 0..MAX_EXPONENT) as one int.
+    A wrong length or a negative entry is a DimensionError, an entry above
+    MAX_EXPONENT a DomainError."""
+    codec, guard = layout(nvars)
+    try:
+        key = int.from_bytes(codec.pack(*ex), "big")
+    except StructError:
+        if len(ex) == nvars and all(type(e) is int for e in ex) and min(ex) >= 0:
+            raise exponent_error() from None
+        raise DimensionError(f"bad exponent tuple {tuple(ex)} for {nvars} variables") from None
+    if key & guard:  # a negative entry, in two's complement
+        raise DimensionError(f"bad exponent tuple {tuple(ex)} for {nvars} variables")
+    return key
+
+
+def unpack(nvars: int, key: int) -> tuple:
+    """The exponent tuple of the packed key."""
+    return layout(nvars)[0].unpack(key.to_bytes(4 * nvars, "big"))
+
+
+def exponent_error() -> DomainError:
+    return DomainError(f"an exponent above the limit of {MAX_EXPONENT}")
 
 
 def exact(c):
@@ -95,9 +151,9 @@ def coefficient_text(v: int, den: int) -> str:
 
 
 def add_into(acc: dict, terms: dict, c: int) -> None:
-    """acc += c * terms on {exponent: int} dictionaries, dropping the entries
-    that cancel; c = 0 does nothing.  An empty acc is filled with a copy,
-    never with `terms` itself, which other values may share."""
+    """acc += c * terms on {packed exponent: int} dictionaries, dropping the
+    entries that cancel; c = 0 does nothing.  An empty acc is filled with a
+    copy, never with `terms` itself, which other values may share."""
     if not c:
         return
     if not acc:
@@ -112,15 +168,25 @@ def add_into(acc: dict, terms: dict, c: int) -> None:
 
 
 def mul_into(acc: dict, a: dict, b: dict, c: int) -> None:
-    """acc += c * a * b on {exponent: int} dictionaries: exponents add and
-    numerators multiply, and the entries that cancel are dropped."""
-    if not c:
+    """acc += c * a * b on {packed exponent: int} dictionaries: exponents
+    add and numerators multiply, and the entries that cancel are dropped.  A
+    product with an exponent above MAX_EXPONENT is a DomainError, raised
+    before acc changes.
+
+    Each field of a key is at most the same field of the OR of its
+    dictionary's keys, so no product has a guard bit set when the sum of the
+    two ORs has none; only when it does is each product checked."""
+    if not c or not a or not b:
         return
+    top = reduce(or_, a) + reduce(or_, b)
+    guard = layout(-(-top.bit_length() // FIELD))[1]
+    if top & guard and any((ea + eb) & guard for ea in a for eb in b):
+        raise exponent_error()
     b = b.items()
     for ea, ca in a.items():
         ca *= c
         for eb, cb in b:
-            ex = tuple(map(add, ea, eb))
+            ex = ea + eb
             s = acc.get(ex, 0) + ca * cb
             if s:
                 acc[ex] = s
@@ -138,15 +204,13 @@ def over_lcm(values) -> tuple:
 
 
 def _scaled(nvars: int, terms: dict, checked: bool) -> tuple:
-    """(num, den) in lowest terms of a {exponent: rational} dictionary, whose
-    values may be ints, Fractions or anything Fraction reads; values of one
-    exponent add up.  `checked` skips the exponent validation."""
+    """(num, den) in lowest terms of a {exponent tuple: rational} dictionary,
+    whose values may be ints, Fractions or anything Fraction reads; values of
+    one exponent add up.  `checked` skips the check for negative entries."""
+    codec = layout(nvars)[0]
     values = {}
     for ex, c in terms.items():
-        if not checked:
-            ex = tuple([int(e) for e in ex])
-            if len(ex) != nvars or min(ex, default=0) < 0:
-                raise DimensionError(f"bad exponent tuple {ex} for {nvars} variables")
+        ex = int.from_bytes(codec.pack(*ex), "big") if checked else pack(nvars, ex)
         if type(c) is not int:
             c = Fraction(c)
         if c:
@@ -186,19 +250,17 @@ class Poly:
     @classmethod
     def constant(cls, nvars: int, value) -> "Poly":
         v, den = _ratio(value)
-        return wrap(nvars, {(0,) * nvars: v} if v else {}, den)
+        return wrap(nvars, {0: v} if v else {}, den)
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
-        return wrap(nvars, {(0,) * nvars: 1}, 1)
+        return wrap(nvars, {0: 1}, 1)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         if not 0 <= index < nvars:
             raise DimensionError(f"variable index {index} out of range for {nvars} variables")
-        ex = [0] * nvars
-        ex[index] = 1
-        return wrap(nvars, {tuple(ex): 1}, 1)
+        return wrap(nvars, {1 << FIELD * (nvars - 1 - index): 1}, 1)
 
     def _check(self, other: "Poly") -> None:
         if self.nvars != other.nvars:
@@ -208,27 +270,26 @@ class Poly:
 
     @property
     def terms(self):
-        """Read-only {exponent: coefficient} view, built on demand; each
+        """Read-only {exponent tuple: coefficient} view, built on demand; each
         coefficient in lowest terms, an int when integral, else a Fraction."""
-        den = self.den
-        if den == 1:
-            return MappingProxyType(self.num)
-        return MappingProxyType(
-            {ex: Fraction(v, den) if v % den else v // den for ex, v in self.num.items()}
-        )
+        den, nvars = self.den, self.nvars
+        return MappingProxyType({
+            unpack(nvars, ex): v if den == 1 else Fraction(v, den) if v % den else v // den
+            for ex, v in self.num.items()
+        })
 
     def is_zero(self) -> bool:
         return not self.num
 
     def is_constant(self) -> bool:
-        return not self.num or (len(self.num) == 1 and (0,) * self.nvars in self.num)
+        return not self.num or (len(self.num) == 1 and 0 in self.num)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self.num[(0,) * self.nvars], self.den)
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -274,8 +335,14 @@ class Poly:
         return self._linear(other, *_ratio(c))
 
     def __pow__(self, k: int) -> "Poly":
+        """self**k by square and multiply; DomainError before any product
+        when an exponent of the power would be above MAX_EXPONENT."""
         if k < 0:
             raise ValueError("negative polynomial power")
+        nvars = self.nvars
+        top = max([max(unpack(nvars, ex)) for ex in self.num], default=0)
+        if top * k > MAX_EXPONENT:
+            raise DomainError(f"power {k} has an exponent {top * k}, above the limit of {MAX_EXPONENT}")
         out = Poly.one(self.nvars)
         base = self
         while k:  # square and multiply
@@ -287,14 +354,17 @@ class Poly:
         return out
 
     def deriv(self, index: int) -> "Poly":
-        """Exact partial derivative with respect to coordinate `index`."""
-        if not 0 <= index < self.nvars:
-            raise DimensionError(f"derivative index {index} out of range for {self.nvars} variables")
+        """Exact partial derivative with respect to coordinate `index`, on
+        unpacked exponent tuples."""
+        nvars = self.nvars
+        if not 0 <= index < nvars:
+            raise DimensionError(f"derivative index {index} out of range for {nvars} variables")
         out = {}
         for ex, c in self.num.items():
+            ex = unpack(nvars, ex)
             e = ex[index]
             if e:
-                nex = ex[:index] + (e - 1,) + ex[index + 1 :]
+                nex = pack(nvars, ex[:index] + (e - 1,) + ex[index + 1 :])
                 s = out.get(nex, 0) + c * e
                 if s:
                     out[nex] = s
@@ -317,15 +387,16 @@ class Poly:
 
     def to_text(self) -> str:
         """Canonical text: monomials in descending lexicographic exponent
-        order, `**` for powers, `*` between factors, e.g. ``3/2*x1**2*y1``."""
+        order (descending key order), `**` for powers, `*` between factors,
+        e.g. ``3/2*x1**2*y1``."""
         if not self.num:
             return "0"
-        den = self.den
+        den, nvars = self.den, self.nvars
         pieces = []
         for ex in sorted(self.num, reverse=True):
             v = self.num[ex]
             factors = []
-            for i, e in enumerate(ex):
+            for i, e in enumerate(unpack(nvars, ex)):
                 if e == 1:
                     factors.append(var_name(self.nvars, i))
                 elif e > 1:

@@ -33,6 +33,13 @@ later call returns it, so identities such as gamma(d gamma w) = gamma(w)
 compute gamma(w) once.  The value lives exactly as long as w, and the
 rescaled gamma of `gamma_invariance_check` is always computed afresh.
 
+An element keeps its products: a certified `RuminElement` stores
+rho.form ^ sigma.form for each sigma it has been multiplied with, so m2,
+m3's gamma(a ^ b) entries and f2 of one pair share one product `Form`, and
+with it one kept gamma(a ^ b).  The products live exactly as long as the
+element (the seeded suites build their elements per trial) and enter
+neither == nor the hash.
+
 `pi(w) = w - d gamma(w) - gamma(dw)` projects onto the subcomplex R of forms
 that are primitive with primitive differential; gamma is the homotopy of the
 resulting deformation retract of the de Rham algebra.  The transferred
@@ -218,7 +225,9 @@ class RuminElement:
     answers an uncertified input with the value of a certified one.
     """
 
-    __slots__ = ("form", "certified")
+    # _products is left unset by __init__: `_product` creates it, as
+    # {sigma: self.form ^ sigma.form}, outside == and the hash
+    __slots__ = ("form", "certified", "_products")
 
     def __init__(self, form: Form, certified: bool = False):
         self.form = form
@@ -291,25 +300,36 @@ def m1(rho: RuminElement) -> RuminElement:
     return RuminElement(exterior_d(rho.form), certified=True)
 
 
+def _product(rho: RuminElement, sigma: RuminElement) -> Form:
+    """rho.form ^ sigma.form of two certified elements, kept on rho."""
+    try:
+        products = rho._products
+    except AttributeError:
+        products = rho._products = {}
+    out = products.get(sigma)
+    if out is None:
+        out = products[sigma] = wedge(rho.form, sigma.form)
+    return out
+
+
 def m2(rho: RuminElement, sigma: RuminElement) -> RuminElement:
     """Projected wedge pi(rho ^ sigma)."""
     _require_certified("m2", rho, sigma)
-    return pi(wedge(rho.form, sigma.form))
+    return pi(_product(rho, sigma))
 
 
-def _gamma_mu_entry():
-    """(gamma . wedge) as a tensor-word operator of arity 2, degree -1."""
-    return (lambda block: gamma(wedge(block[0], block[1])), 2, -1)
+# (gamma . wedge) as a tensor-word operator of arity 2, degree -1, on elements
+_GAMMA_MU_ENTRY = (lambda block: gamma(_product(*block)), 2, -1)
 
 
 def m3(rho: RuminElement, sigma: RuminElement, tau: RuminElement) -> RuminElement:
     """Ternary product pi . wedge . (gamma-wedge (x) 1  -  1 (x) gamma-wedge),
     with the interior Koszul sign supplied by the generic tensor engine."""
     _require_certified("m3", rho, sigma, tau)
-    block = (rho.form, sigma.form, tau.form)
-    s1, (u1, v1) = apply_tensor_ops([_gamma_mu_entry(), IDENTITY_ENTRY], block)
-    s2, (u2, v2) = apply_tensor_ops([IDENTITY_ENTRY, _gamma_mu_entry()], block)
-    total = wedge(u1, v1).scale(s1) - wedge(u2, v2).scale(s2)
+    block = (rho, sigma, tau)
+    s1, (u1, v1) = apply_tensor_ops([_GAMMA_MU_ENTRY, IDENTITY_ENTRY], block)
+    s2, (u2, v2) = apply_tensor_ops([IDENTITY_ENTRY, _GAMMA_MU_ENTRY], block)
+    total = wedge(u1, v1.form).scale(s1) - wedge(u2.form, v2).scale(s2)
     return pi(total)
 
 
@@ -332,7 +352,7 @@ def f2(rho: RuminElement, sigma: RuminElement) -> Form:
     """-gamma(rho ^ sigma); the correction making the inclusion a morphism
     up to homotopy."""
     _require_certified("f2", rho, sigma)
-    return gamma(wedge(rho.form, sigma.form)).scale(-1)
+    return gamma(_product(rho, sigma)).scale(-1)
 
 
 def fk_zero(k: int, elements) -> Form:

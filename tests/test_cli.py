@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ruminalg
-from ruminalg import __version__
+from ruminalg import __version__, cli
 from ruminalg.cli import main
 from ruminalg.finite import heisenberg_ce_algebra
 from ruminalg.suites import SUITES
@@ -69,6 +69,24 @@ def test_eval_power_over_term_budget_exit_1(capsys):
     code, out, err = run(capsys, "eval", "((1+x1)**3000)")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "more than 1001 terms" in err and "1000" in err
+
+
+@pytest.mark.parametrize(
+    "expr, code, message",
+    [
+        ("(x1**2147483647)", 0, None),  # the largest exponent a monomial may hold
+        ("(x1**2147483648)", 1, "power 2147483648"),  # refused before any product
+        ("(x1**2147483647*x1)", 1, "exponent above the limit of 2147483647"),  # by the product
+        ("d((z*y1**2147483647))", 1, "d: an exponent above"),  # by the y1 d/dz part of X_1
+    ],
+)
+def test_eval_exponent_budget(capsys, expr, code, message):
+    got, out, err = run(capsys, "eval", expr)
+    assert got == code
+    if message is None:
+        assert out == f"{expr}\n" and err == ""
+    else:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("power", ["2000", "9" * 100])
@@ -156,6 +174,25 @@ def test_verify_unknown_suite_exit_2(capsys):
 def test_verify_missing_suite_exit_2(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2 and "suite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify"], "error: no suite given (positional or --suite)\n"),
+        (["cohomology"], "error: give exactly one of PATH or --builtin\n"),
+        (["cohomology", "x.alg", "--builtin", "ce"], "error: give exactly one of PATH or --builtin\n"),
+    ],
+)
+def test_usage_errors_reach_main(capsys, argv, message):
+    # The handler raises and prints nothing; main alone prints the one line
+    # and picks exit 2.
+    handler = {"verify": cli.cmd_verify, "cohomology": cli.cmd_cohomology}[argv[0]]
+    with pytest.raises(cli.UsageError):
+        handler(cli.build_parser().parse_args(argv))
+    assert capsys.readouterr().err == ""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == message
 
 
 @pytest.mark.parametrize(

@@ -204,6 +204,42 @@ def test_associativity_check_skips_zero_products(monkeypatch):
     assert algebra.dim(1) == 120
     assert calls <= 3 * 120**2
 
+
+
+def test_pair_checks_skip_pairs_with_nothing_to_check(monkeypatch):
+    # 300 generators with no differential and no products: no pair has a
+    # product or a differential to compare, so the build makes no product at
+    # all (3 * 300**2 when the table and each pair's Leibniz sides were
+    # multiplied out).
+    calls = 0
+    mu_vec = FiniteGradedAlgebra.mu_vec
+
+    def counted(self, u, v):
+        nonlocal calls
+        calls += 1
+        return mu_vec(self, u, v)
+
+    monkeypatch.setattr(FiniteGradedAlgebra, "mu_vec", counted)
+    algebra = FiniteGradedAlgebra.loads("".join(f"basis u{i} 1\n" for i in range(300)))
+    assert algebra.dim(1) == 300 and calls == 0
+
+
+@pytest.mark.parametrize(
+    "basis, d, mu, witness",
+    [
+        # the pairs of the idle generator p come first and are skipped
+        ({1: ["p", "b", "c"], 2: ["bc"]}, {}, {("b", "c"): {"bc": 1}, ("c", "b"): {"bc": 1}},
+         r"not graded commutative on \(b, c\)"),
+        ({0: ["p", "one"], 1: ["a"]}, {"one": {"a": 1}},
+         {("one", "one"): {"one": 1}, ("one", "a"): {"a": 1}, ("a", "one"): {"a": 1}},
+         r"Leibniz rule fails on \(one, one\)"),
+    ],
+)
+def test_pair_checks_keep_the_first_witness(basis, d, mu, witness):
+    with pytest.raises(ConstructionError, match=witness):
+        FiniteGradedAlgebra(basis, d, mu)
+
+
 def test_duplicate_label_rejected():
     with pytest.raises(ConstructionError):
         FiniteGradedAlgebra({0: ["x"], 1: ["x"]}, {}, {})

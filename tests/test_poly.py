@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruminalg.errors import DimensionError
-from ruminalg.poly import Poly, add_into, mul_into, over_lcm
+from ruminalg.errors import DimensionError, DomainError
+from ruminalg.poly import MAX_EXPONENT, Poly, add_into, mul_into, over_lcm, pack, unpack
 
 X1, Y1, Z = (Poly.variable(3, i) for i in range(3))
 
@@ -198,32 +198,117 @@ def test_constant_value_is_a_fraction():
         assert type(got) is Fraction and got == value
 
 
+def _k(*ex):
+    """The packed key of an exponent tuple in 3 coordinates."""
+    return pack(3, ex)
+
+
 def test_add_into_copies_and_ignores_zero_multiples():
-    terms = {(1, 0, 0): 2, (0, 0, 1): -3}
+    terms = {_k(1, 0, 0): 2, _k(0, 0, 1): -3}
     acc = {}
     add_into(acc, terms, 1)
     assert acc == terms and acc is not terms
-    acc[(1, 0, 0)] = 7  # the accumulator owns its entries
-    assert terms == {(1, 0, 0): 2, (0, 0, 1): -3}
-    add_into(acc, {(0, 1, 0): 5, (1, 0, 0): 1}, 0)  # c = 0 neither adds nor drops
-    assert acc == {(1, 0, 0): 7, (0, 0, 1): -3}
-    add_into(acc, {(0, 0, 1): 1, (0, 1, 0): 4}, 3)  # -3 + 3 cancels and is dropped
-    assert acc == {(1, 0, 0): 7, (0, 1, 0): 12}
+    acc[_k(1, 0, 0)] = 7  # the accumulator owns its entries
+    assert terms == {_k(1, 0, 0): 2, _k(0, 0, 1): -3}
+    add_into(acc, {_k(0, 1, 0): 5, _k(1, 0, 0): 1}, 0)  # c = 0 neither adds nor drops
+    assert acc == {_k(1, 0, 0): 7, _k(0, 0, 1): -3}
+    add_into(acc, {_k(0, 0, 1): 1, _k(0, 1, 0): 4}, 3)  # -3 + 3 cancels and is dropped
+    assert acc == {_k(1, 0, 0): 7, _k(0, 1, 0): 12}
     fresh = {}
     add_into(fresh, terms, -2)
-    assert fresh == {(1, 0, 0): -4, (0, 0, 1): 6}
+    assert fresh == {_k(1, 0, 0): -4, _k(0, 0, 1): 6}
 
 
 def test_mul_into_accumulates_signed_products():
-    x_plus_1, x_minus_1 = {(1, 0, 0): 1, (0, 0, 0): 1}, {(1, 0, 0): 1, (0, 0, 0): -1}
-    acc = {(2, 0, 0): 2, (0, 1, 0): 5}
+    x_plus_1, x_minus_1 = {_k(1, 0, 0): 1, _k(0, 0, 0): 1}, {_k(1, 0, 0): 1, _k(0, 0, 0): -1}
+    acc = {_k(2, 0, 0): 2, _k(0, 1, 0): 5}
     mul_into(acc, x_plus_1, x_minus_1, -2)  # -2 (x^2 - 1) cancels the x^2 entry
-    assert acc == {(0, 1, 0): 5, (0, 0, 0): 2}
+    assert acc == {_k(0, 1, 0): 5, _k(0, 0, 0): 2}
     mul_into(acc, x_plus_1, x_minus_1, 0)
-    assert acc == {(0, 1, 0): 5, (0, 0, 0): 2}
+    assert acc == {_k(0, 1, 0): 5, _k(0, 0, 0): 2}
 
 
 def test_over_lcm():
     assert over_lcm([Fraction(1, 2), 3, Fraction(-2, 3), Fraction(4)]) == ([3, 18, -4, 24], 6)
     assert over_lcm([2, -5]) == ([2, -5], 1)
     assert over_lcm([]) == ([], 1)
+
+
+# -- packed exponents -----------------------------------------------------------
+
+# small entries give equal prefixes, large ones reach the top of a field, and
+# two from the upper half add up past it
+field_values = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT), st.integers(2**30, MAX_EXPONENT))
+
+
+@st.composite
+def exponent_pairs(draw):
+    nvars = draw(st.integers(1, 7))
+    vectors = st.tuples(*(field_values for _ in range(nvars)))
+    return nvars, draw(vectors), draw(vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_pairs())
+def test_pack_round_trips_and_int_order_is_lexicographic(case):
+    nvars, a, b = case
+    ka, kb = pack(nvars, a), pack(nvars, b)
+    assert unpack(nvars, ka) == a and unpack(nvars, kb) == b
+    assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+
+
+@st.composite
+def packed_kernel_cases(draw):
+    nvars = draw(st.integers(1, 5))
+    tuples = st.tuples(*(field_values for _ in range(nvars)))
+    dicts = st.dictionaries(tuples, st.integers(-9, 9).filter(bool), max_size=4)
+    return nvars, draw(dicts), draw(dicts), draw(dicts), draw(st.integers(-3, 3))
+
+
+def _packed(nvars, d):
+    return {pack(nvars, ex): v for ex, v in d.items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(packed_kernel_cases())
+def test_packed_kernels_match_a_tuple_keyed_reference(case):
+    nvars, acc, a, b, c = case
+    want = dict(acc)
+    for ex, v in b.items():
+        want[ex] = want.get(ex, 0) + c * v
+    got = _packed(nvars, acc)
+    add_into(got, _packed(nvars, b), c)
+    assert {unpack(nvars, k): v for k, v in got.items()} == {ex: v for ex, v in want.items() if v}
+
+    want = dict(acc)
+    products = [(tuple(x + y for x, y in zip(ea, eb)), ca * cb) for ea, ca in a.items() for eb, cb in b.items()]
+    got = _packed(nvars, acc)
+    if c and any(max(ex) > MAX_EXPONENT for ex, _ in products):
+        with pytest.raises(DomainError):
+            mul_into(got, _packed(nvars, a), _packed(nvars, b), c)
+        assert got == _packed(nvars, acc)  # refused before acc changes
+        return
+    for ex, v in products:
+        want[ex] = want.get(ex, 0) + c * v
+    mul_into(got, _packed(nvars, a), _packed(nvars, b), c)
+    assert {unpack(nvars, k): v for k, v in got.items()} == {ex: v for ex, v in want.items() if v}
+
+
+def test_exponent_budget():
+    x = Poly.variable(3, 0)
+    top = x**MAX_EXPONENT
+    assert list(top.terms) == [(MAX_EXPONENT, 0, 0)]
+    with pytest.raises(DomainError):
+        top * x
+    with pytest.raises(DomainError):
+        x ** (MAX_EXPONENT + 1)
+    with pytest.raises(DomainError):
+        Poly(3, {(0, MAX_EXPONENT + 1, 0): 1})
+    for bad in ((0, -1, 0), (1, 0), (1, 0, 0, 0)):
+        with pytest.raises(DimensionError):
+            Poly(3, {bad: 1})
+    half = Poly(3, {(0, 2**30, 0): 1, (0, 2**30 - 1, 5): 1})
+    assert (half * Poly(3, {(0, 2**30 - 1, 0): 1})).terms == {
+        (0, MAX_EXPONENT, 0): 1, (0, 2**31 - 2, 5): 1}
+    with pytest.raises(DomainError):
+        half * half

@@ -527,3 +527,63 @@ def test_rumin_element_algebra():
     assert s.certified and s.degree == 1
     assert s.scale(Fraction(1, 2)) + s.scale(Fraction(1, 2)) == s
     assert a.zero_of_degree(2).is_zero()
+
+
+# -- products kept on elements ------------------------------------------------------
+
+
+def _fresh(rho):
+    """An element equal to rho, on a new Form: no kept product, no kept gamma."""
+    return RuminElement(Form(rho.model, rho.degree, dict(rho.form.terms), _canonical=True), certified=True)
+
+
+@pytest.mark.parametrize("n, seed, degrees", [(1, 1, (1, 1, 1)), (2, 3, (2, 1, 1)), (3, 0, (1, 2, 2))])
+def test_kept_products_match_fresh_computations(n, seed, degrees):
+    # seeds whose m2, m3 and f2 below are all nonzero
+    model = ContactModel(n)
+    rng = stream(seed, n)
+    a, b, c = (pi(random_form(model, rng, degree, 2)) for degree in degrees)
+
+    def values(a, b, c):
+        return [m2(a, b), m3(a, b, c), f2(a, b), m3(b, c, a), f2(b, c), m2(b, c), m3(a, b, c)]
+
+    warm = values(a, b, c)
+    assert not any(v.is_zero() for v in warm)
+    assert values(a, b, c) == warm  # the kept products answer
+    assert values(*map(_fresh, (a, b, c))) == warm
+
+
+def test_a_repeated_pair_reuses_its_kept_product(monkeypatch):
+    wedges, gammas = [], []
+    right_wedge, right_gamma = rumin.wedge, rumin._gamma
+
+    def counted_wedge(x, y):
+        wedges.append((x, y))
+        return right_wedge(x, y)
+
+    def counted_gamma(w, lam):
+        gammas.append(w)
+        return right_gamma(w, lam)
+
+    monkeypatch.setattr(rumin, "wedge", counted_wedge)
+    monkeypatch.setattr(rumin, "_gamma", counted_gamma)
+    a, b, c = certify(_dx(M1)), certify(_dy(M1)), certify(_dx(M1))
+    m3(a, b, c)
+    assert len(wedges) == 4  # a^b, b^c, and the two outer wedges of m3
+    m3(a, b, c)
+    assert len(wedges) == 6  # the outer wedges only
+    f2(a, b), f2(b, c), m2(a, b), m2(b, c)
+    assert len(wedges) == 6
+    ab = wedge(a.form, b.form)
+    assert sum(1 for w in gammas if w == ab) == 1  # gamma(a^b) once, kept on the shared product
+
+
+def test_kept_products_leave_certificates_equality_and_hash_alone():
+    a, b, c = certify(_dx(M1)), certify(_dy(M1)), certify(_dx(M1))
+    m2(a, b), m3(a, b, c), f2(a, b)
+    assert a == _fresh(a) and hash(a) == hash(_fresh(a))
+    raw = RuminElement(a.form)
+    for call in (lambda: m2(raw, b), lambda: m2(b, raw), lambda: m3(raw, b, c),
+                 lambda: m3(a, b, raw), lambda: f2(raw, b)):
+        with pytest.raises(DomainError):
+            call()
