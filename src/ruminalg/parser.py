@@ -21,17 +21,23 @@ the last normalized through dz = theta + sum y_i dx_i as it is read.
 RATIONAL is INT or INT/INT.  Operator calls: d(.), gamma(.), pi(.),
 L(., power), m2(.;.), m3(.;.;.), f2(.;.) -- the certified-input operators
 check Rumin membership of their arguments and fail with context otherwise.
-A power that could exceed MAX_POWER_TERMS terms is refused with
-DomainError before it is computed, and parentheses and operator calls nested
-more than MAX_NESTING deep are a ParseError at the opening token, so no input
-can exhaust the interpreter's stack.
+A power that could exceed MAX_POWER_TERMS terms, or whose coefficients
+could pass `poly.MAX_POWER_BITS` bits, is refused with DomainError before
+it is computed, and parentheses and operator calls nested more than
+MAX_NESTING deep are a ParseError at the opening token, so no input can
+exhaust the interpreter's stack.
 
-The text is split into tokens first, so a character outside the language is
-a ParseError before anything is evaluated.  Then the input is read and
-evaluated in one pass, with no syntax tree: each generator, wedge, sum and
-operator call is computed as soon as it has been read.  So the first error
-met decides the exception: in ``m2(theta; theta) )`` the DomainError of m2
-comes before the ParseError of the stray ``)``.
+One regular expression splits the text into tokens (kind, text, offset)
+first, so a character outside the language is a ParseError before anything
+is evaluated.  Then the input is read and evaluated in one pass, with no
+syntax tree, so the first error met decides the exception: in
+``m2(theta; theta) )`` the DomainError of m2 comes before the ParseError of
+the stray ``)``.  Literals skip `Poly` and `Form` arithmetic: a product of
+monomials adds packed exponents, with `poly.mul_into`'s guard-bit check, a
+polyexpr sums its terms into one numerator map, and a run of plain
+generators is one sorted coframe index and the sign of its permutation.
+Only parenthesized factors and powers other than a coordinate's go through
+`Poly`, and only dz and operator calls through `wedge`.
 
 Canonical output (`Form.to_text`) reparses to an equal form, and reprints
 byte-identically.
@@ -40,12 +46,14 @@ byte-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+import re
+from bisect import bisect_left
+from functools import reduce
+from itertools import groupby
 
 from .errors import DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, lefschetz, wedge
-from .poly import Poly
+from .poly import FIELD, MAX_EXPONENT, Poly, add_into, exponent_error, layout, mul_into, wrap
 from .rumin import certify, f2, gamma, m2, m3, pi
 
 
@@ -64,72 +72,45 @@ class ParseError(ValueError):
         self.col = col
 
 
+def position(text: str, offset: int) -> tuple:
+    """(line, column) of `offset` in `text`, both from 1: only '\\n' ends a
+    line, and every other character takes one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 # -- tokens -------------------------------------------------------------------
 
-_SYMBOLS = ("**", "+", "-", "*", "^", "(", ")", ";", ",", "/")
+# Blanks (\s is str.isspace), then a word (\w is str.isalnum or '_'), a
+# symbol, any other character or the end, which is an alternative so that
+# trailing blanks are one match, never rescanned.
+_TOKEN = re.compile(r"\s*(?:(\w+)|(\*\*|[-+*^();,/])|(\S)|\Z)")
 
 
-@dataclass
-class Token:
-    kind: str  # NAME, INT, SYM, EOF
-    text: str
-    line: int
-    col: int
-
-
-def _int(tok: Token, digits: str | None = None) -> int:
-    """The value of the token's digits, or of `digits` cut from its text.
-    What `int` refuses, such as more digits than Python converts, is a
-    ParseError at the token."""
-    digits = tok.text if digits is None else digits
-    try:
-        return int(digits)
-    except ValueError:
-        shown = digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
-        raise ParseError(f"cannot read number {shown}", tok.line, tok.col) from None
-
-
-def tokenize(text: str):
+def tokenize(text: str) -> list:
+    """The tokens (kind, text, offset) of `text`, kind NAME, INT, SYM or EOF,
+    the last one EOF.  A word that starts with a letter (str.isalpha) is a
+    NAME; otherwise its leading digits (str.isdigit) are an INT, and the rest
+    of it, if any, must start with a letter."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("SYM", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == 1:
+            word, at = m[1], m.start(1)
+            j = (0 if word[0].isalpha() else len(word) if word.isdigit()
+                 else next(j for j, ch in enumerate(word) if not ch.isdigit()))
+            if j:
+                tokens.append(("INT", word[:j], at))
+            if j < len(word):
+                if not word[j].isalpha():
+                    raise ParseError(f"unexpected character {word[j]!r}", *position(text, at + j))
+                tokens.append(("NAME", word[j:], at + j))
+        elif kind == 2:
+            tokens.append(("SYM", m[2], m.start(2)))
+        elif kind == 3:
+            raise ParseError(f"unexpected character {m[3]!r}", *position(text, m.start(3)))
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+            tokens.append(("EOF", "", len(text)))
+            return tokens
 
 
 # -- one-pass parser and evaluator ---------------------------------------------
@@ -150,206 +131,288 @@ _OPERATORS = {
 
 class Parser:
     """Recursive descent over the tokens of one text.  Every `parse_*`
-    method returns the value it has read, a `Form` or a coefficient `Poly`,
-    so the input is evaluated as it is read."""
+    method returns the value it has read, so the input is evaluated as it is
+    read: a `Form`, a coefficient `Poly`, or for a polyterm and a polyfactor
+    a numerator map and its denominator."""
 
     def __init__(self, text: str, model: ContactModel):
+        self.text = text
         self.tokens = tokenize(text)
         self.model = model
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, tok: tuple) -> ParseError:
+        return ParseError(message, *position(self.text, tok[2]))
 
-    def advance(self) -> Token:
+    def expect(self, kind: str, text: str | None = None) -> tuple:
         tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            raise self.unexpected(tok, repr(text or kind))
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise self.unexpected(tok, repr(text or kind))
-        return self.advance()
-
-    def unexpected(self, tok: Token, want: str) -> ParseError:
-        return ParseError(f"expected {want}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+    def unexpected(self, tok: tuple, want: str) -> ParseError:
+        return self.error(f"expected {want}, found {tok[1] or 'end of input'!r}", tok)
 
     def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text == text
+        # no NAME, INT or EOF token has a symbol's text
+        return self.tokens[self.pos][1] == text
 
-    def open_group(self, tok: Token) -> None:
+    def int_value(self, tok: tuple, digits: str | None = None) -> int:
+        """The value of the token's digits, or of `digits` cut from its text.
+        What `int` refuses, such as more digits than Python converts, is a
+        ParseError at the token."""
+        digits = tok[1] if digits is None else digits
+        try:
+            return int(digits)
+        except ValueError:
+            shown = digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
+            raise self.error(f"cannot read number {shown}", tok) from None
+
+    def open_group(self, tok: tuple) -> None:
         """Enter one level of nesting at `tok`; `close_group` leaves it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
 
     def close_group(self) -> None:
         self.expect("SYM", ")")
         self.depth -= 1
 
     def parenthesized(self, parse_inner):
-        self.open_group(self.advance())
+        self.open_group(self.tokens[self.pos])
+        self.pos += 1
         value = parse_inner()
         self.close_group()
         return value
 
-    def signed_sum(self, parse_term):
-        """['-'] term (('+' | '-') term)*, each term read by `parse_term` and
-        added as soon as it is read."""
+    def signed_terms(self, parse_term):
+        """['-'] term (('+' | '-') term)*: yields parse_term(sign), sign +1
+        or -1, for each term as it is read."""
         sign = 1
         if self.at_sym("-"):
-            self.advance()
+            self.pos += 1
             sign = -1
-        total = parse_term().scale(sign)
-        while self.at_sym("+") or self.at_sym("-"):
-            sign = 1 if self.advance().text == "+" else -1
-            term = parse_term().scale(sign)
+        while True:
+            yield parse_term(sign)
+            text = self.tokens[self.pos][1]
+            if text != "+" and text != "-":
+                return
+            self.pos += 1
+            sign = 1 if text == "+" else -1
+
+    # -- form grammar ---------------------------------------------------------
+
+    def parse(self) -> Form:
+        form = self.parse_sum()
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
+            raise self.error(f"unexpected {tok[1]!r}", tok)
+        return form
+
+    def parse_sum(self) -> Form:
+        """A sum of forms, each term added as soon as it is read."""
+        terms = self.signed_terms(self.parse_term)
+        total = next(terms)
+        for term in terms:
             try:
                 total = total + term
             except DimensionError as exc:
                 raise DomainError(f"degree mixing in sum: {exc}") from exc
         return total
 
-    # -- form grammar ---------------------------------------------------------
-
-    def parse(self) -> Form:
-        form = self.parse_sum()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-        return form
-
-    def parse_sum(self) -> Form:
-        return self.signed_sum(self.parse_term)
-
-    def parse_term(self) -> Form:
-        if self.peek().kind == "INT":
-            coeff = self.parse_rational()
-        elif self.at_sym("("):
+    def parse_term(self, sign: int) -> Form:
+        tok = self.tokens[self.pos]
+        if tok[0] == "INT":
+            n, d = self.parse_rational()
+            coeff = wrap(self.model.nvars, {0: sign * n} if n else {}, d)
+        elif tok[1] == "(":
             coeff = self.parenthesized(self.parse_polyexpr)
+            coeff = -coeff if sign < 0 else coeff
         else:
-            return self.parse_chain()
-        if self.peek().kind == "NAME":
-            return self.parse_chain().scale_poly(coeff)
+            return self.parse_chain(sign)
+        if self.tokens[self.pos][0] == "NAME":
+            return self.parse_chain(1, coeff)
         return Form.constant(self.model, coeff)
 
-    def parse_rational(self) -> Poly:
-        tok = self.expect("INT")
-        value = Fraction(_int(tok))
-        if self.at_sym("/"):
-            self.advance()
-            den = self.expect("INT")
-            den_value = _int(den)
-            if den_value == 0:
-                raise ParseError("zero denominator", den.line, den.col)
-            value /= den_value
-        return Poly.constant(self.model.nvars, value)
+    def parse_rational(self) -> tuple:
+        """RATIONAL as (numerator, denominator) in lowest terms."""
+        n = self.int_value(self.expect("INT"))
+        if not self.at_sym("/"):
+            return n, 1
+        self.pos += 1
+        den = self.expect("INT")
+        d = self.int_value(den)
+        if d == 0:
+            raise self.error("zero denominator", den)
+        g = math.gcd(n, d)
+        return n // g, d // g
 
-    def parse_chain(self) -> Form:
-        out = self.parse_atom()
+    def parse_chain(self, sign: int, coeff: Poly | None = None) -> Form:
+        """A chain times sign and coeff (None for 1): the runs of plain
+        generators (`run_form`), dz and calls wedged in the order read."""
+        atoms = [self.parse_atom()]
         while self.at_sym("^"):
-            self.advance()
-            out = wedge(out, self.parse_atom())
-        return out
+            self.pos += 1
+            atoms.append(self.parse_atom())
+        if all(type(atom) is int for atom in atoms):
+            return self.run_form(atoms, sign, coeff)
+        factors = []
+        for plain, group in groupby(atoms, lambda atom: type(atom) is int):
+            factors += [self.run_form(list(group), 1, None)] if plain else group
+        out = reduce(wedge, factors)
+        return out.scale(sign) if coeff is None else out.scale_poly(coeff)
 
-    def parse_atom(self) -> Form:
-        tok = self.peek()
-        if tok.kind != "NAME":
+    def run_form(self, run: list, s: int, coeff: Poly | None) -> Form:
+        """s * coeff (None for 1) times the plain generators `run` wedged in
+        order: one sorted coframe index and the sign of its permutation, or a
+        zero of degree len(run) when a generator repeats."""
+        idx = []
+        for i in run:
+            p = bisect_left(idx, i)
+            if p < len(idx) and idx[p] == i:
+                s = 0
+            if (len(idx) - p) & 1:
+                s = -s
+            idx.insert(p, i)
+        if coeff is None:
+            coeff = wrap(self.model.nvars, {0: s} if s else {}, 1)
+        elif s != 1:
+            coeff = coeff.scale(s)
+        return Form(self.model, len(run), {tuple(idx): coeff} if coeff.num else {}, _canonical=True)
+
+    def parse_atom(self):
+        """A plain generator's coframe index, or the Form of dz or a call."""
+        tok = self.tokens[self.pos]
+        if tok[0] != "NAME":
             raise self.unexpected(tok, "a generator or operator call")
-        name = self.advance().text
+        self.pos += 1
+        name = tok[1]
         if name in _OPERATORS and self.at_sym("("):
             return self.parse_call(name, tok)
         return self.resolve_generator(name, tok)
 
-    def parse_call(self, name: str, tok: Token) -> Form:
+    def parse_call(self, name: str, tok: tuple) -> Form:
         arity, apply = _OPERATORS[name]
         self.open_group(self.expect("SYM", "("))
         args = [self.parse_sum()]
         while self.at_sym(";"):
-            self.advance()
+            self.pos += 1
             args.append(self.parse_sum())
         power = None
         if name == "L":
             self.expect("SYM", ",")
-            power = _int(self.expect("INT"))
+            power = self.int_value(self.expect("INT"))
         if len(args) != arity:
-            raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}", tok.line, tok.col)
+            raise self.error(f"{name} takes {arity} argument(s), got {len(args)}", tok)
         self.close_group()
         try:
             return apply(args, power)
         except DomainError as exc:
             raise DomainError(f"{name}: {exc}") from exc
 
-    def resolve_generator(self, name: str, tok: Token) -> Form:
+    def resolve_generator(self, name: str, tok: tuple):
         model, n = self.model, self.model.n
         if name == "theta":
-            return model.generator(0)
+            return 0
         if name == "dz":  # theta + sum_i y_i dx_i in the adapted coframe
             terms = {(0,): Poly.one(model.nvars)}
             for i in range(1, n + 1):
                 terms[(i,)] = Poly.variable(model.nvars, n + i - 1)
             return Form(model, 1, terms, _canonical=True)
         if name[:2] in ("dx", "dy") and name[2:].isdigit():
-            i = _int(tok, name[2:])
+            i = self.int_value(tok, name[2:])
             if 1 <= i <= n:
-                return model.generator(i if name[1] == "x" else n + i)
-        raise ParseError(f"unknown generator {name!r} for n={n}", tok.line, tok.col)
+                return i if name[1] == "x" else n + i
+        raise self.error(f"unknown generator {name!r} for n={n}", tok)
 
     # -- polynomial grammar -----------------------------------------------------
 
     def parse_polyexpr(self) -> Poly:
-        return self.signed_sum(self.parse_polyterm)
+        """The terms summed into one numerator map over their lcm, wrapped once."""
+        terms = list(self.signed_terms(self.parse_polyterm))
+        num, den = {}, math.lcm(*[d for _, d in terms])
+        for term, d in terms:
+            add_into(num, term, den // d)
+        return wrap(self.model.nvars, num, den)
 
-    def parse_polyterm(self) -> Poly:
-        value = self.parse_polyfactor()
-        while self.at_sym("*") and not self.at_sym("**"):
-            self.advance()
-            value = value * self.parse_polyfactor()
-        return value
+    def parse_polyterm(self, sign: int) -> tuple:
+        """sign times the product of the factors, multiplied left to right
+        as `mul_into` would: the product of two monomials adds their packed
+        exponents, and one past MAX_EXPONENT is a DomainError."""
+        num, den = {0: sign}, 1
+        guard = layout(self.model.nvars)[1]
+        while True:
+            factor, d = self.parse_polyfactor()
+            if len(num) == 1 == len(factor):
+                ((key, v),) = num.items()
+                ((fkey, fv),) = factor.items()
+                key += fkey
+                if key & guard:
+                    raise exponent_error()
+                num = {key: v * fv}
+            else:
+                product, num = num, {}
+                mul_into(num, product, factor, 1)
+            den *= d
+            if not self.at_sym("*"):
+                return num, den
+            self.pos += 1
 
-    def parse_polyfactor(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "INT":
-            base = self.parse_rational()
-        elif self.at_sym("("):
+    def parse_polyfactor(self) -> tuple:
+        """(numerator map, denominator) of a factor.  A coordinate's power is
+        one packed exponent; any other power is a `Poly` power, refused before
+        any product when it could have more than MAX_POWER_TERMS terms."""
+        tok = self.tokens[self.pos]
+        if tok[0] == "NAME":
+            self.pos += 1
+            key = self.resolve_coordinate(tok)
+            num, den = {key: 1}, 1
+        elif tok[0] == "INT":
+            n, d = self.parse_rational()
+            num, den = ({0: n} if n else {}), d
+        elif tok[1] == "(":
             base = self.parenthesized(self.parse_polyexpr)
-        elif tok.kind == "NAME":
-            base = self.resolve_coordinate(self.advance())
+            num, den = base.num, base.den
         else:
             raise self.unexpected(tok, "a coordinate, number or '('")
-        if self.at_sym("**"):
-            self.advance()
-            k = _int(self.expect("INT"))
-            m = len(base.num)
-            if m > 1:
-                # p**k has at most comb(k + m - 1, m - 1) terms, the monomials
-                # of degree k in m letters.  The count grows with k, so it is
-                # formed at k <= MAX_POWER_TERMS: cheap, and still over the
-                # limit whenever the count at k is.
-                capped = min(k, MAX_POWER_TERMS)
-                estimate = math.comb(capped + m - 1, m - 1)
-                if estimate > MAX_POWER_TERMS:
-                    more = "more than " if capped < k else ""
-                    raise DomainError(
-                        f"power {k} of a {m}-term polynomial may have {more}{estimate} terms, "
-                        f"above the limit of {MAX_POWER_TERMS}"
-                    )
-            base = base ** k
-        return base
+        if not self.at_sym("**"):
+            return num, den
+        self.pos += 1
+        k = self.int_value(self.expect("INT"))
+        if tok[0] == "NAME":
+            if k > MAX_EXPONENT:
+                raise DomainError(f"power {k} has an exponent {k}, above the limit of {MAX_EXPONENT}")
+            return {key * k: 1}, 1
+        m = len(num)
+        if m > 1:
+            # p**k has at most comb(k + m - 1, m - 1) terms, the monomials
+            # of degree k in m letters.  The count grows with k, so it is
+            # formed at k <= MAX_POWER_TERMS: cheap, and still over the
+            # limit whenever the count at k is.
+            capped = min(k, MAX_POWER_TERMS)
+            estimate = math.comb(capped + m - 1, m - 1)
+            if estimate > MAX_POWER_TERMS:
+                more = "more than " if capped < k else ""
+                raise DomainError(
+                    f"power {k} of a {m}-term polynomial may have {more}{estimate} terms, "
+                    f"above the limit of {MAX_POWER_TERMS}"
+                )
+        power = wrap(self.model.nvars, num, den) ** k
+        return power.num, power.den
 
-    def resolve_coordinate(self, tok: Token) -> Poly:
-        n = self.model.n
-        name = tok.text
+    def resolve_coordinate(self, tok: tuple) -> int:
+        """The packed exponent of the coordinate named by `tok`."""
+        n, nvars = self.model.n, self.model.nvars
+        name = tok[1]
         if name == "z":
-            return Poly.variable(self.model.nvars, 2 * n)
+            return 1
         if name[:1] in ("x", "y") and name[1:].isdigit():
-            i = _int(tok, name[1:])
+            i = self.int_value(tok, name[1:])
             if 1 <= i <= n:
-                return Poly.variable(self.model.nvars, i - 1 if name[0] == "x" else n + i - 1)
-        raise ParseError(f"unknown coordinate {name!r} for n={n}", tok.line, tok.col)
+                return 1 << FIELD * (nvars - 1 - (i - 1 if name[0] == "x" else n + i - 1))
+        raise self.error(f"unknown coordinate {name!r} for n={n}", tok)
 
 
 def eval_text(text: str, model: ContactModel) -> Form:

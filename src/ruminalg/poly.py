@@ -31,6 +31,8 @@ carries from one field into the next.  A sum that sets a guard bit has an
 exponent of 2**31 or more: `mul_into` refuses such a product with
 DomainError, and so do the y_i d/dz move of `forms.exterior_d`, `Poly(...)`
 and `Poly.__pow__` for an exponent they would make or are given.
+`Poly.__pow__` also refuses, before any product, a power whose
+coefficients could have more than MAX_POWER_BITS bits.
 
 This module holds the integer arithmetic of the whole package, on numerator
 maps {packed exponent: int}: `add_into` (acc += c * terms) and `mul_into`
@@ -65,6 +67,9 @@ _new = object.__new__
 FIELD = 32  # bits per coordinate in a packed exponent
 FIELD_MASK = (1 << FIELD) - 1
 MAX_EXPONENT = (1 << (FIELD - 1)) - 1  # the largest exponent a field may hold
+# The most bits a coefficient of a power may have, estimated before powering:
+# far above the 4,300 digits (about 14,300 bits) a coefficient may print with.
+MAX_POWER_BITS = 100_000
 
 
 @cache
@@ -335,14 +340,26 @@ class Poly:
         return self._linear(other, *_ratio(c))
 
     def __pow__(self, k: int) -> "Poly":
-        """self**k by square and multiply; DomainError before any product
-        when an exponent of the power would be above MAX_EXPONENT."""
+        """self**k by square and multiply.  DomainError before any product
+        when an exponent of the power would be above MAX_EXPONENT, or when a
+        coefficient could have more than MAX_POWER_BITS bits: a numerator of
+        the power is at most (m*c)**k for m terms and largest numerator c,
+        and its denominator divides den**k, so k times the larger of
+        ceil(log2 c) + ceil(log2 m) and ceil(log2 den) bounds its bits.  A
+        coefficient of 1 or -1 costs none."""
         if k < 0:
             raise ValueError("negative polynomial power")
         nvars = self.nvars
         top = max([max(unpack(nvars, ex)) for ex in self.num], default=0)
         if top * k > MAX_EXPONENT:
             raise DomainError(f"power {k} has an exponent {top * k}, above the limit of {MAX_EXPONENT}")
+        if self.num:
+            c = max(map(abs, self.num.values()))
+            size = max((c - 1).bit_length() + (len(self.num) - 1).bit_length(), (self.den - 1).bit_length())
+            if k * size > MAX_POWER_BITS:
+                raise DomainError(
+                    f"power {k} may have a coefficient of {k * size} bits, above the limit of {MAX_POWER_BITS}"
+                )
         out = Poly.one(self.nvars)
         base = self
         while k:  # square and multiply
@@ -388,7 +405,9 @@ class Poly:
     def to_text(self) -> str:
         """Canonical text: monomials in descending lexicographic exponent
         order (descending key order), `**` for powers, `*` between factors,
-        e.g. ``3/2*x1**2*y1``."""
+        e.g. ``3/2*x1**2*y1``.  A key's nonzero fields are read from its
+        most significant set bit down, so a monomial costs its number of
+        coordinates, not nvars."""
         if not self.num:
             return "0"
         den, nvars = self.den, self.nvars
@@ -396,11 +415,12 @@ class Poly:
         for ex in sorted(self.num, reverse=True):
             v = self.num[ex]
             factors = []
-            for i, e in enumerate(unpack(nvars, ex)):
-                if e == 1:
-                    factors.append(var_name(self.nvars, i))
-                elif e > 1:
-                    factors.append(f"{var_name(self.nvars, i)}**{e}")
+            while ex:
+                field = (ex.bit_length() - 1) // FIELD
+                e = ex >> FIELD * field  # the top nonzero field: nothing above it
+                ex ^= e << FIELD * field
+                name = var_name(nvars, nvars - 1 - field)
+                factors.append(name if e == 1 else f"{name}**{e}")
             if not factors:
                 body = coefficient_text(abs(v), den)
             elif abs(v) == den:

@@ -89,6 +89,30 @@ def test_eval_exponent_budget(capsys, expr, code, message):
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "expr", ["(2**99999999999)", "((2*x1)**2000000000)", "(2**300000000)", "((1/3)**99999999999) theta"]
+)
+def test_eval_power_over_coefficient_budget_exit_1(capsys, expr):
+    # refused before powering, where it once ran out of memory or time
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "bits, above the limit of" in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "expr, n, seconds",
+    [("dz", 1000, 5), ("d(dz)", 1000, 5), ("gamma(dx1^dy1)", 1000, 5), ("dz", 3000, 1)],
+)
+def test_eval_at_large_n(capsys, expr, n, seconds):
+    # canonical text reads only the coordinates a monomial uses
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", expr, "--n", str(n))
+    assert code == 0 and err == "" and len(out.splitlines()) == 1
+    assert time.perf_counter() - start < seconds
+
+
 @pytest.mark.parametrize("power", ["2000", "9" * 100])
 def test_eval_lefschetz_power_above_n_is_zero(capsys, power):
     # dtheta^k = 0 once k > n, whatever the size of k

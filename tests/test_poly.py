@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruminalg.errors import DimensionError, DomainError
-from ruminalg.poly import MAX_EXPONENT, Poly, add_into, mul_into, over_lcm, pack, unpack
+from ruminalg.poly import MAX_EXPONENT, MAX_POWER_BITS, Poly, add_into, mul_into, over_lcm, pack, unpack, var_name
 
 X1, Y1, Z = (Poly.variable(3, i) for i in range(3))
 
@@ -312,3 +312,44 @@ def test_exponent_budget():
         (0, MAX_EXPONENT, 0): 1, (0, 2**31 - 2, 5): 1}
     with pytest.raises(DomainError):
         half * half
+
+
+def test_power_coefficient_budget():
+    two, half, x = Poly.constant(3, 2), Poly.constant(3, Fraction(1, 2)), Poly.variable(3, 0)
+    assert two ** MAX_POWER_BITS == Poly.constant(3, 2**MAX_POWER_BITS)
+    # refused before any product: these powers would not finish
+    for base, k in ((two, MAX_POWER_BITS + 1), (half, 10**18), (x + x, 2**31 - 1), (x + two, 10**6),
+                    (x + Poly.one(3), MAX_POWER_BITS + 1)):
+        with pytest.raises(DomainError, match=f"above the limit of {MAX_POWER_BITS}"):
+            base ** k
+    # 1 and -1 cost nothing
+    assert Poly.constant(3, -1) ** (10**18 + 1) == Poly.constant(3, -1)
+    assert (x.scale(-1) ** MAX_EXPONENT).terms == {(MAX_EXPONENT, 0, 0): -1}
+
+
+def reference_text(p: Poly) -> str:
+    """Canonical text built from the tuple view, every field of every
+    exponent visited."""
+    pieces = []
+    for ex in sorted(p.terms, reverse=True):
+        c = Fraction(p.terms[ex])
+        factors = [var_name(p.nvars, i) + (f"**{e}" if e > 1 else "") for i, e in enumerate(ex) if e]
+        magnitude = str(abs(c))
+        body = "*".join(factors if factors and abs(c) == 1 else [magnitude] + factors)
+        sign = "-" if c < 0 else "" if not pieces else "+"
+        pieces.append(f"{sign}{body}" if not pieces else f" {sign} {body}")
+    return "".join(pieces) or "0"
+
+
+@st.composite
+def text_cases(draw):
+    nvars = draw(st.sampled_from([1, 3, 5, 7, 21]))
+    vectors = st.lists(field_values, min_size=nvars, max_size=nvars).map(tuple)
+    return Poly(nvars, draw(st.dictionaries(vectors, rationals, max_size=5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text_cases())
+def test_to_text_matches_a_field_by_field_reference(p):
+    assert p.to_text() == reference_text(p)
+
