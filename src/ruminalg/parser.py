@@ -32,12 +32,12 @@ first, so a character outside the language is a ParseError before anything
 is evaluated.  Then the input is read and evaluated in one pass, with no
 syntax tree, so the first error met decides the exception: in
 ``m2(theta; theta) )`` the DomainError of m2 comes before the ParseError of
-the stray ``)``.  Literals skip `Poly` and `Form` arithmetic: a product of
-monomials adds packed exponents, with `poly.mul_into`'s guard-bit check, a
+the stray ``)``.  Literals skip `Poly` and `Form` arithmetic: a polyterm
+is a numerator map multiplied with `poly.mul_into` factor by factor, a
 polyexpr sums its terms into one numerator map, and a run of plain
-generators is one sorted coframe index and the sign of its permutation.
-Only parenthesized factors and powers other than a coordinate's go through
-`Poly`, and only dz and operator calls through `wedge`.
+generators is one sorted coframe index and its permutation's sign.  Only
+parenthesized factors and powers other than a coordinate's go through
+`Poly`, and only dz, calls and the runs between them through `wedge`.
 
 Canonical output (`Form.to_text`) reparses to an equal form, and reprints
 byte-identically.
@@ -47,13 +47,10 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
-from functools import reduce
-from itertools import groupby
 
 from .errors import DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, lefschetz, wedge
-from .poly import FIELD, MAX_EXPONENT, Poly, add_into, exponent_error, layout, mul_into, wrap
+from .poly import Poly, add_into, mul_into, variable_key, wrap
 from .rumin import certify, f2, gamma, m2, m3, pi
 
 
@@ -231,9 +228,9 @@ class Parser:
             coeff = self.parenthesized(self.parse_polyexpr)
             coeff = -coeff if sign < 0 else coeff
         else:
-            return self.parse_chain(sign)
+            return self.parse_chain().scale(sign)
         if self.tokens[self.pos][0] == "NAME":
-            return self.parse_chain(1, coeff)
+            return self.parse_chain().scale_poly(coeff)
         return Form.constant(self.model, coeff)
 
     def parse_rational(self) -> tuple:
@@ -249,38 +246,34 @@ class Parser:
         g = math.gcd(n, d)
         return n // g, d // g
 
-    def parse_chain(self, sign: int, coeff: Poly | None = None) -> Form:
-        """A chain times sign and coeff (None for 1): the runs of plain
-        generators (`run_form`), dz and calls wedged in the order read."""
-        atoms = [self.parse_atom()]
-        while self.at_sym("^"):
+    def parse_chain(self) -> Form:
+        """A chain, wedged as it is read: a run of plain generators waits as
+        a list of coframe indices, and is wedged in as one form (`wedge_run`)
+        when dz, a call or the end of the chain follows it."""
+        out, run = None, []
+        while True:
+            atom = self.parse_atom()
+            if type(atom) is int:
+                run.append(atom)
+            else:
+                out = self.wedge_run(out, run)
+                out = atom if out is None else wedge(out, atom)
+                run = []
+            if not self.at_sym("^"):
+                return self.wedge_run(out, run)
             self.pos += 1
-            atoms.append(self.parse_atom())
-        if all(type(atom) is int for atom in atoms):
-            return self.run_form(atoms, sign, coeff)
-        factors = []
-        for plain, group in groupby(atoms, lambda atom: type(atom) is int):
-            factors += [self.run_form(list(group), 1, None)] if plain else group
-        out = reduce(wedge, factors)
-        return out.scale(sign) if coeff is None else out.scale_poly(coeff)
 
-    def run_form(self, run: list, s: int, coeff: Poly | None) -> Form:
-        """s * coeff (None for 1) times the plain generators `run` wedged in
-        order: one sorted coframe index and the sign of its permutation, or a
-        zero of degree len(run) when a generator repeats."""
-        idx = []
-        for i in run:
-            p = bisect_left(idx, i)
-            if p < len(idx) and idx[p] == i:
-                s = 0
-            if (len(idx) - p) & 1:
-                s = -s
-            idx.insert(p, i)
-        if coeff is None:
-            coeff = wrap(self.model.nvars, {0: s} if s else {}, 1)
-        elif s != 1:
-            coeff = coeff.scale(s)
-        return Form(self.model, len(run), {tuple(idx): coeff} if coeff.num else {}, _canonical=True)
+    def wedge_run(self, out: Form | None, run: list) -> Form | None:
+        """out (None for 1) wedged with the plain generators `run`, coframe
+        indices in the order read: one sorted index and the sign of its
+        permutation, or a zero of degree len(run) when an index repeats."""
+        if not run:
+            return out
+        idx = tuple(sorted(run))
+        s = -1 if sum(a > b for j, a in enumerate(run) for b in run[j + 1:]) & 1 else 1
+        terms = {idx: wrap(self.model.nvars, {0: s}, 1)} if len(set(idx)) == len(idx) else {}
+        form = Form(self.model, len(run), terms, _canonical=True)
+        return form if out is None else wedge(out, form)
 
     def parse_atom(self):
         """A plain generator's coframe index, or the Form of dz or a call."""
@@ -338,23 +331,13 @@ class Parser:
         return wrap(self.model.nvars, num, den)
 
     def parse_polyterm(self, sign: int) -> tuple:
-        """sign times the product of the factors, multiplied left to right
-        as `mul_into` would: the product of two monomials adds their packed
-        exponents, and one past MAX_EXPONENT is a DomainError."""
+        """sign times the product of the factors, multiplied as each is read,
+        as (numerator map, denominator)."""
         num, den = {0: sign}, 1
-        guard = layout(self.model.nvars)[1]
         while True:
             factor, d = self.parse_polyfactor()
-            if len(num) == 1 == len(factor):
-                ((key, v),) = num.items()
-                ((fkey, fv),) = factor.items()
-                key += fkey
-                if key & guard:
-                    raise exponent_error()
-                num = {key: v * fv}
-            else:
-                product, num = num, {}
-                mul_into(num, product, factor, 1)
+            product, num = num, {}
+            mul_into(num, product, factor, 1)
             den *= d
             if not self.at_sym("*"):
                 return num, den
@@ -367,8 +350,8 @@ class Parser:
         tok = self.tokens[self.pos]
         if tok[0] == "NAME":
             self.pos += 1
-            key = self.resolve_coordinate(tok)
-            num, den = {key: 1}, 1
+            index = self.resolve_coordinate(tok)
+            num, den = {variable_key(self.model.nvars, index): 1}, 1
         elif tok[0] == "INT":
             n, d = self.parse_rational()
             num, den = ({0: n} if n else {}), d
@@ -382,9 +365,7 @@ class Parser:
         self.pos += 1
         k = self.int_value(self.expect("INT"))
         if tok[0] == "NAME":
-            if k > MAX_EXPONENT:
-                raise DomainError(f"power {k} has an exponent {k}, above the limit of {MAX_EXPONENT}")
-            return {key * k: 1}, 1
+            return {variable_key(self.model.nvars, index, k): 1}, 1
         m = len(num)
         if m > 1:
             # p**k has at most comb(k + m - 1, m - 1) terms, the monomials
@@ -403,15 +384,15 @@ class Parser:
         return power.num, power.den
 
     def resolve_coordinate(self, tok: tuple) -> int:
-        """The packed exponent of the coordinate named by `tok`."""
-        n, nvars = self.model.n, self.model.nvars
+        """The index of the coordinate named by `tok`: x1..xn, y1..yn, z."""
+        n = self.model.n
         name = tok[1]
         if name == "z":
-            return 1
+            return 2 * n
         if name[:1] in ("x", "y") and name[1:].isdigit():
             i = self.int_value(tok, name[1:])
             if 1 <= i <= n:
-                return 1 << FIELD * (nvars - 1 - (i - 1 if name[0] == "x" else n + i - 1))
+                return i - 1 if name[0] == "x" else n + i - 1
         raise self.error(f"unknown coordinate {name!r} for n={n}", tok)
 
 

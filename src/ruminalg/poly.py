@@ -24,13 +24,15 @@ then the lexicographic order of the tuples, the constant monomial is key 0,
 a monomial product is one int addition and a field is read as
 `(key >> shift) & FIELD_MASK`.  `pack` and `unpack` convert through a
 big-endian `struct` of nvars signed 32-bit fields, built once per
-coordinate count by `layout`.  Every stored exponent is
+coordinate count by `layout`, and `variable_key` gives the key of one
+coordinate to a power.  Every stored exponent is
 at most MAX_EXPONENT = 2**31 - 1, so the top bit of each field (the guard,
 `layout(nvars)[1]`) is clear in every key and the sum of two keys never
 carries from one field into the next.  A sum that sets a guard bit has an
 exponent of 2**31 or more: `mul_into` refuses such a product with
-DomainError, and so do the y_i d/dz move of `forms.exterior_d`, `Poly(...)`
-and `Poly.__pow__` for an exponent they would make or are given.
+DomainError, and so do the y_i d/dz move of `forms.exterior_d`, `Poly(...)`,
+`variable_key` and `Poly.__pow__` for an exponent they would make or are
+given.
 `Poly.__pow__` also refuses, before any product, a power whose
 coefficients could have more than MAX_POWER_BITS bits.
 
@@ -103,6 +105,21 @@ def unpack(nvars: int, key: int) -> tuple:
 
 def exponent_error() -> DomainError:
     return DomainError(f"an exponent above the limit of {MAX_EXPONENT}")
+
+
+def check_power(k: int, top: int) -> None:
+    """DomainError when the power k of a polynomial whose largest exponent
+    is top has an exponent above MAX_EXPONENT."""
+    if top * k > MAX_EXPONENT:
+        raise DomainError(f"power {k} has an exponent {top * k}, above the limit of {MAX_EXPONENT}")
+
+
+def variable_key(nvars: int, index: int, k: int = 1) -> int:
+    """The packed exponent of coordinate `index` to the power k."""
+    if not 0 <= index < nvars:
+        raise DimensionError(f"variable index {index} out of range for {nvars} variables")
+    check_power(k, 1)
+    return k << FIELD * (nvars - 1 - index)
 
 
 def exact(c):
@@ -263,9 +280,7 @@ class Poly:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
-        if not 0 <= index < nvars:
-            raise DimensionError(f"variable index {index} out of range for {nvars} variables")
-        return wrap(nvars, {1 << FIELD * (nvars - 1 - index): 1}, 1)
+        return wrap(nvars, {variable_key(nvars, index): 1}, 1)
 
     def _check(self, other: "Poly") -> None:
         if self.nvars != other.nvars:
@@ -349,10 +364,7 @@ class Poly:
         coefficient of 1 or -1 costs none."""
         if k < 0:
             raise ValueError("negative polynomial power")
-        nvars = self.nvars
-        top = max([max(unpack(nvars, ex)) for ex in self.num], default=0)
-        if top * k > MAX_EXPONENT:
-            raise DomainError(f"power {k} has an exponent {top * k}, above the limit of {MAX_EXPONENT}")
+        check_power(k, max([max(unpack(self.nvars, ex)) for ex in self.num], default=0))
         if self.num:
             c = max(map(abs, self.num.values()))
             size = max((c - 1).bit_length() + (len(self.num) - 1).bit_length(), (self.den - 1).bit_length())

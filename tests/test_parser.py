@@ -1,5 +1,7 @@
+import itertools
+import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,45 @@ def test_exponent_limit_texts(text, message):
     with pytest.raises(DomainError) as err:
         eval_text(text, M1)
     assert str(err.value).startswith(message)
+
+
+_TOP_Y1 = "d((y1**2147483647*x2) theta)"  # coefficients y1**2147483647 at n = 2
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # dz is wedged in as soon as it is read, before the next atom
+        (f"{_TOP_Y1} ^ dz ^ )", DomainError, "an exponent above the limit of 2147483647"),
+        (f"{_TOP_Y1} ^ dz ^ m2(theta; theta)", DomainError, "an exponent above the limit of 2147483647"),
+        (f"{_TOP_Y1} ^ theta ^ dz ^ )", DomainError, "an exponent above the limit of 2147483647"),
+        (f"dz ^ {_TOP_Y1} ^ )", DomainError, "an exponent above the limit of 2147483647"),
+        # theta and dx1 take the terms that dz would push past the limit
+        (f"theta ^ {_TOP_Y1} ^ dx1 ^ dz ^ )", ParseError, "line 1, column 51"),
+        # a coefficient scales its chain once the chain has been read
+        ("(y1**2147483647) dz ^ )", ParseError, "line 1, column 23"),
+        ("(y1**2147483647) dz + )", DomainError, "an exponent above the limit of 2147483647"),
+    ],
+)
+def test_a_chain_is_wedged_as_it_is_read(text, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        eval_text(text, M2)
+
+
+def test_chains_match_wedge_in_every_order():
+    # every chain of up to three generators, dz among them, with no sign,
+    # a minus sign or a coefficient: sorted, unsorted and repeated runs
+    for model in (M1, M2):
+        names = _generators(model.n) + ["dz"]
+        gens = [model.generator(i) for i in range(model.dim)] + [evaluate_form(("gen", "dz"), model)]
+        for k in (1, 2, 3):
+            for chain in itertools.product(range(len(names)), repeat=k):
+                text = "^".join(names[i] for i in chain)
+                want = reduce(wedge, [gens[i] for i in chain])
+                assert eval_text(text, model) == want, text
+                assert eval_text(f"-{text}", model) == want.scale(-1), text
+                assert eval_text(f"(3/2*y1) {text}", model) == want.scale_poly(
+                    Poly.variable(model.nvars, model.n).scale(Fraction(3, 2))), text
 
 
 def test_exponent_limit_products_that_fit_or_vanish():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruminalg.errors import DimensionError, DomainError
-from ruminalg.poly import MAX_EXPONENT, MAX_POWER_BITS, Poly, add_into, mul_into, over_lcm, pack, unpack, var_name
+from ruminalg.poly import (
+    MAX_EXPONENT, MAX_POWER_BITS, Poly, add_into, mul_into, over_lcm, pack, unpack, var_name, variable_key,
+)
 
 X1, Y1, Z = (Poly.variable(3, i) for i in range(3))
 
@@ -325,6 +327,24 @@ def test_power_coefficient_budget():
     # 1 and -1 cost nothing
     assert Poly.constant(3, -1) ** (10**18 + 1) == Poly.constant(3, -1)
     assert (x.scale(-1) ** MAX_EXPONENT).terms == {(MAX_EXPONENT, 0, 0): -1}
+
+
+def test_variable_key_is_the_packed_power_of_one_coordinate():
+    for nvars in (1, 3, 5):
+        for i in range(nvars):
+            for k in (0, 1, 7, MAX_EXPONENT):
+                ex = tuple(k if j == i else 0 for j in range(nvars))
+                assert variable_key(nvars, i, k) == pack(nvars, ex)
+        assert Poly.variable(nvars, nvars - 1) == Poly(nvars, {(0,) * (nvars - 1) + (1,): 1})
+    # the same refusals as Poly.variable and Poly.__pow__
+    with pytest.raises(DomainError) as err:
+        variable_key(3, 1, MAX_EXPONENT + 1)
+    with pytest.raises(DomainError) as pow_err:
+        Poly.variable(3, 1) ** (MAX_EXPONENT + 1)
+    assert str(err.value) == str(pow_err.value)
+    for i in (-1, 3):
+        with pytest.raises(DimensionError, match="out of range"):
+            variable_key(3, i)
 
 
 def reference_text(p: Poly) -> str:
