@@ -22,9 +22,12 @@ Relation checkers return the would-be-zero residual element rather than a
 boolean so that failures carry witnesses.  They do only the work their
 operator values need:
 
-* The shuffle sums read their signs from one cached table,
+* The shuffle sums read their signs and words from one cached table,
   `_signed_shuffles`, keyed by (p, q), the parities of the degrees and the
-  `koszul_sign` in force, so each sign is computed once per parity pattern.
+  `koszul_sign` in force, fetched at call time, so each sign is computed
+  once per parity pattern; each word is picked by `operator.itemgetter`.
+* The insertion sums and the transfer's psi read each Koszul sign off a
+  running prefix parity of the degrees and build no tensor word.
 * A value that is zero is neither scaled nor added, and an operator is not
   applied to a block holding a zero value (every operator is multilinear).
   A relation whose terms all vanish still returns a zero of the relation's
@@ -35,10 +38,9 @@ from __future__ import annotations
 
 from functools import cache, partial
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import DomainError
-
-# An operator entry for apply_tensor_ops: (callable on a tuple, arity, degree).
 
 
 def permutation_sign(perm) -> int:
@@ -93,7 +95,7 @@ def shuffle_product(p: int, q: int, elements):
     """
     if len(elements) != p + q:
         raise DomainError(f"expected {p + q} elements, got {len(elements)}")
-    parities = tuple(e.degree & 1 for e in elements)
+    parities = tuple([e.degree & 1 for e in elements])
     return _signed_shuffles(p, q, parities, koszul_sign)
 
 
@@ -188,11 +190,6 @@ class GradedOpSet:
         return (self.op(k), k, self.degree(k))
 
 
-
-def _add(acc, x):
-    return x if acc is None else acc + x
-
-
 def check_stasheff(mset: GradedOpSet, n: int, elements):
     """Residual of the n-th associativity-up-to-homotopy relation
 
@@ -231,7 +228,8 @@ def _insertion_sum(outer_set: GradedOpSet, mset: GradedOpSet, n: int, elements):
             if value.is_zero():
                 continue
             sign = -1 if (odd and prefix[r]) ^ ((r + s * t) & 1) else 1
-            residual = _add(residual, value.scale(sign))
+            term = value.scale(sign)
+            residual = term if residual is None else residual + term
     return value if residual is None else residual
 
 
@@ -274,13 +272,13 @@ def shuffle_vanishing_residual(opset: GradedOpSet, p: int, q: int, elements):
     Values that are zero are neither scaled nor added; when all of them are,
     the last one is returned, a zero in the operator's codomain."""
     elements = tuple(elements)
-    signed_words = shuffle_product(p, q, elements)
     op = opset.op(p + q)
     residual = value = None
-    for sign, word in signed_words:
-        value = op(tuple(elements[i] for i in word))
+    for sign, word in shuffle_product(p, q, elements):
+        value = op(itemgetter(*word)(elements))  # p, q >= 1: always a tuple
         if not value.is_zero():
-            residual = _add(residual, value.scale(sign))
+            term = value.scale(sign)
+            residual = term if residual is None else residual + term
     return value if residual is None else residual
 
 
@@ -355,15 +353,17 @@ def markl_transfer(retract: RetractData, max_arity: int):
 
         psi_n = sum over s+t=n of (-1)^(s+1) mu(h psi_s (x) h psi_t),
 
-    with h psi_1 = -1_A, and return the families
+    with h psi_1 = -1_A; h psi_t (degree 1 - t) jumping x_1 .. x_s costs
+    (-1)^((1 - t)(|x_1| + ... + |x_s|)), read off a running prefix parity.
+    They return the families
 
         m_1 = d,   m_k = pi psi_k i^(x k)      (k >= 2),
         f_1 = i,   f_k = -h psi_k i^(x k)      (k >= 2),
 
     defined through arity `max_arity` (beyond which requesting an operator
-    raises).  A term of psi whose h psi_s or h psi_t factor is zero is
-    skipped without calling mu; when every term is, psi_n is the zero of
-    degree sum |x_i| + 2 - n.
+    raises).  psi skips a term without calling mu when h psi_s is zero (not
+    evaluating h psi_t) or h psi_t is; when every term is skipped, psi_n is
+    the zero of degree sum |x_i| + 2 - n.
 
     m_k and f_k are memoized per block of B by their `GradedOpSet`s.  Inside,
     psi_k and h psi_k (k >= 2) are memoized per block of A and i per element
@@ -384,12 +384,14 @@ def markl_transfer(retract: RetractData, max_arity: int):
 
     def psi_op(k: int):
         def psi_k(elements):
-            total = None
+            total, prefix = None, 0  # prefix: parity of |x_1| + ... + |x_s|
             for s in range(1, k):
-                sign, (u, v) = apply_tensor_ops([entries[s], entries[k - s]], elements)
-                if u.is_zero() or v.is_zero():
+                prefix ^= elements[s - 1].degree & 1
+                u = h_psi[s](elements[:s])
+                if u.is_zero() or (v := h_psi[k - s](elements[s:])).is_zero():
                     continue
-                total = _add(total, mu(u, v).scale(sign * (-1) ** (s + 1)))
+                term = mu(u, v).scale(-1 if (prefix * (1 - k + s) + s + 1) & 1 else 1)
+                total = term if total is None else total + term
             if total is None:
                 return elements[0].zero_of_degree(sum(e.degree for e in elements) + 2 - k)
             return total
@@ -399,8 +401,6 @@ def markl_transfer(retract: RetractData, max_arity: int):
     for k in range(2, max_arity + 1):
         psi[k] = psi_op(k)
         h_psi[k] = _memoized(lambda block, _k=k: h(psi[_k](block)))
-    # (h psi_k, arity, degree) triples for apply_tensor_ops
-    entries = {k: (fn, k, 1 - k) for k, fn in h_psi.items()}
 
     def m_op(k: int):
         if k == 1:

@@ -22,10 +22,11 @@ RATIONAL is INT or INT/INT.  Operator calls: d(.), gamma(.), pi(.),
 L(., power), m2(.;.), m3(.;.;.), f2(.;.) -- the certified-input operators
 check Rumin membership of their arguments and fail with context otherwise.
 A power that could exceed MAX_POWER_TERMS terms, or whose coefficients
-could pass `poly.MAX_POWER_BITS` bits, is refused with DomainError before
-it is computed, and parentheses and operator calls nested more than
-MAX_NESTING deep are a ParseError at the opening token, so no input can
-exhaust the interpreter's stack.
+could pass `poly.MAX_POWER_BITS` bits, or whose term count times bits could
+pass `poly.MAX_POWER_WORK`, is refused with DomainError before it is
+computed, and parentheses and operator calls nested more than MAX_NESTING
+deep are a ParseError at the opening token, so no input can exhaust the
+interpreter's stack.
 
 One regular expression splits the text into tokens (kind, text, offset)
 first, so a character outside the language is a ParseError before anything

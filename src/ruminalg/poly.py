@@ -34,7 +34,8 @@ DomainError, and so do the y_i d/dz move of `forms.exterior_d`, `Poly(...)`,
 `variable_key` and `Poly.__pow__` for an exponent they would make or are
 given.
 `Poly.__pow__` also refuses, before any product, a power whose
-coefficients could have more than MAX_POWER_BITS bits.
+coefficients could have more than MAX_POWER_BITS bits, or whose term count
+times coefficient bits could pass MAX_POWER_WORK.
 
 This module holds the integer arithmetic of the whole package, on numerator
 maps {packed exponent: int}: `add_into` (acc += c * terms) and `mul_into`
@@ -56,7 +57,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import or_
 from struct import Struct
 from struct import error as StructError
@@ -72,6 +73,9 @@ MAX_EXPONENT = (1 << (FIELD - 1)) - 1  # the largest exponent a field may hold
 # The most bits a coefficient of a power may have, estimated before powering:
 # far above the 4,300 digits (about 14,300 bits) a coefficient may print with.
 MAX_POWER_BITS = 100_000
+# The most term-bits a power may have, estimated before powering as its term
+# count times its coefficient bits: twice the estimate of (1+x1)**999.
+MAX_POWER_WORK = 2_000_000
 
 
 @cache
@@ -361,16 +365,25 @@ class Poly:
         the power is at most (m*c)**k for m terms and largest numerator c,
         and its denominator divides den**k, so k times the larger of
         ceil(log2 c) + ceil(log2 m) and ceil(log2 den) bounds its bits.  A
-        coefficient of 1 or -1 costs none."""
+        coefficient of 1 or -1 costs none.  The power has at most
+        comb(k + m - 1, m - 1) terms, the monomials of degree k in m letters,
+        and DomainError also comes first when that count times the bits is
+        above MAX_POWER_WORK, which bounds the work of the squarings."""
         if k < 0:
             raise ValueError("negative polynomial power")
         check_power(k, max([max(unpack(self.nvars, ex)) for ex in self.num], default=0))
         if self.num:
-            c = max(map(abs, self.num.values()))
-            size = max((c - 1).bit_length() + (len(self.num) - 1).bit_length(), (self.den - 1).bit_length())
+            m, c = len(self.num), max(map(abs, self.num.values()))
+            size = max((c - 1).bit_length() + (m - 1).bit_length(), (self.den - 1).bit_length())
             if k * size > MAX_POWER_BITS:
                 raise DomainError(
                     f"power {k} may have a coefficient of {k * size} bits, above the limit of {MAX_POWER_BITS}"
+                )
+            terms = comb(k + m - 1, m - 1)  # k <= MAX_POWER_BITS here unless size is 0
+            if terms * k * size > MAX_POWER_WORK:
+                raise DomainError(
+                    f"power {k} may have {terms} terms of {k * size} bits, "
+                    f"above the limit of {MAX_POWER_WORK} term-bits"
                 )
         out = Poly.one(self.nvars)
         base = self

@@ -397,6 +397,57 @@ def test_memoized_finite_transfer_matches_the_plain_recursion():
     assert mset(3, (a, b, a)) == bundle.rumin.element("ca").scale(2)
 
 
+def _twisted_retract():
+    """The forms at n = 1 as a retract of themselves (i = pi = 1) with the
+    homotopy h = d K d, where K reads the coefficient of a 3-form as a
+    function: dh + hd = 0 because d d = 0, so the identities hold, and
+    h psi_k of 1-forms with cubic coefficients is nonzero at every arity."""
+
+    def h(w):
+        dw = exterior_d(w)
+        if dw.degree != M1.dim or dw.is_zero():
+            return w.zero_of_degree(w.degree - 1)
+        (coefficient,) = dw.terms.values()
+        return exterior_d(Form.constant(M1, coefficient))
+
+    def same(x):
+        return x
+
+    retract = RetractData(exterior_d, wedge, h, same, same)
+    rng = stream(49, 0)
+    samples = [random_form(M1, rng, deg, 2) for deg in range(4) for _ in range(2)]
+    assert retract.verify(samples, samples) == []
+    return retract
+
+
+def test_memoized_transfer_matches_the_plain_recursion_at_arity_5():
+    # m_5 and f_5 of the CE model vanish on every basis 5-tuple: a seeded
+    # sample checks those zeros and their degrees ...
+    bundle = heisenberg_ce_retract()
+    mset, fset = markl_transfer(bundle.retract, 5)
+    basis = bundle.rumin.all_basis_vectors()
+    rng = stream(51, 0)
+    for _ in range(200):
+        block = tuple(basis[rng.randint(0, len(basis) - 1)] for _ in range(5))
+        assert (mset(5, block), fset(5, block)) == _reference_transfer(bundle.retract, 5, block)
+    # ... and the twisted retract has nonzero ones, also where the prefixes
+    # that psi's sign reads hold even degrees.  Its prefixes of arity 2..4
+    # are compared too: flipping every psi sign maps m_k to (-1)^(k-1) m_k,
+    # which leaves m_5 as it is.
+    retract = _twisted_retract()
+    mset, fset = markl_transfer(retract, 5)
+    for degrees in ((1, 1, 1, 1, 1), (0, 2, 1, 1, 1), (1, 1, 2, 0, 1), (2, 0, 1, 1, 1), (1, 0, 2, 1, 1)):
+        nonzero = 0
+        for trial in range(4):
+            rng = stream(50, trial)
+            block = tuple(random_form(M1, rng, deg, 3) for deg in degrees)
+            for k in (2, 3, 4, 5):
+                m_ref, f_ref = _reference_transfer(retract, k, block[:k])
+                assert mset(k, block[:k]) == m_ref and fset(k, block[:k]) == f_ref
+            nonzero += not m_ref.is_zero() and not f_ref.is_zero()
+        assert nonzero, degrees
+
+
 def test_psi_skips_zero_factors_and_keeps_the_degree():
     # With h = 0 every h psi_s (s >= 2) vanishes, so psi_3 and psi_4 skip all
     # of their terms: m_k = pi psi_k is the zero of degree sum |x_i| + 2 - k,

@@ -90,7 +90,9 @@ def test_eval_exponent_budget(capsys, expr, code, message):
 
 
 @pytest.mark.parametrize(
-    "expr", ["(2**99999999999)", "((2*x1)**2000000000)", "(2**300000000)", "((1/3)**99999999999) theta"]
+    "expr",
+    ["(2**99999999999)", "((2*x1)**2000000000)", "(2**300000000)", "((1/3)**99999999999) theta",
+     "((1048575*x1 + 1048573)**999)"],  # under the term and bit budgets, not the work budget
 )
 def test_eval_power_over_coefficient_budget_exit_1(capsys, expr):
     # refused before powering, where it once ran out of memory or time

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from ruminalg.errors import DimensionError, DomainError
 from ruminalg.poly import (
-    MAX_EXPONENT, MAX_POWER_BITS, Poly, add_into, mul_into, over_lcm, pack, unpack, var_name, variable_key,
+    MAX_EXPONENT, MAX_POWER_BITS, MAX_POWER_WORK, Poly, add_into, mul_into, over_lcm, pack, unpack, var_name,
+    variable_key,
 )
 
 X1, Y1, Z = (Poly.variable(3, i) for i in range(3))
@@ -327,6 +328,24 @@ def test_power_coefficient_budget():
     # 1 and -1 cost nothing
     assert Poly.constant(3, -1) ** (10**18 + 1) == Poly.constant(3, -1)
     assert (x.scale(-1) ** MAX_EXPONENT).terms == {(MAX_EXPONENT, 0, 0): -1}
+
+
+def test_power_work_budget():
+    one = Poly.one(3)
+    wide = X1.scale(1048575) + one.scale(1048573)
+    # term count times coefficient bits: 1,000 terms of 999 bits pass ...
+    assert (X1 + one) ** 999 == Poly(3, {(j, 0, 0): math.comb(999, j) for j in range(1000)})
+    product = one
+    for _ in range(200):
+        product = product * wide
+    assert wide ** 200 == product
+    # ... and 1,000 terms of 20,979 bits are refused before any product
+    with pytest.raises(DomainError, match=f"1000 terms of 20979 bits, above the limit of {MAX_POWER_WORK}"):
+        wide ** 999
+    # a base of m terms counts comb(k + m - 1, m - 1) terms: 6 for (x1 + y1 + z)**2
+    assert len(((X1 + Y1 + Z) ** 2).num) == 6
+    with pytest.raises(DomainError, match="may have 501501 terms"):
+        (X1 + Y1 + Z) ** 1000
 
 
 def test_variable_key_is_the_packed_power_of_one_coordinate():
