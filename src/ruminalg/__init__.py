@@ -7,20 +7,18 @@ f1/f2, a generic homotopy-transfer engine with full relation checking, and
 exact cohomology of finite graded algebras.
 
 Kept for callers outside the package: nothing in it calls these, and the
-dead-code guard in tests/test_repo.py exempts them.  All but the last serve
-perfbench/, and benchmark v2 (ROADMAP item 1) can let them go:
+dead-code guard in tests/test_repo.py exempts them.  They serve perfbench/,
+and benchmark v2 (ROADMAP item 1) can let them go:
 
-    kernel_name               perfbench records it with every result.
-    add_scaled                Poly.add_scaled: the tracer wraps it by name.
-    deriv                     Poly.deriv: the tracer wraps it by name.
-    inverse                   linalg.inverse: the tracer counts calls and rows.
-    verified_rumin_retract    symbolic-n3 transfers over it.
-    corrupted_rumin_ops       symbolic-n3's negative control.
-    corrupted_rumin_morphism  its twin, the tests' morphism negative control.
+    kernel_name          perfbench records it with every result.
+    add_scaled           Poly.add_scaled: the tracer wraps it by name.
+    deriv                Poly.deriv: the tracer wraps it by name.
+    inverse              linalg.inverse: the tracer counts calls and rows.
+    corrupted_rumin_ops  symbolic-n3's negative control.
 
-The `model` parameter of rumin.rumin_ops, rumin_morphism, derham_ops and the
-corrupted_* pair is unused (every operator reads the model from its inputs)
-and stays while perfbench/ passes it.
+The `model` parameter of rumin.rumin_ops, rumin_morphism, derham_ops and
+suites.corrupted_rumin_ops is unused (every operator reads the model from
+its inputs) and stays while perfbench/ passes it.
 """
 
 from ._version import __version__

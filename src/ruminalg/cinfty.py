@@ -32,6 +32,11 @@ operator values need:
   applied to a block holding a zero value (every operator is multilinear).
   A relation whose terms all vanish still returns a zero of the relation's
   codomain.
+
+The homotopy transfer (`markl_transfer`, after Markl, math/0401007) runs
+over a `RetractData`, which checks the retract identities on its samples
+when it is built and raises `RetractError` when one fails: a retract that
+exists has passed them, so the transfer needs no check of its own.
 """
 
 from __future__ import annotations
@@ -282,31 +287,35 @@ def shuffle_vanishing_residual(opset: GradedOpSet, p: int, q: int, elements):
     return value if residual is None else residual
 
 
+class RetractError(DomainError):
+    """A `RetractData` failed its identities.  `issues` holds each failure
+    as an (identity, sample, nonzero residual) triple."""
+
+    def __init__(self, name: str, issues):
+        self.issues = issues
+        failed = "; ".join(dict.fromkeys(identity for identity, _, _ in issues))
+        super().__init__(f"{name or 'retract'} fails its identities: {failed}")
+
+
 class RetractData:
     """A deformation retract (i, pi, h) of a commutative differential graded
-    algebra (A, d, mu) onto a subcomplex B.
+    algebra (A, d, mu) onto a subcomplex B with differential b_d.
 
-    All fields are callables: d(a), mu(a, b), h(a) of degree -1, i(b), pi(a),
-    and optionally b_d(b) (defaults to pi . d . i).  `verify` checks the
-    retract identities on sample elements -- pi i = 1, i pi = 1 - dh - hd,
-    both maps commuting with the differentials -- and must pass before the
-    transfer will run.
+    All fields are callables: d(a), mu(a, b), h(a) of degree -1, i(b), pi(a)
+    and b_d(b).  The constructor checks the retract identities on the sample
+    elements -- i pi = 1 - dh - hd and pi d = d pi on `a_samples`, pi i = 1
+    and d i = i d on `b_samples` -- and raises `RetractError` when one fails,
+    so a retract that exists has passed them.
     """
 
-    def __init__(self, d, mu, h, i, pi, b_d=None, name: str = ""):
+    def __init__(self, d, mu, h, i, pi, b_d, a_samples, b_samples, name: str = ""):
         self.d = d
         self.mu = mu
         self.h = h
         self.i = i
         self.pi = pi
-        self.b_d = b_d if b_d is not None else (lambda b: pi(d(i(b))))
+        self.b_d = b_d
         self.name = name
-        self.verified = False
-
-    def verify(self, a_samples, b_samples):
-        """Check the retract identities; returns the failures as
-        (identity, sample, nonzero residual) triples (empty = ok) and records
-        the outcome."""
         issues = []
 
         def expect_zero(identity, sample, residual):
@@ -314,21 +323,15 @@ class RetractData:
                 issues.append((identity, sample, residual))
 
         for a in a_samples:
-            da, pa = self.d(a), self.pi(a)
-            rhs = a - self.d(self.h(a)) - self.h(da)
-            expect_zero("i pi = 1 - dh - hd", a, self.i(pa) - rhs)
-            expect_zero("pi d = d pi", a, self.pi(da) - self.b_d(pa))
+            da, pa = d(a), pi(a)
+            expect_zero("i pi = 1 - dh - hd", a, i(pa) - (a - d(h(a)) - h(da)))
+            expect_zero("pi d = d pi", a, pi(da) - b_d(pa))
         for b in b_samples:
-            ib = self.i(b)
-            expect_zero("pi i = 1", b, self.pi(ib) - b)
-            expect_zero("d i = i d", b, self.d(ib) - self.i(self.b_d(b)))
-        self.verified = not issues
-        return issues
-
-
-def describe_issues(issues) -> str:
-    """One line for the failures returned by `RetractData.verify`."""
-    return "; ".join(f"{identity} fails on {sample}" for identity, sample, _ in issues)
+            ib = i(b)
+            expect_zero("pi i = 1", b, pi(ib) - b)
+            expect_zero("d i = i d", b, d(ib) - i(b_d(b)))
+        if issues:
+            raise RetractError(name, issues)
 
 
 def _memoized(fn):
@@ -346,8 +349,8 @@ def _memoized(fn):
 
 
 def markl_transfer(retract: RetractData, max_arity: int):
-    """Transferred homotopy structure on the subcomplex of a verified
-    deformation retract, together with the quasi-isomorphism back to A.
+    """Transferred homotopy structure on the subcomplex of a deformation
+    retract, together with the quasi-isomorphism back to A.
 
     The evaluators realize the recursion
 
@@ -372,8 +375,6 @@ def markl_transfer(retract: RetractData, max_arity: int):
     another call, so a new call (after a monkeypatch, say) recomputes
     everything.
     """
-    if not retract.verified:
-        raise DomainError("retract identities not verified; call RetractData.verify first")
     if max_arity < 2:
         raise DomainError("transfer needs max_arity >= 2")
 

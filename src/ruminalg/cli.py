@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 verification failure, domain error or a reader
 that closed the output early, 2 usage, syntax or file error.  The handlers
 raise; only `main` turns an error into its `error:` line and exit code.  A
 command line that argparse accepts but that asks for nothing runnable (an
-option out of range, no suite, both or neither of PATH and --builtin) is a
-`UsageError`, exit 2.
+option out of range, both or neither of SUITE and --suite, both or neither
+of PATH and --builtin) is a `UsageError`, exit 2.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if bool(args.suite) == bool(args.suite_opt):
+        raise UsageError("give exactly one of SUITE or --suite")
     suite = args.suite or args.suite_opt
-    if suite is None:
-        raise UsageError("no suite given (positional or --suite)")
     kwargs = dict(n=args.n, trials=args.trials, seed=args.seed, max_poly_degree=args.max_poly_degree)
     # A basis too large to enumerate is a DomainError before any output.
     reports = run_all(**kwargs) if suite == "all" else [run_suite(suite, **kwargs)]

@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg, rumin
-from .cinfty import RetractData, describe_issues
+from .cinfty import RetractData
 from .errors import ConstructionError, DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, wedge
 from .poly import Poly, exact
@@ -641,8 +641,8 @@ class FiniteModelBundle:
 
 def heisenberg_ce_retract() -> FiniteModelBundle:
     """Restrict (inclusion, pi, gamma) from symbolic forms on H^3 to the
-    constant-coefficient CE algebra; retract identities are verified on the
-    full basis before returning.
+    constant-coefficient CE algebra; the retract identities are checked on
+    the full CE and Rumin bases (`cinfty.RetractError` when one fails).
 
     The three maps are sampled once through the symbolic operators and then
     applied as exact matrices, which keeps exhaustive transfer sweeps over
@@ -661,9 +661,8 @@ def heisenberg_ce_retract() -> FiniteModelBundle:
         i=inclusion.apply,
         pi=project.apply,
         b_d=rm.apply_d,
+        a_samples=ce.all_basis_vectors(),
+        b_samples=rm.all_basis_vectors(),
         name="heisenberg finite model",
     )
-    issues = retract.verify(ce.all_basis_vectors(), rm.all_basis_vectors())
-    if issues:
-        raise ConstructionError("finite retract identities failed: " + describe_issues(issues))
     return FiniteModelBundle(ce=ce, rumin=rm, retract=retract, inclusion=inclusion)

@@ -550,19 +550,11 @@ def lefschetz(w: Form, power: int) -> Form:
     """w ^ (dtheta)^power for vertical w.
 
     The symplectic-type isomorphism statements hold on vertical forms only,
-    so non-vertical input is rejected; use `wedge_dtheta_power` for the
-    unrestricted wedge.
+    so non-vertical input is rejected.
     """
     if not is_vertical(w):
         raise DomainError("lefschetz requires a vertical form")
-    return wedge_dtheta_power(w, power)
-
-
-def wedge_dtheta_power(w: Form, power: int) -> Form:
-    """w ^ (dtheta)^power with no verticality restriction."""
-    if power < 0:
-        raise DomainError(f"negative power {power}")
-    return wedge(w, w.model.dtheta_power(power))
+    return wedge(w, w.model.dtheta_power(power))  # a negative power: DomainError
 
 
 def lefschetz_power_matrix(model: ContactModel, k: int):
@@ -581,7 +573,7 @@ def lefschetz_power_matrix(model: ContactModel, k: int):
     matrix = [[Fraction(0)] * len(src) for _ in tgt]
     for j, idx in enumerate(src):
         mono = Form(model, len(idx), {idx: Poly.one(model.nvars)}, _canonical=True)
-        image = wedge_dtheta_power(mono, k)
+        image = lefschetz(mono, k)
         for out_idx, p in image.terms.items():
             matrix[tgt_pos[out_idx]][j] = p.constant_value()
     return matrix

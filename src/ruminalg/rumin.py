@@ -33,7 +33,15 @@ later call returns it, so identities such as gamma(d gamma w) = gamma(w)
 compute gamma(w) once.  The value lives exactly as long as w, and the
 rescaled gamma of `gamma_invariance_check` is always computed afresh.
 
-An element keeps its products: a certified `RuminElement` stores
+A `RuminElement` is a form checked to lie in R when it is built:
+`RuminElement(form)` (and `certify`) tests membership and raises
+DomainError on failure.  `pi`, `m1`, the zeros, `scale` and `+` land in R by
+construction and wrap their output unchecked.  m1/m2/m3 and f2 take
+elements only, so their precondition is an isinstance test, and a plain
+`Form` never equals an element, so an operator memo keyed by elements never
+answers one.
+
+An element keeps its products: a `RuminElement` stores
 rho.form ^ sigma.form for each sigma it has been multiplied with, so m2,
 m3's gamma(a ^ b) entries and f2 of one pair share one product `Form`, and
 with it one kept gamma(a ^ b).  The products live exactly as long as the
@@ -216,22 +224,25 @@ def in_rumin(w: Form) -> bool:
 
 
 class RuminElement:
-    """A form together with a certificate of membership in R.
+    """A form of the subcomplex R; the constructor checks membership and
+    raises DomainError when the form is not in R.  Equality and the hash
+    are the form's."""
 
-    `pi` is the canonical constructor; `certify` wraps a form after an
-    explicit membership check.  The structure maps m1/m2/m3 and f2 require
-    certified inputs so their preconditions are O(1).  The certificate is part
-    of equality and of the hash, so an operator memo keyed by elements never
-    answers an uncertified input with the value of a certified one.
-    """
-
-    # _products is left unset by __init__: `_product` creates it, as
+    # _products is left unset on construction: `_product` creates it, as
     # {sigma: self.form ^ sigma.form}, outside == and the hash
-    __slots__ = ("form", "certified", "_products")
+    __slots__ = ("form", "_products")
 
-    def __init__(self, form: Form, certified: bool = False):
+    def __init__(self, form: Form):
+        if not in_rumin(form):
+            raise DomainError(f"form of degree {form.degree} is not in the Rumin subspace: {form}")
         self.form = form
-        self.certified = certified
+
+    @classmethod
+    def _make(cls, form: Form) -> "RuminElement":
+        """Internal fast path: `form` must already lie in R."""
+        rho = object.__new__(cls)
+        rho.form = form
+        return rho
 
     @property
     def degree(self) -> int:
@@ -245,63 +256,60 @@ class RuminElement:
         return self.form.is_zero()
 
     def zero_of_degree(self, degree: int) -> "RuminElement":
-        return RuminElement(Form.zero(self.form.model, degree), certified=True)
+        return RuminElement._make(Form.zero(self.form.model, degree))
 
     def scale(self, c) -> "RuminElement":
-        return RuminElement(self.form.scale(c), self.certified)
+        return RuminElement._make(self.form.scale(c))
 
     def __add__(self, other: "RuminElement") -> "RuminElement":
         if not isinstance(other, RuminElement):
             return NotImplemented
-        # R is a linear subspace: sums of certified elements stay certified.
-        return RuminElement(self.form + other.form, self.certified and other.certified)
+        return RuminElement._make(self.form + other.form)  # R is a linear subspace
 
     def __sub__(self, other: "RuminElement") -> "RuminElement":
         return self + other.scale(-1)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RuminElement):
-            return self.certified == other.certified and self.form == other.form
+            return self.form == other.form
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.form, self.certified))
+        return hash(self.form)
 
     def __str__(self) -> str:
         return self.form.to_text()
 
     def __repr__(self) -> str:
-        return f"RuminElement({self.form.to_text()!r}, certified={self.certified})"
+        return f"RuminElement({self.form.to_text()!r})"
 
 
 def certify(form: Form) -> RuminElement:
     """Check membership in R and wrap; raises DomainError on failure."""
-    if not in_rumin(form):
-        raise DomainError(f"form of degree {form.degree} is not in the Rumin subspace: {form}")
-    return RuminElement(form, certified=True)
+    return RuminElement(form)
 
 
 def pi(w: Form) -> RuminElement:
     """Projection w - d gamma(w) - gamma(dw) onto R; idempotent, commutes
     with d, and restricts to the identity on R."""
     out = w - exterior_d(gamma(w)) - gamma(exterior_d(w))
-    return RuminElement(out, certified=True)
+    return RuminElement._make(out)
 
 
-def _require_certified(name, *elements):
+def _require_elements(name, *elements):
     for pos, e in enumerate(elements, start=1):
-        if not isinstance(e, RuminElement) or not e.certified:
-            raise DomainError(f"{name}: argument {pos} is not a certified Rumin element")
+        if not isinstance(e, RuminElement):
+            raise DomainError(f"{name}: argument {pos} is not a RuminElement")
 
 
 def m1(rho: RuminElement) -> RuminElement:
-    """Differential; R is closed under d, so the output stays certified."""
-    _require_certified("m1", rho)
-    return RuminElement(exterior_d(rho.form), certified=True)
+    """Differential; R is closed under d, so the output lies in R."""
+    _require_elements("m1", rho)
+    return RuminElement._make(exterior_d(rho.form))
 
 
 def _product(rho: RuminElement, sigma: RuminElement) -> Form:
-    """rho.form ^ sigma.form of two certified elements, kept on rho."""
+    """rho.form ^ sigma.form of two elements, kept on rho."""
     try:
         products = rho._products
     except AttributeError:
@@ -314,7 +322,7 @@ def _product(rho: RuminElement, sigma: RuminElement) -> Form:
 
 def m2(rho: RuminElement, sigma: RuminElement) -> RuminElement:
     """Projected wedge pi(rho ^ sigma)."""
-    _require_certified("m2", rho, sigma)
+    _require_elements("m2", rho, sigma)
     return pi(_product(rho, sigma))
 
 
@@ -325,7 +333,7 @@ _GAMMA_MU_ENTRY = (lambda block: gamma(_product(*block)), 2, -1)
 def m3(rho: RuminElement, sigma: RuminElement, tau: RuminElement) -> RuminElement:
     """Ternary product pi . wedge . (gamma-wedge (x) 1  -  1 (x) gamma-wedge),
     with the interior Koszul sign supplied by the generic tensor engine."""
-    _require_certified("m3", rho, sigma, tau)
+    _require_elements("m3", rho, sigma, tau)
     block = (rho, sigma, tau)
     s1, (u1, v1) = apply_tensor_ops([_GAMMA_MU_ENTRY, IDENTITY_ENTRY], block)
     s2, (u2, v2) = apply_tensor_ops([IDENTITY_ENTRY, _GAMMA_MU_ENTRY], block)
@@ -337,21 +345,21 @@ def mk_zero(k: int, elements) -> RuminElement:
     """The vanishing higher products: zero of degree sum(|args|) + 2 - k."""
     if k < 4:
         raise DomainError(f"mk_zero is only the arity >= 4 family, got {k}")
-    _require_certified(f"m{k}", *elements)
+    _require_elements(f"m{k}", *elements)
     target = sum(e.degree for e in elements) + 2 - k
-    return RuminElement(Form.zero(elements[0].model, target), certified=True)
+    return RuminElement._make(Form.zero(elements[0].model, target))
 
 
 def f1(rho: RuminElement) -> Form:
     """Inclusion of R into the full form algebra."""
-    _require_certified("f1", rho)
+    _require_elements("f1", rho)
     return rho.form
 
 
 def f2(rho: RuminElement, sigma: RuminElement) -> Form:
     """-gamma(rho ^ sigma); the correction making the inclusion a morphism
     up to homotopy."""
-    _require_certified("f2", rho, sigma)
+    _require_elements("f2", rho, sigma)
     return gamma(_product(rho, sigma)).scale(-1)
 
 
@@ -359,7 +367,7 @@ def fk_zero(k: int, elements) -> Form:
     """The vanishing higher morphism components, k >= 3."""
     if k < 3:
         raise DomainError(f"fk_zero is only the arity >= 3 family, got {k}")
-    _require_certified(f"f{k}", *elements)
+    _require_elements(f"f{k}", *elements)
     target = sum(e.degree for e in elements) + 1 - k
     return Form.zero(elements[0].model, target)
 
@@ -374,8 +382,8 @@ def _derham_zero(k: int, elements) -> Form:
 
 
 def rumin_ops(model: ContactModel) -> GradedOpSet:
-    """The closed-form products (m1, m2, m3, 0, 0, ...) on certified
-    elements, total in every arity."""
+    """The closed-form products (m1, m2, m3, 0, 0, ...) on elements of R,
+    total in every arity."""
     ops = {
         1: lambda block: m1(block[0]),
         2: lambda block: m2(block[0], block[1]),
@@ -385,8 +393,8 @@ def rumin_ops(model: ContactModel) -> GradedOpSet:
 
 
 def rumin_morphism(model: ContactModel) -> GradedOpSet:
-    """The morphism components (f1, f2, 0, 0, ...) from certified elements
-    into plain forms."""
+    """The morphism components (f1, f2, 0, 0, ...) from elements of R into
+    plain forms."""
     ops = {
         1: lambda block: f1(block[0]),
         2: lambda block: f2(block[0], block[1]),
@@ -403,10 +411,10 @@ def derham_ops(model: ContactModel) -> GradedOpSet:
     return GradedOpSet(ops, degree_fn=lambda k: 2 - k, zero_maker=_derham_zero, name="de Rham")
 
 
-def rumin_retract(model: ContactModel) -> RetractData:
+def rumin_retract(model: ContactModel, a_samples, b_samples) -> RetractData:
     """The deformation retract (inclusion, pi, gamma) of the form algebra onto
-    R, as data for the generic homotopy transfer.  Call `.verify` with sample
-    elements before transferring."""
+    R, as data for the generic homotopy transfer, with its identities checked
+    on the sample forms and elements (`RetractError` when one fails)."""
     return RetractData(
         d=exterior_d,
         mu=wedge,
@@ -414,5 +422,7 @@ def rumin_retract(model: ContactModel) -> RetractData:
         i=lambda rho: rho.form,
         pi=pi,
         b_d=lambda rho: m1(rho),
+        a_samples=a_samples,
+        b_samples=b_samples,
         name=f"rumin retract n={model.n}",
     )

@@ -50,9 +50,9 @@ from itertools import product
 from . import cinfty, finite, rumin
 from ._version import __version__
 from .cinfty import (
+    RetractError,
     check_morphism,
     check_stasheff,
-    describe_issues,
     markl_transfer,
     shuffle_vanishing_residual,
 )
@@ -313,33 +313,20 @@ def suite_morphism(n, trials, seed, maxd, max_relation=4):
 _retract_cache: dict = {}
 
 
-def _checked_rumin_retract(n: int, maxd: int):
-    """(retract, issues): the symbolic retract for H^{2n+1} with its
-    identities checked on a fixed seeded sample, and the failures that
-    `RetractData.verify` found.  Only a retract without issues is cached
-    (per n and maxd)."""
-    key = (n, maxd)
-    if key in _retract_cache:
-        return _retract_cache[key], []
-    model = _guarded_model(n)
-    retract = rumin_retract(model)
-    degrees = range(model.dim + 1)
-    rng = stream(20_000 + n, 0)
-    a_samples = [random_form(model, rng, deg, maxd) for deg in degrees for _ in range(3)]
-    b_samples = [_certified(model, rng, deg, maxd) for deg in degrees for _ in range(3)]
-    issues = retract.verify(a_samples, b_samples)
-    if not issues:
-        _retract_cache[key] = retract
-    return retract, issues
-
-
 def verified_rumin_retract(n: int, maxd: int = 2):
-    """The symbolic retract for H^{2n+1} with its identities verified on a
-    fixed seeded sample (cached per n); raises DomainError when they fail."""
-    retract, issues = _checked_rumin_retract(n, maxd)
-    if issues:
-        raise DomainError("rumin retract identities failed: " + describe_issues(issues))
-    return retract
+    """The symbolic retract for H^{2n+1}, its identities checked on a fixed
+    seeded sample: three forms and three elements of R per degree.  Raises
+    `RetractError` when they fail; a retract that passed is cached per
+    (n, maxd)."""
+    key = (n, maxd)
+    if key not in _retract_cache:
+        model = _guarded_model(n)
+        degrees = range(model.dim + 1)
+        rng = stream(20_000 + n, 0)
+        a_samples = [random_form(model, rng, deg, maxd) for deg in degrees for _ in range(3)]
+        b_samples = [_certified(model, rng, deg, maxd) for deg in degrees for _ in range(3)]
+        _retract_cache[key] = rumin_retract(model, a_samples, b_samples)
+    return _retract_cache[key]
 
 
 def _transfer_trials(n, trials, seed, maxd, max_arity, trial) -> _Recorder:
@@ -348,10 +335,11 @@ def _transfer_trials(n, trials, seed, maxd, max_arity, trial) -> _Recorder:
     `markl_transfer` of it per trial.  Otherwise no trial runs, and each
     failed retract identity is recorded with its sample as the witness
     input."""
-    retract, issues = _checked_rumin_retract(n, maxd)
-    if issues:
+    try:
+        retract = verified_rumin_retract(n, maxd)
+    except RetractError as exc:
         rec = _Recorder()
-        for _, sample, residual in issues:
+        for _, sample, residual in exc.issues:
             rec.residual(residual, [sample])
         return rec
     return _trials(
@@ -428,9 +416,9 @@ def suite_ce_cohomology(n, trials, seed, maxd, max_relation=5):
     return rec
 
 
-# -- corrupted families for negative controls -----------------------------------
-# A control patches one in as `suites.rumin_ops` or `suites.rumin_morphism`;
-# they build from the `rumin` originals, so the patch does not recurse.
+# -- a corrupted family for negative controls ------------------------------------
+# A control patches it in as `suites.rumin_ops`; it builds from the `rumin`
+# original, so the patch does not recurse.
 
 
 def corrupted_rumin_ops(model: ContactModel) -> cinfty.GradedOpSet:
@@ -449,15 +437,6 @@ def corrupted_rumin_ops(model: ContactModel) -> cinfty.GradedOpSet:
     ops = dict(good.ops)
     ops[3] = bad_m3
     return cinfty.GradedOpSet(ops, good.degree_fn, good.zero_maker, name="corrupted products")
-
-
-def corrupted_rumin_morphism(model: ContactModel) -> cinfty.GradedOpSet:
-    """The morphism family with f2 negated; the relation-2 morphism residuals
-    must catch this."""
-    good = rumin.rumin_morphism(model)
-    ops = dict(good.ops)
-    ops[2] = lambda block: gamma(wedge(block[0].form, block[1].form))  # missing minus
-    return cinfty.GradedOpSet(ops, good.degree_fn, good.zero_maker, name="corrupted morphism")
 
 
 # -- registry and runner ---------------------------------------------------------

@@ -14,12 +14,13 @@ from ruminalg.cinfty import shuffle_product
 from ruminalg.forms import ContactModel, lefschetz_power_matrix
 from ruminalg import linalg
 from ruminalg.suites import (
-    corrupted_rumin_morphism,
     corrupted_rumin_ops,
     run_suite,
     suite_morphism,
     suite_stasheff,
 )
+
+from controls import corrupted_rumin_morphism
 
 
 def _report(num: int, description: str, ok: bool, elapsed: float, budget: float) -> None:

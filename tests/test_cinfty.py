@@ -9,6 +9,7 @@ from ruminalg.cinfty import (
     IDENTITY_ENTRY,
     GradedOpSet,
     RetractData,
+    RetractError,
     apply_tensor_ops,
     check_morphism,
     check_stasheff,
@@ -24,14 +25,15 @@ from ruminalg.errors import DomainError
 from ruminalg.finite import heisenberg_ce_retract
 from ruminalg.forms import ContactModel, Form, exterior_d, random_form, wedge
 from ruminalg.prng import stream
-from ruminalg.rumin import derham_ops, gamma, pi, rumin_morphism, rumin_ops, rumin_retract
+from ruminalg.rumin import RuminElement, derham_ops, gamma, m1, pi, rumin_morphism, rumin_ops
 from ruminalg.suites import (
     SHUFFLE_PAIRS,
     _certified_tuple,
-    corrupted_rumin_morphism,
     corrupted_rumin_ops,
     verified_rumin_retract,
 )
+
+from controls import corrupted_rumin_morphism
 
 M1 = ContactModel(1)
 
@@ -303,7 +305,7 @@ def test_gradedopset_zero_default_and_audit():
     for _ in range(5):
         tuples.append(tuple(pi(random_form(M1, rng, rng.randint(0, 2), 2)) for _ in range(4)))
     out = mset(4, tuples[0])
-    assert out.is_zero() and out.certified
+    assert out.is_zero() and isinstance(out, RuminElement)
     assert _homogeneity_issues(mset, 2, [t[:2] for t in tuples]) == []
     assert _homogeneity_issues(mset, 3, [t[:3] for t in tuples]) == []
     # deliberately mis-declared degree must be flagged
@@ -319,10 +321,32 @@ def test_gradedopset_zero_default_and_audit():
 # -- homotopy transfer ------------------------------------------------------------------
 
 
-def test_transfer_requires_verified_retract():
-    retract = rumin_retract(M1)
-    with pytest.raises(DomainError):
-        markl_transfer(retract, 3)
+@pytest.mark.parametrize(
+    "h, proj, failing",
+    [(lambda a: gamma(a).scale(2), pi, {"i pi = 1 - dh - hd"}),
+     (gamma, lambda a: pi(a).scale(2), {"i pi = 1 - dh - hd", "pi i = 1"})],
+    ids=["h-doubled", "pi-doubled"],
+)
+def test_a_broken_retract_is_refused_when_built(h, proj, failing):
+    # No RetractData exists that failed its identities, so no transfer can
+    # run over one.  The error lists every failing identity with its samples.
+    def include(rho):
+        return rho.form
+
+    rng = stream(47, 0)
+    a_samples = [random_form(M1, rng, deg, 2) for deg in range(4) for _ in range(2)]
+    b_samples = [pi(random_form(M1, rng, deg, 2)) for deg in range(4) for _ in range(2)]
+    with pytest.raises(RetractError) as exc:
+        RetractData(exterior_d, wedge, h, include, proj, m1, a_samples, b_samples, name="broken")
+    assert isinstance(exc.value, DomainError)
+    assert {identity for identity, _, _ in exc.value.issues} == failing
+    for identity, sample, residual in exc.value.issues:
+        assert not residual.is_zero()
+        assert sample in (a_samples if identity == "i pi = 1 - dh - hd" else b_samples)
+    message = str(exc.value)
+    assert message.startswith("broken fails its identities: ") and all(i in message for i in failing)
+    # the unbroken maps pass on the same samples
+    RetractData(exterior_d, wedge, gamma, include, pi, m1, a_samples, b_samples)
 
 
 def test_transferred_m2_is_projected_wedge():
@@ -413,11 +437,9 @@ def _twisted_retract():
     def same(x):
         return x
 
-    retract = RetractData(exterior_d, wedge, h, same, same)
     rng = stream(49, 0)
     samples = [random_form(M1, rng, deg, 2) for deg in range(4) for _ in range(2)]
-    assert retract.verify(samples, samples) == []
-    return retract
+    return RetractData(exterior_d, wedge, h, same, same, exterior_d, samples, samples)
 
 
 def test_memoized_transfer_matches_the_plain_recursion_at_arity_5():
@@ -461,10 +483,13 @@ def test_psi_skips_zero_factors_and_keeps_the_degree():
     def same(x):
         return x
 
-    retract = RetractData(exterior_d, mu, lambda a: a.zero_of_degree(a.degree - 1), same, same)
     rng = stream(48, 0)
     samples = [random_form(M1, rng, deg, 1) for deg in range(4)]
-    assert retract.verify(samples, samples) == []
+
+    def zero_h(a):
+        return a.zero_of_degree(a.degree - 1)
+
+    retract = RetractData(exterior_d, mu, zero_h, same, same, exterior_d, samples, samples)
     mset, fset = markl_transfer(retract, 4)
     dx, dy, theta = M1.generator(1), M1.generator(2), M1.theta()
     x = (dx, dy, theta, wedge(dx, dy))
@@ -647,5 +672,5 @@ def test_a_relation_whose_terms_all_vanish_returns_a_zero_of_its_codomain():
         assert res.is_zero() and isinstance(res, Form)
         assert res + w == w
         stasheff = check_stasheff(rumin_ops(model), n_rel, (zero,) * n_rel)
-        assert stasheff.is_zero() and stasheff.certified
+        assert stasheff.is_zero() and isinstance(stasheff, RuminElement)
     assert shuffle_vanishing_residual(rumin_morphism(model), 1, 1, (zero, zero)) + w == w

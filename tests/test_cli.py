@@ -205,9 +205,10 @@ def test_verify_missing_suite_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["verify"], "error: no suite given (positional or --suite)\n"),
+        (["verify"], "error: give exactly one of SUITE or --suite\n"),
         (["cohomology"], "error: give exactly one of PATH or --builtin\n"),
         (["cohomology", "x.alg", "--builtin", "ce"], "error: give exactly one of PATH or --builtin\n"),
+        (["verify", "dsq", "--suite", "stasheff"], "error: give exactly one of SUITE or --suite\n"),
     ],
 )
 def test_usage_errors_reach_main(capsys, argv, message):

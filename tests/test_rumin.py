@@ -18,7 +18,6 @@ from ruminalg.forms import (
     merge_indices,
     random_form,
     wedge,
-    wedge_dtheta_power,
 )
 from ruminalg.poly import Poly
 from ruminalg.prng import stream
@@ -171,10 +170,10 @@ def _reference_gamma(w, lam):
         return Form.zero(model, max(k - 1, 0))
     tw = wedge(model.theta(), w).scale(lam)
     if k <= n:
-        rhs = wedge_dtheta_power(tw, n + 1 - k).scale(lam ** (n + 1 - k))
+        rhs = wedge(tw, model.dtheta_power(n + 1 - k)).scale(lam ** (n + 1 - k))
         return _dense_solve(model, n + 2 - k, rhs, lam)
     zeta = _dense_solve(model, k - n, tw, lam)
-    return wedge_dtheta_power(zeta, k - n - 1).scale(lam ** (k - n - 1))
+    return wedge(zeta, model.dtheta_power(k - n - 1)).scale(lam ** (k - n - 1))
 
 
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(3, 7)])
@@ -392,7 +391,7 @@ def test_pi_idempotent_and_certifying():
         for deg in range(0, model.dim + 1):
             w = random_form(model, rng, deg, 2)
             p = pi(w)
-            assert p.certified
+            assert isinstance(p, RuminElement)
             assert pi(p.form).form == p.form
             assert in_rumin(p.form)
             assert gamma(p.form).is_zero()
@@ -400,10 +399,18 @@ def test_pi_idempotent_and_certifying():
 
 
 def test_certify():
-    rho = certify(wedge(M1.theta(), _dx(M1)))
-    assert rho.certified
-    with pytest.raises(DomainError):
-        certify(wedge(_dx(M1), _dy(M1)))
+    # certify is the element's own constructor: both refuse dx1^dy1, which
+    # is not in R, with one message
+    tdx = wedge(M1.theta(), _dx(M1))
+    rho = certify(tdx)
+    assert isinstance(rho, RuminElement) and rho == RuminElement(tdx) == pi(tdx)
+    dxdy = wedge(_dx(M1), _dy(M1))
+    with pytest.raises(DomainError) as via_certify:
+        certify(dxdy)
+    with pytest.raises(DomainError) as via_element:
+        RuminElement(dxdy)
+    assert str(via_element.value) == str(via_certify.value)
+    assert "not in the Rumin subspace" in str(via_element.value)
 
 
 # -- structure maps ------------------------------------------------------------------
@@ -418,7 +425,7 @@ def test_m1_stays_in_subcomplex():
     for deg in range(0, M2.dim + 1):
         rho = pi(random_form(M2, rng, deg, 2))
         out = m1(rho)
-        assert out.certified and in_rumin(out.form)
+        assert isinstance(out, RuminElement) and in_rumin(out.form)
 
 
 def test_m2_example():
@@ -445,7 +452,7 @@ def test_m3_degree_law():
 def test_mk_zero():
     elems = tuple(certify(_dx(M1)) for _ in range(4))
     out = mk_zero(4, elems)
-    assert out.is_zero() and out.certified
+    assert out.is_zero() and isinstance(out, RuminElement)
     with pytest.raises(DomainError):
         mk_zero(3, elems[:3])
 
@@ -473,7 +480,7 @@ def test_f2_shuffle_symmetry():
 
 
 def test_uncertified_inputs_rejected():
-    raw = RuminElement(wedge(M1.theta(), _dx(M1)), certified=False)
+    raw = wedge(M1.theta(), _dx(M1))  # in R, but a plain Form
     with pytest.raises(DomainError):
         m1(raw)
     with pytest.raises(DomainError):
@@ -492,13 +499,13 @@ def test_uncertified_inputs_rejected():
 
 
 def test_warm_families_still_reject_uncertified_inputs():
-    # The certificate is part of equality, so a memo warmed on a certified
-    # element does not answer the same form without its certificate.
+    # A Form never equals a RuminElement, so a memo warmed on an element
+    # does not answer the same form passed as a plain Form.
     a, b = certify(_dx(M1)), certify(_dy(M1))
-    raw = RuminElement(_dx(M1))
+    raw = _dx(M1)
     for family in (rumin_ops(M1), rumin_morphism(M1)):
         family(2, (a, b))
-        assert raw == RuminElement(a.form) and raw != a
+        assert raw == a.form and raw != a
         with pytest.raises(DomainError):
             family(2, (raw, b))
 
@@ -513,18 +520,19 @@ def test_equal_rumin_elements_hash_alike(n, seed, other_degree):
         idx: Poly(model.nvars, {ex: Fraction(c) for ex, c in p.terms.items()}, _canonical=True)
         for idx, p in rho.form.terms.items()
     }
-    twin = RuminElement(Form(model, rho.degree, terms, _canonical=True), certified=True)
+    twin = RuminElement(Form(model, rho.degree, terms, _canonical=True))
     assert twin == rho and hash(twin) == hash(rho)
-    zero = RuminElement(Form.zero(model, other_degree), certified=True)
+    zero = RuminElement(Form.zero(model, other_degree))
     assert zero == rho.zero_of_degree(rho.degree) and hash(zero) == hash(rho.zero_of_degree(rho.degree))
-    assert RuminElement(rho.form) != rho
+    wrapped = RuminElement(rho.form)
+    assert wrapped == rho and hash(wrapped) == hash(rho)
 
 
 def test_rumin_element_algebra():
     a = certify(_dx(M1))
     b = certify(_dy(M1))
     s = a + b
-    assert s.certified and s.degree == 1
+    assert isinstance(s, RuminElement) and s.degree == 1
     assert s.scale(Fraction(1, 2)) + s.scale(Fraction(1, 2)) == s
     assert a.zero_of_degree(2).is_zero()
 
@@ -534,7 +542,7 @@ def test_rumin_element_algebra():
 
 def _fresh(rho):
     """An element equal to rho, on a new Form: no kept product, no kept gamma."""
-    return RuminElement(Form(rho.model, rho.degree, dict(rho.form.terms), _canonical=True), certified=True)
+    return RuminElement(Form(rho.model, rho.degree, dict(rho.form.terms), _canonical=True))
 
 
 @pytest.mark.parametrize("n, seed, degrees", [(1, 1, (1, 1, 1)), (2, 3, (2, 1, 1)), (3, 0, (1, 2, 2))])
@@ -582,7 +590,7 @@ def test_kept_products_leave_certificates_equality_and_hash_alone():
     a, b, c = certify(_dx(M1)), certify(_dy(M1)), certify(_dx(M1))
     m2(a, b), m3(a, b, c), f2(a, b)
     assert a == _fresh(a) and hash(a) == hash(_fresh(a))
-    raw = RuminElement(a.form)
+    raw = a.form
     for call in (lambda: m2(raw, b), lambda: m2(b, raw), lambda: m3(raw, b, c),
                  lambda: m3(a, b, raw), lambda: f2(raw, b)):
         with pytest.raises(DomainError):

@@ -9,7 +9,6 @@ from ruminalg.forms import ContactModel, Form, exterior_d
 from ruminalg.parser import eval_text
 from ruminalg.suites import (
     SUITES,
-    corrupted_rumin_morphism,
     corrupted_rumin_ops,
     format_report,
     report_json,
@@ -18,6 +17,8 @@ from ruminalg.suites import (
     suite_morphism,
     suite_stasheff,
 )
+
+from controls import corrupted_rumin_morphism
 
 FAST = dict(n=1, trials=8, seed=3, max_poly_degree=2)
 
@@ -155,7 +156,7 @@ def _double_one_gamma_scalar(monkeypatch):
 def _flip_gamma_d_in_pi(monkeypatch):
     def pi(w):
         flipped = w - exterior_d(rumin.gamma(w)) + rumin.gamma(exterior_d(w))
-        return rumin.RuminElement(flipped, certified=True)
+        return rumin.RuminElement._make(flipped)
 
     for module in (rumin, suites):
         monkeypatch.setattr(module, "pi", pi)
