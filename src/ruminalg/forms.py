@@ -46,6 +46,14 @@ increasing coframe index tuples to nonzero polynomial coefficients.  The zero
 form of any degree is the empty map (degrees above the manifold dimension are
 allowed for zero only, so wedges may annotate their honest target degree).
 All values are immutable and hashable, and all operations pure.
+
+A form keeps its d: the first `exterior_d(w)` stores the value on w, and
+later calls return it, as `rumin.gamma` keeps gamma(w).  Neither enters ==
+or the hash.  `rumin.pi` reads a kept d but keeps none
+(`exterior_d(w, keep=False)`), because the products a `RuminElement` keeps
+would otherwise each carry their derivatives.  The unscaled gamma's
+constants are kept on the `ContactModel` (`_gamma_constants`); the rescaled
+gamma computes its own on every call.
 """
 
 from __future__ import annotations
@@ -98,6 +106,7 @@ class ContactModel:
         self.nvars = 2 * n + 1        # polynomial coordinates x_1..x_n, y_1..y_n, z
         self._dtheta_powers: dict = {}
         self._monomial_cache: dict = {}
+        self._gamma_constants: dict = {}  # rumin's unscaled gamma constants, per degree
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ContactModel) and self.n == other.n
@@ -187,10 +196,11 @@ class ContactModel:
 class Form:
     """Homogeneous differential form with polynomial coefficients."""
 
-    # _hash and _gamma are left unset by __init__: the first __hash__ call
-    # fills _hash, and the first unscaled rumin.gamma(self) fills _gamma with
-    # its value, which lives as long as the form; neither enters == or hash
-    __slots__ = ("model", "degree", "terms", "_hash", "_gamma")
+    # _hash, _d and _gamma are left unset by __init__: the first __hash__
+    # call fills _hash, the first exterior_d(self) fills _d and the first
+    # unscaled rumin.gamma(self) fills _gamma with its value, which lives as
+    # long as the form; none of them enters == or hash
+    __slots__ = ("model", "degree", "terms", "_hash", "_d", "_gamma")
 
     def __init__(self, model: ContactModel, degree: int, terms=None, _canonical=False):
         self.model = model
@@ -483,8 +493,24 @@ def _form_from_accumulator(model: ContactModel, degree: int, out: Blocks) -> For
     return Form(model, degree, terms, _canonical=True)
 
 
-def exterior_d(w: Form) -> Form:
-    """Exterior derivative, computed on the coefficients.
+def exterior_d(w: Form, keep: bool = True) -> Form:
+    """Exterior derivative, kept on w: the first exterior_d(w) stores its
+    value in w's `_d` slot, and each later call returns it.  With
+    keep=False a kept value is still returned, but a computed one is not
+    stored (`rumin.pi` differentiates so, see there).  The zero form is
+    not differentiated: its d is a new zero."""
+    if not w.terms:
+        return Form.zero(w.model, w.degree + 1)
+    out = getattr(w, "_d", None)
+    if out is None:
+        out = _exterior_d(w)
+        if keep:
+            w._d = out
+    return out
+
+
+def _exterior_d(w: Form) -> Form:
+    """Exterior derivative, computed afresh on the coefficients.
 
     On a term f e^I this is df ^ e^I plus, when e^0 divides e^I,
     f dtheta ^ e^{I minus 0}: d(e^j) = 0 for j >= 1 and d(e^0) = dtheta since

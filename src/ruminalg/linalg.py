@@ -1,31 +1,30 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are lists of row lists of Fraction.  Everything here is plain
-Gauss-Jordan elimination; sizes stay small (finite-model complexes and the
-rank checks of the `lefschetz-iso` suite), so no pivoting strategy beyond
-"first nonzero".
+Matrices are lists of row lists of ints and Fractions.  Everything here is
+plain Gauss-Jordan elimination; sizes stay small (finite-model complexes and
+the rank checks of the `lefschetz-iso` suite), so no pivoting strategy beyond
+"first nonzero".  Int entries stay ints: a Fraction is made only where a
+pivot row is divided by a pivot other than 1, and the zeros, identities and
+kernel vectors built here hold ints.
 """
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def zeros(rows: int, cols: int):
-    return [[_ZERO] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def identity(k: int):
     m = zeros(k, k)
     for i in range(k):
-        m[i][i] = _ONE
+        m[i][i] = 1
     return m
 
 
 def rref(a):
     """Reduced row echelon form; returns (matrix copy, pivot column list)."""
-    m = [list(map(Fraction, row)) for row in a]
+    m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -35,9 +34,9 @@ def rref(a):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        if inv != 1:
-            m[r] = [x * inv for x in m[r]]
+        p = m[r][c]
+        if p != 1:
+            m[r] = [Fraction(x, p) if x else 0 for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
                 f = m[i][c]
@@ -77,8 +76,8 @@ def nullspace(a, cols: int | None = None):
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [_ZERO] * cols
-        v[fc] = _ONE
+        v = [0] * cols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
@@ -94,7 +93,7 @@ def solve_exact(a, b):
     red, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [_ZERO] * cols
+    x = [0] * cols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x

@@ -30,8 +30,17 @@ it; the output blocks are wrapped once, in lowest terms.
 
 A form keeps its gamma: the first gamma(w) stores the value on w, and each
 later call returns it, so identities such as gamma(d gamma w) = gamma(w)
-compute gamma(w) once.  The value lives exactly as long as w, and the
-rescaled gamma of `gamma_invariance_check` is always computed afresh.
+compute gamma(w) once.  A form keeps its d the same way
+(`forms.exterior_d`).  Both values live exactly as long as w.  `pi` reads a
+d kept on w or on gamma(w) but keeps none (`exterior_d(..., keep=False)`):
+m2 projects the product an element keeps (below), and a d kept there would
+chain further derivatives onto every kept product for the element's
+lifetime.  gamma's constants at the unscaled contact form -- the c_j over
+one denominator, the L and Lambda pair weights and theta's scalar -- are
+kept on the `ContactModel` per degree, filled on first use, so a new model
+pays for them again.  The rescaled gamma of `gamma_invariance_check` reads
+its weights and scalar off the rescaled dtheta and theta on every call and
+is always computed afresh.
 
 A `RuminElement` is a form checked to lie in R when it is built:
 `RuminElement(form)` (and `certify`) tests membership and raises
@@ -159,26 +168,42 @@ def gamma(w: Form, _lam: Fraction | None = None) -> Form:
     The value is kept on w, so a second gamma(w) returns it.  The private
     `_lam` recomputes gamma from the contact form rescaled by a positive
     constant (used by `gamma_invariance_check`), and never reads or keeps
-    the value on w.
+    the value on w, nor the constants kept on the model.
     """
     if _lam is not None:
         return _gamma(w, _lam)
     out = getattr(w, "_gamma", None)
     if out is None:
-        out = w._gamma = _gamma(w, _ONE)
+        out = w._gamma = _gamma(w, None)
     return out
 
 
-def _gamma(w: Form, lam: Fraction) -> Form:
-    """gamma(w) from the contact form rescaled by lam, computed afresh."""
+def _constants(model: ContactModel, k: int, lam: Fraction | None = None) -> tuple:
+    """gamma's constants on k-forms: ((c_j numerators, their denominator),
+    L's and Lambda's pair weights, theta's scalar), with the contact form
+    rescaled by lam.  The unscaled ones (lam None) are kept on the model,
+    filled on first use; rescaled ones are read off the rescaled dtheta and
+    theta on every call."""
+    if lam is None:
+        store = model._gamma_constants
+        out = store.get(k)
+        if out is None:
+            out = store[k] = _constants(model, k, _ONE)
+        return out
+    up, down = _pair_weights(model.dtheta().scale(lam))
+    t = model.theta().scale(lam).terms[(0,)].constant_value()
+    return over_lcm(_gamma_scalars(model.n, k)), up, down, t
+
+
+def _gamma(w: Form, lam: Fraction | None) -> Form:
+    """gamma(w) from the contact form rescaled by lam (unscaled when None),
+    computed afresh."""
     model = w.model
     n, k = model.n, w.degree
-    c = _gamma_scalars(n, k)
+    (c, cden), up, down, t = _constants(model, k, lam)
     alpha = _horizontal(w)
     if not c or not alpha:
         return Form.zero(model, max(k - 1, 0))
-    c, cden = over_lcm(c)
-    up, down = _pair_weights(model.dtheta().scale(lam))
     lift = partial(_pair_op, n=n, weights=up, lower=False)
     drop = partial(_pair_op, n=n, weights=down, lower=True)
     descend = k <= n + 1
@@ -191,7 +216,6 @@ def _gamma(w: Form, lam: Fraction) -> Form:
         acc = _add_blocks(back(acc), term, cj, cden)
     if not descend:
         acc = drop(acc)
-    t = model.theta().scale(lam).terms[(0,)].constant_value()
     tn = t.numerator
     out = Blocks(acc.den * t.denominator)
     for idx, coeffs in acc.items():  # acc's dicts are its own: no copy
@@ -213,7 +237,7 @@ def is_primitive(w: Form) -> bool:
     (theta ^ w) ^ dtheta^(n+1-k) = 0 with k = |w| (for k >= n+1 there are no
     powers left and the test is theta ^ w = 0)."""
     model = w.model
-    _, down = _pair_weights(model.dtheta())
+    down = _constants(model, w.degree)[2]
     return not any(_pair_op(_horizontal(w), model.n, down, lower=True).values())
 
 
@@ -291,8 +315,10 @@ def certify(form: Form) -> RuminElement:
 
 def pi(w: Form) -> RuminElement:
     """Projection w - d gamma(w) - gamma(dw) onto R; idempotent, commutes
-    with d, and restricts to the identity on R."""
-    out = w - exterior_d(gamma(w)) - gamma(exterior_d(w))
+    with d, and restricts to the identity on R.  A d kept on w or on
+    gamma(w) is read, but pi keeps no d of its own (see the module
+    docstring)."""
+    out = w - exterior_d(gamma(w), keep=False) - gamma(exterior_d(w, keep=False))
     return RuminElement._make(out)
 
 

@@ -12,7 +12,7 @@ import ruminalg
 from ruminalg import __version__, cli
 from ruminalg.cli import main
 from ruminalg.finite import heisenberg_ce_algebra
-from ruminalg.suites import SUITES
+from ruminalg.suites import SUITE_NAMES, SUITES
 
 
 def run(capsys, *argv):
@@ -278,6 +278,30 @@ def test_basis_over_the_enumeration_limit_exit_1(capsys, argv, count):
 def test_ce_cohomology_ignores_n(capsys):
     code, out, err = run(capsys, "verify", "ce-cohomology", "--n", "10", "--trials", "1")
     assert code == 0 and "PASS" in out and err == ""
+
+
+# Every subcommand that takes --n, at n = 1000 with its default options, and
+# the exit code it ends with.  verify ce-cohomology passes because it always
+# runs the n = 1 finite model, whatever --n says: it reports a model it did
+# not run until the finite model exists at every n (ROADMAP item 4).
+LARGE_N_ROWS = (
+    [(("verify", name), 0 if name == "ce-cohomology" else 1) for name in SUITE_NAMES]
+    + [(("eval", "dz"), 0), (("basis", "--degree", "2"), 1), (("model",), 0)]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code", LARGE_N_ROWS, ids=["-".join(argv) for argv, _ in LARGE_N_ROWS]
+)
+def test_every_subcommand_at_n_1000(capsys, argv, code):
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv, "--n", "1000")
+    assert time.perf_counter() - start < 5
+    assert got == code
+    if code:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert out and err == ""
 
 
 def test_model_command(capsys):

@@ -351,11 +351,18 @@ def test_dsa_identity_on_verticals():
     "corruption", [dict(tail=False), dict(lift=False)], ids=["no-dtheta-tail", "no-y-dz-in-X"]
 )
 def test_corrupted_d_fails_a_suite_with_witness(monkeypatch, corruption):
-    def corrupted(w):
+    # pi differentiates through rumin.exterior_d(..., keep=False), so the
+    # patch reaches every d it evaluates; the kernel behind the real
+    # exterior_d must not run at all
+    def corrupted(w, keep=True):
         return ref_exterior_d(w, **corruption)
+
+    def unreachable(w):
+        raise AssertionError("a d escaped the corrupted exterior_d")
 
     for module in (forms, rumin, suites, parser):
         monkeypatch.setattr(module, "exterior_d", corrupted)
+    monkeypatch.setattr(forms, "_exterior_d", unreachable)
     failed = [
         report
         for name in ("dsq", "dsa-lemma", "gamma-props", "retract")

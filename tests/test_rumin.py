@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruminalg import linalg, rumin
+from ruminalg import forms, linalg, rumin, suites
 from ruminalg.errors import DomainError
 from ruminalg.forms import (
     Blocks,
@@ -254,6 +254,22 @@ def test_a_kept_gamma_does_not_mask_a_rescaled_one(monkeypatch):
     assert getattr(fresh, "_gamma", None) is None
 
 
+def test_kept_model_constants_do_not_mask_a_rescaled_gamma(monkeypatch):
+    # M2's unscaled gamma constants are filled first, and only then are the
+    # pair weights patched: the rescaled gamma reads its weights off the
+    # rescaled dtheta on every call, so it still changes and the invariance
+    # check still fails.
+    inputs = (wedge(_dx(M2), _dy(M2)), wedge(_dx(M2, 2), wedge(_dx(M2), _dy(M2))))
+    for w in inputs:
+        gamma(Form(M2, w.degree, dict(w.terms), _canonical=True))
+        is_primitive(w)
+    assert M2._gamma_constants
+    lam, inputs = _wrong_dtheta_pair(monkeypatch)
+    for w in inputs:
+        assert gamma(w, _lam=lam) != gamma(w)
+        assert not gamma_invariance_check(w, lam)
+
+
 def test_gamma_is_kept_on_its_form():
     rng = stream(44, 0)
     for deg in range(0, M2.dim + 1):
@@ -264,22 +280,72 @@ def test_gamma_is_kept_on_its_form():
 
 def test_a_kept_gamma_leaves_equality_and_hash_alone():
     # Forms equal in value stay equal and hash alike whether or not one of
-    # them holds its gamma, and whether the hash was taken before or after.
+    # them holds its gamma or its d, and whether the hash was taken before
+    # or after.
     rng = stream(45, 0)
     inputs = [random_form(M2, rng, deg, 2) for deg in range(0, M2.dim + 1)]
     inputs += [Form.zero(M2, deg) for deg in (0, 2, 5)] + [wedge(_dx(M2), _dy(M2))]
-    for w in inputs:
-        before = Form(M2, w.degree, dict(w.terms), _canonical=True)
-        hashed_first = hash(before)
-        gamma(before)
-        after = Form(M2, w.degree, dict(w.terms), _canonical=True)
-        gamma(after)
-        assert before == w == after and before._gamma == gamma(w)
-        assert hashed_first == hash(before) == hash(after) == hash(w)
-    zeros = [Form.zero(M2, deg) for deg in (0, 3)]
-    gamma(zeros[0])
-    assert zeros[0] == zeros[1] and hash(zeros[0]) == hash(zeros[1])
-    assert zeros[0] != wedge(_dx(M2), _dy(M2))
+    for kept, slot in ((gamma, "_gamma"), (exterior_d, "_d")):
+        for w in inputs:
+            before = Form(M2, w.degree, dict(w.terms), _canonical=True)
+            hashed_first = hash(before)
+            kept(before)
+            after = Form(M2, w.degree, dict(w.terms), _canonical=True)
+            kept(after)
+            assert before == w == after
+            assert w.is_zero() or getattr(before, slot) == kept(w)
+            assert hashed_first == hash(before) == hash(after) == hash(w)
+        zeros = [Form.zero(M2, deg) for deg in (0, 3)]
+        kept(zeros[0])
+        assert zeros[0] == zeros[1] and hash(zeros[0]) == hash(zeros[1])
+        assert zeros[0] != wedge(_dx(M2), _dy(M2))
+
+
+def test_d_is_kept_on_its_form():
+    # exterior_d keeps its value on the form; keep=False reads a kept value
+    # but stores none; the zero form's d is a new zero, kept nowhere.
+    rng = stream(46, 0)
+    for deg in range(0, M2.dim + 1):
+        w = random_form(M2, rng, deg, 2)
+        if w.is_zero():
+            continue
+        unkept = exterior_d(w, keep=False)
+        assert getattr(w, "_d", None) is None
+        assert exterior_d(w) is exterior_d(w) is not unkept
+        assert exterior_d(w) == unkept and exterior_d(w, keep=False) is exterior_d(w)
+    zero = Form.zero(M2, 2)
+    assert exterior_d(zero).is_zero() and exterior_d(zero).degree == 3
+    assert getattr(zero, "_d", None) is None
+
+
+def test_the_retract_check_never_differentiates_a_form_twice(monkeypatch):
+    # Building the n = 1 retract evaluates d(h(a)) and h(d(a)) before pi(a),
+    # and pi reads the d kept on its input: no form object reaches the d
+    # kernel twice.  The forms are held, so no id is reused.
+    seen = []
+    right = forms._exterior_d
+
+    def counted(w):
+        seen.append(w)
+        return right(w)
+
+    monkeypatch.setattr(forms, "_exterior_d", counted)
+    monkeypatch.setattr(suites, "_retract_cache", {})
+    suites.verified_rumin_retract(1)
+    assert seen
+    assert len({id(w) for w in seen}) == len(seen)
+
+
+def test_a_kept_product_gains_no_d():
+    # pi reads kept values but keeps none: m2 leaves no d on the product it
+    # keeps on the element, nor on that product's kept gamma.
+    rng = stream(47, 2)
+    a, b = (pi(random_form(M2, rng, degree, 2)) for degree in (1, 2))
+    value = m2(a, b)
+    product = a._products[b]
+    assert not value.is_zero() and not gamma(product).is_zero()
+    assert getattr(product, "_d", None) is None
+    assert getattr(product._gamma, "_d", None) is None
 
 
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 7)])
