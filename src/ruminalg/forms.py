@@ -50,10 +50,11 @@ All values are immutable and hashable, and all operations pure.
 A form keeps its d: the first `exterior_d(w)` stores the value on w, and
 later calls return it, as `rumin.gamma` keeps gamma(w).  Neither enters ==
 or the hash.  `rumin.pi` reads a kept d but keeps none
-(`exterior_d(w, keep=False)`), because the products a `RuminElement` keeps
-would otherwise each carry their derivatives.  The unscaled gamma's
-constants are kept on the `ContactModel` (`_gamma_constants`); the rescaled
-gamma computes its own on every call.
+(`exterior_d(w, keep=False)`) unless its value is w itself, because the
+products a `RuminElement` keeps would otherwise each carry their
+derivatives.  The unscaled gamma's constants are kept on the `ContactModel`
+(`_gamma_weights` once, `_gamma_cj` per degree); the rescaled gamma
+computes its own on every call.
 """
 
 from __future__ import annotations
@@ -106,7 +107,10 @@ class ContactModel:
         self.nvars = 2 * n + 1        # polynomial coordinates x_1..x_n, y_1..y_n, z
         self._dtheta_powers: dict = {}
         self._monomial_cache: dict = {}
-        self._gamma_constants: dict = {}  # rumin's unscaled gamma constants, per degree
+        # rumin's unscaled gamma constants: the pair weights and theta's
+        # scalar once, the c_j over their lcm per degree
+        self._gamma_weights = None
+        self._gamma_cj: dict = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ContactModel) and self.n == other.n
@@ -497,13 +501,11 @@ def exterior_d(w: Form, keep: bool = True) -> Form:
     """Exterior derivative, kept on w: the first exterior_d(w) stores its
     value in w's `_d` slot, and each later call returns it.  With
     keep=False a kept value is still returned, but a computed one is not
-    stored (`rumin.pi` differentiates so, see there).  The zero form is
-    not differentiated: its d is a new zero."""
-    if not w.terms:
-        return Form.zero(w.model, w.degree + 1)
+    stored (`rumin.pi` differentiates so, see there).  The zero form's d
+    is a new zero, kept like any other d, and never reaches the kernel."""
     out = getattr(w, "_d", None)
     if out is None:
-        out = _exterior_d(w)
+        out = _exterior_d(w) if w.terms else Form.zero(w.model, w.degree + 1)
         if keep:
             w._d = out
     return out

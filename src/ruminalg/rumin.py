@@ -35,12 +35,14 @@ compute gamma(w) once.  A form keeps its d the same way
 d kept on w or on gamma(w) but keeps none (`exterior_d(..., keep=False)`):
 m2 projects the product an element keeps (below), and a d kept there would
 chain further derivatives onto every kept product for the element's
-lifetime.  gamma's constants at the unscaled contact form -- the c_j over
-one denominator, the L and Lambda pair weights and theta's scalar -- are
-kept on the `ContactModel` per degree, filled on first use, so a new model
-pays for them again.  The rescaled gamma of `gamma_invariance_check` reads
-its weights and scalar off the rescaled dtheta and theta on every call and
-is always computed afresh.
+lifetime.  Only when pi(w) is w itself, because w already lies in R, does w
+keep the d pi computed: the element's own d (m1) would compute it again.
+gamma's constants at the unscaled contact form are kept on the
+`ContactModel`, filled on first use, so a new model pays for them again:
+the L and Lambda pair weights and theta's scalar once, the c_j over one
+denominator per degree.  The rescaled gamma of `gamma_invariance_check`
+computes its own on every call, reading its weights and scalar off the
+rescaled dtheta and theta, and is always computed afresh.
 
 A `RuminElement` is a form checked to lie in R when it is built:
 `RuminElement(form)` (and `certify`) tests membership and raises
@@ -182,17 +184,30 @@ def _constants(model: ContactModel, k: int, lam: Fraction | None = None) -> tupl
     """gamma's constants on k-forms: ((c_j numerators, their denominator),
     L's and Lambda's pair weights, theta's scalar), with the contact form
     rescaled by lam.  The unscaled ones (lam None) are kept on the model,
-    filled on first use; rescaled ones are read off the rescaled dtheta and
-    theta on every call."""
-    if lam is None:
-        store = model._gamma_constants
-        out = store.get(k)
-        if out is None:
-            out = store[k] = _constants(model, k, _ONE)
-        return out
-    up, down = _pair_weights(model.dtheta().scale(lam))
-    t = model.theta().scale(lam).terms[(0,)].constant_value()
-    return over_lcm(_gamma_scalars(model.n, k)), up, down, t
+    filled on first use: the weights and the scalar once, the c_j per
+    degree.  Rescaled ones are computed on every call."""
+    if lam is not None:
+        scaled = _weights(model.dtheta().scale(lam), model.theta().scale(lam))
+        return (over_lcm(_gamma_scalars(model.n, k)), *scaled)
+    store = model._gamma_cj
+    c = store.get(k)
+    if c is None:
+        c = store[k] = over_lcm(_gamma_scalars(model.n, k))
+    return (c, *_unscaled_weights(model))
+
+
+def _unscaled_weights(model: ContactModel) -> tuple:
+    """L's and Lambda's pair weights and theta's scalar at the unscaled
+    contact form, kept on the model."""
+    out = model._gamma_weights
+    if out is None:
+        out = model._gamma_weights = _weights(model.dtheta(), model.theta())
+    return out
+
+
+def _weights(dtheta: Form, theta: Form) -> tuple:
+    up, down = _pair_weights(dtheta)
+    return up, down, theta.terms[(0,)].constant_value()
 
 
 def _gamma(w: Form, lam: Fraction | None) -> Form:
@@ -237,7 +252,7 @@ def is_primitive(w: Form) -> bool:
     (theta ^ w) ^ dtheta^(n+1-k) = 0 with k = |w| (for k >= n+1 there are no
     powers left and the test is theta ^ w = 0)."""
     model = w.model
-    down = _constants(model, w.degree)[2]
+    down = _unscaled_weights(model)[1]
     return not any(_pair_op(_horizontal(w), model.n, down, lower=True).values())
 
 
@@ -317,8 +332,12 @@ def pi(w: Form) -> RuminElement:
     """Projection w - d gamma(w) - gamma(dw) onto R; idempotent, commutes
     with d, and restricts to the identity on R.  A d kept on w or on
     gamma(w) is read, but pi keeps no d of its own (see the module
-    docstring)."""
-    out = w - exterior_d(gamma(w), keep=False) - gamma(exterior_d(w, keep=False))
+    docstring), except when its value is w itself: then w keeps the d pi
+    computed, which the element's own d reads."""
+    dw = exterior_d(w, keep=False)
+    out = w - exterior_d(gamma(w), keep=False) - gamma(dw)
+    if out is w:
+        w._d = dw
     return RuminElement._make(out)
 
 

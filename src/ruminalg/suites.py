@@ -134,11 +134,7 @@ def _guarded_model(n: int) -> ContactModel:
 
 
 def _certified(model: ContactModel, rng, degree: int, maxd: int) -> RuminElement:
-    # d(w) is kept on w before pi reads it: when w lies in R, pi(w) is w
-    # itself, and the kept d answers the element's own d later
-    w = random_form(model, rng, degree, maxd)
-    exterior_d(w)
-    return pi(w)
+    return pi(random_form(model, rng, degree, maxd))
 
 
 def _certified_tuple(model: ContactModel, rng, count: int, maxd: int):
