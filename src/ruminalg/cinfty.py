@@ -25,7 +25,12 @@ operator values need:
 * The shuffle sums read their signs and words from one cached table,
   `_signed_shuffles`, keyed by (p, q), the parities of the degrees and the
   `koszul_sign` in force, fetched at call time, so each sign is computed
-  once per parity pattern; each word is picked by `operator.itemgetter`.
+  once per parity pattern; each word is picked by the `operator.itemgetter`
+  stored with it in that table.
+* Every memo (an operator family's, and psi's, h psi's and the lift's in
+  the transfer) is a dict whose `__missing__` computes the value, and the
+  evaluator is its `__getitem__`, so a hit is one C call (hashing the key
+  still calls each element's `__hash__`).
 * The insertion sums and the transfer's psi read each Koszul sign off a
   running prefix parity of the degrees and build no tensor word.
 * A value that is zero is neither scaled nor added, and an operator is not
@@ -92,11 +97,12 @@ def shuffles(p: int, q: int):
 def shuffle_product(p: int, q: int, elements):
     """Signed sum of shuffled tensor words.
 
-    Returns a tuple of (sign, word) pairs where `word` is a tuple of indices
-    into `elements`: position r of the output word holds element word[r].
-    The sign is sgn(s) times the Koszul sign of s on the element degrees, so
-    e.g. for p = q = 1 the result is  x0 (x) x1  minus
-    (-1)^(|x0||x1|) x1 (x) x0.
+    Returns a tuple of (sign, word, pick) triples where `word` is a tuple of
+    indices into `elements`: position r of the output word holds element
+    word[r], and `pick` is the `operator.itemgetter` of `word`, so
+    pick(elements) is that shuffled tuple.  The sign is sgn(s) times the
+    Koszul sign of s on the element degrees, so e.g. for p = q = 1 the
+    result is  x0 (x) x1  minus  (-1)^(|x0||x1|) x1 (x) x0.
     """
     if len(elements) != p + q:
         raise DomainError(f"expected {p + q} elements, got {len(elements)}")
@@ -106,17 +112,20 @@ def shuffle_product(p: int, q: int, elements):
 
 @cache
 def _signed_shuffles(p: int, q: int, parities: tuple, koszul):
-    """(sgn(s) * koszul(s, parities), word) for every (p, q)-shuffle s, where
-    word[s[i]] = i.  A Koszul sign depends on the degrees only through their
-    parities, so the table is shared by every tuple of that parity pattern.
-    `koszul` is part of the key: callers pass the module's `koszul_sign` as
-    it is at call time, so a replaced one never meets a stale entry."""
+    """(sgn(s) * koszul(s, parities), word, itemgetter(*word)) for every
+    (p, q)-shuffle s, where word[s[i]] = i.  A Koszul sign depends on the
+    degrees only through their parities, so the table is shared by every
+    tuple of that parity pattern, and so is each word's picker (p, q >= 1,
+    so a picker always returns a tuple).  `koszul` is part of the key:
+    callers pass the module's `koszul_sign` as it is at call time, so a
+    replaced one never meets a stale entry."""
     table = []
     for perm in shuffles(p, q):
         word = [0] * (p + q)
         for src, dst in enumerate(perm):
             word[dst] = src
-        table.append((permutation_sign(perm) * koszul(perm, parities), tuple(word)))
+        sign = permutation_sign(perm) * koszul(perm, parities)
+        table.append((sign, tuple(word), itemgetter(*word)))
     return tuple(table)
 
 
@@ -156,13 +165,14 @@ class GradedOpSet:
     Arities outside `ops` fall back to `zero_maker(k, elements)` when given;
     otherwise they raise (arity shortfall).
 
-    Every arity in `ops` is memoized: `op(k)` answers a block it has seen
-    from a dict keyed by the block tuple, one lookup per call, and calls
-    `ops[k]` (looked up at call time, so a replaced entry is seen) only on a
-    miss.  The memo belongs to this instance and lives as long as the family
-    (the seeded suites build their families per trial), and a family built
-    from another's `ops` starts empty.  The zero-maker arities are not
-    memoized.
+    Every arity in `ops` is memoized: `op(k)` is the `__getitem__` of a
+    `_Memo` dict keyed by the block tuple, so a block it has seen costs one
+    C call, and `ops[k]` runs only on a miss.  `ops[k]` is looked up at
+    miss time, so an entry replaced after the family is built (the
+    benchmark's tracer wraps them) answers every later miss.  The memo
+    belongs to this instance and lives as long as the family (the seeded
+    suites build their families per trial), and a family built from
+    another's `ops` starts empty.  The zero-maker arities are not memoized.
     """
 
     def __init__(self, ops, degree_fn, zero_maker=None, name: str = ""):
@@ -274,13 +284,15 @@ def shuffle_vanishing_residual(opset: GradedOpSet, p: int, q: int, elements):
     """Residual of op_{p+q} composed with the (p,q)-shuffle sum; zero is the
     graded-commutativity constraint distinguishing the commutative case.
 
-    Values that are zero are neither scaled nor added; when all of them are,
-    the last one is returned, a zero in the operator's codomain."""
+    Each shuffled word is picked by the picker stored with its sign in the
+    shuffle table.  Values that are zero are neither scaled nor added; when
+    all of them are, the last one is returned, a zero in the operator's
+    codomain."""
     elements = tuple(elements)
     op = opset.op(p + q)
     residual = value = None
-    for sign, word in shuffle_product(p, q, elements):
-        value = op(itemgetter(*word)(elements))  # p, q >= 1: always a tuple
+    for sign, _, pick in shuffle_product(p, q, elements):
+        value = op(pick(elements))
         if not value.is_zero():
             term = value.scale(sign)
             residual = term if residual is None else residual + term
@@ -340,18 +352,26 @@ class RetractData:
             raise RetractError(name, issues)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with `fn(key)` and keeps it."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _memoized(fn):
-    """`fn` of one hashable argument, memoized with one dict lookup per call
-    in a dict owned by the returned evaluator."""
-    memo: dict = {}
-
-    def wrapped(arg):
-        hit = memo.get(arg)
-        if hit is None:
-            hit = memo[arg] = fn(arg)
-        return hit
-
-    return wrapped
+    """`fn` of one hashable argument, memoized: the returned evaluator is the
+    `__getitem__` of a `_Memo` dict owned by it, so a hit is one C call and
+    only a miss runs Python code (`fn`, whose value is then stored).  A miss
+    whose `fn` raises stores nothing."""
+    return _Memo(fn).__getitem__
 
 
 def markl_transfer(retract: RetractData, max_arity: int):
@@ -375,11 +395,12 @@ def markl_transfer(retract: RetractData, max_arity: int):
     the zero of degree sum |x_i| + 2 - n.
 
     m_k and f_k are memoized per block of B by their `GradedOpSet`s.  Inside,
-    psi_k and h psi_k (k >= 2) are memoized per block of A and i per element
-    of B.  Each memo is a dict owned by this call's evaluators or families:
-    it lives as long as the returned families and is never shared with
-    another call, so a new call (after a monkeypatch, say) recomputes
-    everything.
+    psi_k and h psi_k are memoized per block of A (h psi_1 = -x too, so a
+    suffix met again is not negated again) and i per element of B, each
+    with `_memoized`.  Each memo is a dict owned by this call's evaluators
+    or families: it lives as long as the returned families and is never
+    shared with another call, so a new call (after a monkeypatch, say)
+    recomputes everything.
     """
     if max_arity < 2:
         raise DomainError("transfer needs max_arity >= 2")
@@ -387,7 +408,7 @@ def markl_transfer(retract: RetractData, max_arity: int):
     h, mu, pi = retract.h, retract.mu, retract.pi
     lift = _memoized(retract.i)
     psi: dict = {}
-    h_psi = {1: lambda block: block[0].scale(-1)}
+    h_psi = {1: _memoized(lambda block: block[0].scale(-1))}
 
     def psi_op(k: int):
         def psi_k(elements):

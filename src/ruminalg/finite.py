@@ -16,6 +16,12 @@ integral case builds no `Fraction`.  Since ``Fraction(2) == 2`` and
 ``hash(Fraction(2)) == hash(2)``, vectors compare and hash exactly as they
 would with all-`Fraction` coordinates.
 
+Zeros cost nothing: a vector records when it is built whether it is zero, so
+`is_zero` reads a slot, and an algebra keeps one zero vector per degree,
+which `zero`, `apply_d`, `mu_vec` and `CochainMap.apply` return at once when
+an input is zero (the homotopy transfer of the built-in model meets mostly
+zero values).
+
 The built-in model is the exterior algebra on three degree-one generators
 a, b, c with da = db = 0 and dc = a^b -- the left-invariant forms of the
 three-dimensional Heisenberg group.  It is read off `ruminalg.forms` (n = 1):
@@ -59,12 +65,13 @@ class FiniteVector:
     `int` when it is integral, else a `Fraction` with denominator > 1.  The
     constructor accepts any rationals and normalizes them."""
 
-    __slots__ = ("algebra", "degree", "coeffs", "_hash")
+    __slots__ = ("algebra", "degree", "coeffs", "_zero", "_hash")
 
     def __init__(self, algebra: "FiniteGradedAlgebra", degree: int, coeffs):
         self.algebra = algebra
         self.degree = degree
         self.coeffs = tuple(map(exact, coeffs))
+        self._zero = not any(self.coeffs)
         self._hash = None
         if len(self.coeffs) != algebra.dim(degree):
             raise DimensionError(
@@ -80,17 +87,18 @@ class FiniteVector:
         v.algebra = algebra
         v.degree = degree
         v.coeffs = coeffs
+        v._zero = not any(coeffs)
         v._hash = None
         return v
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self._zero
 
     def zero_of_degree(self, degree: int) -> "FiniteVector":
         return self.algebra.zero(degree)
 
     def scale(self, c) -> "FiniteVector":
-        if c == 1 or self.is_zero():
+        if c == 1 or self._zero:
             return self
         if c == -1:
             return FiniteVector._make(self.algebra, self.degree, tuple(-x for x in self.coeffs))
@@ -102,9 +110,9 @@ class FiniteVector:
             return NotImplemented
         if self.algebra is not other.algebra:
             raise DimensionError("vectors from different algebras")
-        if self.is_zero():
+        if self._zero:
             return other
-        if other.is_zero():
+        if other._zero:
             return self
         if self.degree != other.degree:
             raise DimensionError(f"adding degrees {self.degree} and {other.degree}")
@@ -120,14 +128,14 @@ class FiniteVector:
             return NotImplemented
         if self.algebra is not other.algebra:
             return False
-        if self.is_zero() and other.is_zero():
+        if self._zero and other._zero:
             return True
         return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self):
         if self._hash is None:
             # All zero vectors are equal whatever their degree, so they hash alike.
-            shape = None if self.is_zero() else (self.degree, self.coeffs)
+            shape = None if self._zero else (self.degree, self.coeffs)
             self._hash = hash((id(self.algebra), shape))
         return self._hash
 
@@ -158,6 +166,7 @@ class FiniteGradedAlgebra:
         self.basis = {deg: list(labels) for deg, labels in sorted(basis.items()) if labels}
         self.degrees = sorted(self.basis)
         self._pos: dict = {}
+        self._zeros: dict = {}  # degree -> its one zero vector
         for deg, labels in self.basis.items():
             for i, label in enumerate(labels):
                 if label in self._pos:
@@ -199,7 +208,11 @@ class FiniteGradedAlgebra:
         return self._pos[label][0]
 
     def zero(self, degree: int) -> FiniteVector:
-        return FiniteVector._make(self, degree, (0,) * self.dim(degree))
+        """The zero of `degree`: one vector per degree, built on first use."""
+        z = self._zeros.get(degree)
+        if z is None:
+            z = self._zeros[degree] = FiniteVector._make(self, degree, (0,) * self.dim(degree))
+        return z
 
     def element(self, label: str) -> FiniteVector:
         deg, i = self._pos[label]
@@ -223,6 +236,8 @@ class FiniteGradedAlgebra:
         return m
 
     def apply_d(self, v: FiniteVector) -> FiniteVector:
+        if v._zero:
+            return self.zero(v.degree + 1)
         out = [0] * self.dim(v.degree + 1)
         for c, row in zip(v.coeffs, self._d_rows.get(v.degree, ())):
             if c:
@@ -232,6 +247,8 @@ class FiniteGradedAlgebra:
 
     def mu_vec(self, u: FiniteVector, v: FiniteVector) -> FiniteVector:
         degree = u.degree + v.degree
+        if u._zero or v._zero:
+            return self.zero(degree)
         out = [0] * self.dim(degree)
         for cu, rows in zip(u.coeffs, self._mu_rows.get((u.degree, v.degree), ())):
             if cu:
@@ -463,7 +480,7 @@ class CochainMap:
     def apply(self, v: FiniteVector) -> FiniteVector:
         degree = v.degree + self.shift
         columns = self._columns.get(v.degree)
-        if columns is None:
+        if columns is None or v._zero:
             return self.dst.zero(degree)
         out = [0] * self.dst.dim(degree)
         for c, column in zip(v.coeffs, columns):
@@ -532,20 +549,36 @@ _CE_BASIS = {k: ["".join(w) for w in combinations("abc", k)] for k in range(4)}
 _RUMIN_BASIS = {0: [""], 1: ["a", "b"], 2: ["ca", "cb"], 3: ["cab"]}
 
 
+class SpanError(DomainError):
+    """A form read into word coordinates is not in the span of the basis
+    words: `op` of the basis words `words` has the part `outside` (a
+    nonzero form) outside it."""
+
+    def __init__(self, op: str, words, outside: Form):
+        self.op, self.words, self.outside = op, tuple(words), outside
+        super().__init__(
+            f"{op}({', '.join(self.words)}) is not in the span of the basis words: "
+            f"{outside} lies outside it"
+        )
+
+
 def _reader(forms):
     """Coordinates {label: coefficient} of a constant-coefficient form over the
     word forms `forms` (label -> form), each of which is +-1 times one coframe
-    monomial; a monomial outside their span raises DomainError."""
+    monomial.  `read(form, op, words)` reads `form`, which is `op` of the
+    basis words `words`; its terms on other monomials or with non-constant
+    coefficients are outside the span, and raise SpanError."""
     slots = {}
     for label, form in forms.items():
         ((idx, sign),) = form.terms.items()
         slots[idx] = (label, sign.constant_value())
 
-    def read(form: Form) -> dict:
+    def read(form: Form, op: str, words) -> dict:
+        outside = {idx: p for idx, p in form.terms.items() if idx not in slots or not p.is_constant()}
+        if outside:
+            raise SpanError(op, words, Form(form.model, form.degree, outside, _canonical=True))
         row = {}
         for idx, p in form.terms.items():
-            if idx not in slots:
-                raise DomainError(f"form is not in the span of the basis words: {form}")
             label, sign = slots[idx]
             row[label] = sign * p.constant_value()
         return row
@@ -566,12 +599,12 @@ def _word_algebra(words, name: str, project):
                 form = wedge(form, model.generator(_LETTERS[letter]))
             forms[word or "1"] = form
     read = _reader(forms)
-    d = {u: row for u, fu in forms.items() if (row := read(project(exterior_d(fu))))}
+    d = {u: row for u, fu in forms.items() if (row := read(project(exterior_d(fu)), "d", (u,)))}
     mu = {
         (u, v): row
         for u, fu in forms.items()
         for v, fv in forms.items()
-        if (row := read(project(wedge(fu, fv))))
+        if (row := read(project(wedge(fu, fv)), "mu", (u, v)))
     }
     basis = {k: [word or "1" for word in row] for k, row in words.items()}
     return FiniteGradedAlgebra(basis, d, mu, name=name), forms, read
@@ -598,9 +631,10 @@ def _rumin_words():
     return words
 
 
-def _sample(src, dst, op, shift: int = 0) -> CochainMap:
+def _sample(src, dst, op, name: str, shift: int = 0) -> CochainMap:
     """The linear map v -> op(form of v), read back in `dst`, sampled on the
-    basis of `src`; both are (algebra, word forms, reader) triples."""
+    basis of `src`; both are (algebra, word forms, reader) triples, and a
+    SpanError names `op` as `name` and v by its text."""
     (a, forms, _), (b, _, read) = src, dst
 
     def fn(v: FiniteVector) -> FiniteVector:
@@ -608,7 +642,7 @@ def _sample(src, dst, op, shift: int = 0) -> CochainMap:
         for c, label in zip(v.coeffs, a.labels(v.degree)):
             if c:
                 form = form + forms[label].scale(c)
-        row = read(op(form))
+        row = read(op(form), name, (str(v),))
         degree = v.degree + shift
         return FiniteVector(b, degree, [row.get(label, 0) for label in b.labels(degree)])
 
@@ -642,7 +676,9 @@ class FiniteModelBundle:
 def heisenberg_ce_retract() -> FiniteModelBundle:
     """Restrict (inclusion, pi, gamma) from symbolic forms on H^3 to the
     constant-coefficient CE algebra; the retract identities are checked on
-    the full CE and Rumin bases (`cinfty.RetractError` when one fails).
+    the full CE and Rumin bases (`cinfty.RetractError` when one fails).  A
+    broken pi or gamma can already make a value that is not in the span of
+    the basis words while the two algebras are read, a `SpanError`.
 
     The three maps are sampled once through the symbolic operators and then
     applied as exact matrices, which keeps exhaustive transfer sweeps over
@@ -650,9 +686,9 @@ def heisenberg_ce_retract() -> FiniteModelBundle:
     """
     ce_words, rm_words = _ce_words(), _rumin_words()
     ce, rm = ce_words[0], rm_words[0]
-    inclusion = _sample(rm_words, ce_words, _identity)
-    project = _sample(ce_words, rm_words, _pi)
-    homotopy = _sample(ce_words, ce_words, rumin.gamma, shift=-1)
+    inclusion = _sample(rm_words, ce_words, _identity, "i")
+    project = _sample(ce_words, rm_words, _pi, "pi")
+    homotopy = _sample(ce_words, ce_words, rumin.gamma, "gamma", shift=-1)
 
     retract = RetractData(
         d=ce.apply_d,

@@ -60,7 +60,6 @@ computes its own on every call.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress
 from math import factorial, lcm
@@ -273,7 +272,8 @@ class Form:
 
     def _combine(self, other: "Form", op) -> "Form":
         """self + other or self - other (op is operator.add or operator.sub)
-        in one pass over other's terms."""
+        in one pass over other's terms; equal forms subtract to zero after
+        one comparison of their terms."""
         if not isinstance(other, Form):
             return NotImplemented
         self._check(other)
@@ -283,6 +283,8 @@ class Form:
             return self
         if self.degree != other.degree:
             raise DimensionError(f"adding degrees {self.degree} and {other.degree}")
+        if op is sub and self.terms == other.terms:
+            return Form.zero(self.model, self.degree)
         out = dict(self.terms)
         for idx, p in other.terms.items():
             if idx in out:
@@ -589,8 +591,9 @@ def lefschetz_power_matrix(model: ContactModel, k: int):
     """Matrix of wedging with (dtheta)^k from vertical coframe monomials of
     degree n-k+1 to those of degree n+k+1, both in lexicographic order.
 
-    Entries are integral rationals and the matrix is square and invertible
-    for 1 <= k <= n (the vertical Lefschetz isomorphism).
+    Entries are ints (each is 0 or +-k!), so `linalg.rank` starts in
+    integer arithmetic, and the matrix is square and invertible for
+    1 <= k <= n (the vertical Lefschetz isomorphism).
     """
     n = model.n
     if not 1 <= k <= n:
@@ -598,12 +601,12 @@ def lefschetz_power_matrix(model: ContactModel, k: int):
     src = model.vertical_monomials(n - k + 1)
     tgt = model.vertical_monomials(n + k + 1)
     tgt_pos = {idx: i for i, idx in enumerate(tgt)}
-    matrix = [[Fraction(0)] * len(src) for _ in tgt]
+    matrix = [[0] * len(src) for _ in tgt]
     for j, idx in enumerate(src):
         mono = Form(model, len(idx), {idx: Poly.one(model.nvars)}, _canonical=True)
         image = lefschetz(mono, k)
         for out_idx, p in image.terms.items():
-            matrix[tgt_pos[out_idx]][j] = p.constant_value()
+            matrix[tgt_pos[out_idx]][j] = exact(p.constant_value())
     return matrix
 
 

@@ -306,7 +306,9 @@ class RuminElement:
         return RuminElement._make(self.form + other.form)  # R is a linear subspace
 
     def __sub__(self, other: "RuminElement") -> "RuminElement":
-        return self + other.scale(-1)
+        if not isinstance(other, RuminElement):
+            return NotImplemented
+        return RuminElement._make(self.form - other.form)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RuminElement):

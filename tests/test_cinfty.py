@@ -10,6 +10,7 @@ from ruminalg.cinfty import (
     GradedOpSet,
     RetractData,
     RetractError,
+    _memoized,
     apply_tensor_ops,
     check_morphism,
     check_stasheff,
@@ -96,20 +97,25 @@ def _expected_nu21(d0, d1, d2):
     ]
 
 
+def _signed_words(table):
+    # the (sign, word) pairs of a shuffle table, without the stored pickers
+    return [(sign, word) for sign, word, _ in table]
+
+
 def test_shuffle_product_displayed_expansions():
     for d0 in (1, 2):
         for d1 in (1, 2):
-            got = shuffle_product(1, 1, (Sym("w", d0), Sym("t", d1)))
+            got = _signed_words(shuffle_product(1, 1, (Sym("w", d0), Sym("t", d1))))
             assert sorted(got, key=lambda p: p[1]) == sorted(
                 _expected_nu11(d0, d1), key=lambda p: p[1]
             )
             for d2 in (1, 2):
                 elems = (Sym("w", d0), Sym("t", d1), Sym("e", d2))
-                got12 = shuffle_product(1, 2, elems)
+                got12 = _signed_words(shuffle_product(1, 2, elems))
                 assert sorted(got12, key=lambda p: p[1]) == sorted(
                     _expected_nu12(d0, d1, d2), key=lambda p: p[1]
                 )
-                got21 = shuffle_product(2, 1, elems)
+                got21 = _signed_words(shuffle_product(2, 1, elems))
                 assert sorted(got21, key=lambda p: p[1]) == sorted(
                     _expected_nu21(d0, d1, d2), key=lambda p: p[1]
                 )
@@ -119,16 +125,16 @@ def test_shuffle_product_sees_a_patched_koszul_sign(monkeypatch):
     # Only the elements-free part of shuffle_product is cached: after a warm
     # call, a replaced koszul_sign still decides every sign.
     elems = tuple(Sym(name, 1) for name in "wxyz")
-    warm = shuffle_product(2, 2, elems)
-    assert warm == shuffle_product(2, 2, elems)
+    warm = _signed_words(shuffle_product(2, 2, elems))
+    assert warm == _signed_words(shuffle_product(2, 2, elems))
     assert all(sign == 1 for sign, _ in warm)  # odd letters: sgn * eps = 1
     monkeypatch.setattr(cinfty, "koszul_sign", lambda perm, degrees: 1)
-    patched = shuffle_product(2, 2, elems)
+    patched = _signed_words(shuffle_product(2, 2, elems))
     assert [word for _, word in patched] == [word for _, word in warm]
     assert [sign for sign, _ in patched] == [permutation_sign(perm) for perm in shuffles(2, 2)]
     assert patched != warm
     monkeypatch.undo()
-    assert shuffle_product(2, 2, elems) == warm
+    assert _signed_words(shuffle_product(2, 2, elems)) == warm
 
 
 def test_warm_signed_shuffles_see_a_patched_koszul_sign(monkeypatch):
@@ -140,6 +146,21 @@ def test_warm_signed_shuffles_see_a_patched_koszul_sign(monkeypatch):
     monkeypatch.setattr(cinfty, "koszul_sign", lambda perm, degrees: 1)
     # dx^dy - dy^dx: the swap keeps only its permutation sign
     assert shuffle_vanishing_residual(ops, 1, 1, (dx, dy)) == wedge(dx, dy).scale(2)
+
+
+def test_stored_pickers_pick_the_shuffled_words():
+    # every table entry's picker returns the elements of its word, in order,
+    # for every parity pattern of p + q <= 5 letters
+    for total in range(2, 6):
+        for p in range(1, total):
+            q = total - p
+            for parities in itertools.product((0, 1), repeat=total):
+                elements = tuple(Sym(f"x{i}", 2 - parity) for i, parity in enumerate(parities))
+                table = shuffle_product(p, q, elements)
+                assert len(table) == len(shuffles(p, q))
+                assert table is cinfty._signed_shuffles(p, q, parities, koszul_sign)
+                for _, word, pick in table:
+                    assert pick(elements) == tuple(elements[i] for i in word)
 
 
 def test_shuffle_product_length_mismatch():
@@ -157,7 +178,7 @@ def test_degree_one_koszul_sign_is_permutation_parity():
         elements = tuple(gens[: p + q])
         base = reduce(wedge, elements)
         degrees = [1] * (p + q)
-        for sign, word in shuffle_product(p, q, elements):
+        for sign, _, _ in shuffle_product(p, q, elements):
             assert sign == 1
         for perm in shuffles(p, q):
             eps = koszul_sign(perm, degrees)
@@ -284,6 +305,56 @@ def test_gradedopset_arity_shortfall():
     ops = GradedOpSet({1: lambda block: block[0]}, degree_fn=lambda k: 2 - k, name="partial")
     with pytest.raises(DomainError):
         ops.op(2)
+
+
+def test_memoized_hits_misses_and_errors():
+    calls = []
+
+    def fn(key):
+        calls.append(key)
+        if key == "bad" and calls.count(key) == 1:
+            raise DomainError("first bad call")
+        return [key]  # a new object per call
+
+    memo = _memoized(fn)
+    first = memo(1)
+    assert memo(1) is first and calls == [1]  # a hit returns the stored object
+    assert memo(2) == [2] and calls == [1, 2]  # a miss calls fn once
+    with pytest.raises(DomainError, match="first bad call"):
+        memo("bad")
+    assert set(memo.__self__) == {1, 2}  # the failed miss stored nothing
+    assert memo("bad") == ["bad"] and calls == [1, 2, "bad", "bad"]
+    assert memo("bad") == ["bad"] and calls.count("bad") == 2
+
+
+def test_a_miss_may_call_other_memos():
+    # two memos over the same keys, the outer one calling the inner one, and
+    # a memo whose misses fill other keys of itself
+    inner = _memoized(lambda k: k * 10)
+    outer = _memoized(lambda k: inner(k) + 1)
+    assert [outer(k) for k in range(4)] == [1, 11, 21, 31]
+    assert [inner(k) for k in range(4)] == [0, 10, 20, 30]
+    fib = _memoized(lambda n: n if n < 2 else fib(n - 1) + fib(n - 2))
+    assert fib(60) == 1548008755920
+    assert len(fib.__self__) == 61
+
+
+def test_a_replaced_family_entry_runs_on_the_next_miss():
+    # An entry put on family.ops[k] after markl_transfer answers the next
+    # miss (the benchmark's tracer wraps the entries this way); blocks
+    # already answered stay memoized.
+    bundle = heisenberg_ce_retract()
+    mset, fset = markl_transfer(bundle.retract, 3)
+    a, b, ca = (bundle.rumin.element(label) for label in ("a", "b", "ca"))
+    seen = mset(3, (a, b, a))
+    assert seen == ca.scale(2)
+    wrapped = []
+    for family in (mset, fset):
+        for k, op in list(family.ops.items()):
+            family.ops[k] = lambda block, _op=op: wrapped.append(block) or _op(block)
+    assert mset(3, (a, b, a)) is seen and wrapped == []
+    assert mset(3, (b, a, b)) == mset(3, (b, a, b)) and wrapped == [(b, a, b)]
+    assert fset(2, (a, b)) == fset(2, (a, b)) and wrapped == [(b, a, b), (a, b)]
 
 
 def _homogeneity_issues(family, k, sample_tuples):

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruminalg.cinfty import RetractData
 from ruminalg.errors import ConstructionError, DimensionError, DomainError
@@ -8,6 +11,7 @@ from ruminalg.finite import (
     CochainMap,
     FiniteGradedAlgebra,
     FiniteVector,
+    SpanError,
     _ce_words,
     _rumin_words,
     check_ring_isomorphism,
@@ -18,6 +22,7 @@ from ruminalg.finite import (
 )
 from ruminalg.forms import ContactModel, wedge
 from ruminalg.linalg import identity
+from ruminalg.poly import Poly
 from ruminalg.rumin import gamma
 
 
@@ -406,7 +411,7 @@ def test_shifted_map_from_gamma_is_the_retract_homotopy():
     def via_gamma(v):
         # v is a basis vector: gamma of its word's form, read back one degree down
         (label,) = [lab for c, lab in zip(v.coeffs, ce.labels(v.degree)) if c]
-        row = read(gamma(forms[label]))
+        row = read(gamma(forms[label]), "gamma", [label])
         return FiniteVector(ce, v.degree - 1, [row.get(lab, 0) for lab in ce.labels(v.degree - 1)])
 
     h = CochainMap.from_function(ce, ce, via_gamma, shift=-1)
@@ -421,12 +426,21 @@ def test_word_forms_and_reader():
     _, forms, read = _ce_words()
     # each word is the wedge of its letters' generators, in order: a c = -(c a)
     assert forms["ac"].terms[(0, 1)].constant_value() == -1
-    assert read(forms["ac"]) == {"ac": 1}
+    assert read(forms["ac"], "i", ["ac"]) == {"ac": 1}
     _, rumin_forms, rumin_read = _rumin_words()
-    assert rumin_read(rumin_forms["ca"]) == {"ca": 1}
+    assert rumin_read(rumin_forms["ca"], "i", ["ca"]) == {"ca": 1}
     model = ContactModel(1)
-    with pytest.raises(DomainError):  # a^b is not in the Rumin span
-        rumin_read(wedge(model.generator(1), model.generator(2)))
+    a_b = wedge(model.generator(1), model.generator(2))
+    with pytest.raises(DomainError) as caught:  # a^b is not in the Rumin span
+        rumin_read(a_b + rumin_forms["ca"], "mu", ("a", "b"))
+    # the error names the words and only the part outside the span
+    assert isinstance(caught.value, SpanError)
+    assert (caught.value.op, caught.value.words, caught.value.outside) == ("mu", ("a", "b"), a_b)
+    assert str(caught.value) == "mu(a, b) is not in the span of the basis words: dx1^dy1 lies outside it"
+    # the words span the constant-coefficient forms: x1 dx1 is outside too
+    x1_a = forms["a"].scale_poly(Poly.variable(model.nvars, 0))
+    with pytest.raises(SpanError, match=r"gamma\(ab\) is not in the span .*: \(x1\) dx1 lies outside it"):
+        read(x1_a + forms["b"], "gamma", ["ab"])
 
 
 def test_cochain_map_block_shape_checked():
@@ -515,3 +529,74 @@ def test_fraction_and_int_vectors_are_equal_and_hash_alike():
     # reached through Fraction arithmetic, the vector is stored as ints
     doubled, ints = halves.scale(2), FiniteVector(ce, 2, [1, 0, -3])
     assert doubled == ints and hash(doubled) == hash(ints) and doubled.coeffs == ints.coeffs
+
+
+# -- zeros recorded when built ----------------------------------------------------
+
+@cache
+def _bundle():
+    return heisenberg_ce_retract()
+
+
+def _maps():
+    # the retract's projection and homotopy are bound CochainMap.apply methods
+    bundle = _bundle()
+    return [bundle.inclusion, bundle.retract.pi.__self__, bundle.retract.h.__self__]
+
+
+@st.composite
+def coordinate_vectors(draw):
+    # a vector of the CE or the Rumin algebra, mostly zero coordinates
+    alg = getattr(_bundle(), draw(st.sampled_from(["ce", "rumin"])))
+    degree = draw(st.sampled_from(alg.degrees))
+    coords = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)]),
+                           min_size=alg.dim(degree), max_size=alg.dim(degree)))
+    return FiniteVector(alg, degree, coords)
+
+
+def _assert_zero_flag(v):
+    assert v.is_zero() == (not any(v.coeffs)), (v, v.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinate_vectors(), coordinate_vectors(), st.sampled_from([0, 1, -1, 3, Fraction(-2, 3)]))
+def test_a_vector_records_whether_it_is_zero(u, v, c):
+    # every way of building a vector records the same answer as its coordinates
+    alg = u.algebra
+    built = [u, u.scale(c), u - u, u + u.scale(-1), alg.apply_d(u), alg.zero(u.degree)]
+    built += [alg.element(label) for label in alg.labels(u.degree)]
+    built += [fmap.apply(u) for fmap in _maps() if fmap.src is alg]
+    if v.algebra is alg:
+        built.append(alg.mu_vec(u, v))
+        built.append(alg.mu_vec(u.scale(c), v))
+        if v.degree == u.degree:
+            built += [u + v, u - v, v - u.scale(c)]
+    for w in built:
+        _assert_zero_flag(w)
+
+
+def test_one_zero_per_degree():
+    ce = heisenberg_ce_algebra()
+    for degree in (-1, 0, 1, 2, 3, 4, 7):
+        z = ce.zero(degree)
+        assert z is ce.zero(degree) and z.is_zero() and z.degree == degree
+        assert len(z.coeffs) == ce.dim(degree)
+    # zeros of different degrees are equal and hash alike, as computed zeros do
+    a = ce.element("a")
+    zeros = [ce.zero(0), ce.zero(2), ce.zero(4), a - a, a.scale(0)]
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) for z in zeros)
+    assert a.zero_of_degree(2) is ce.zero(2)
+
+
+def test_zero_inputs_return_the_kept_zero():
+    bundle = _bundle()
+    ce, rm = bundle.ce, bundle.rumin
+    a = ce.element("a")
+    computed = a - a  # a zero the algebra did not keep
+    assert computed is not ce.zero(1) and computed.is_zero()
+    assert ce.mu_vec(computed, ce.element("b")) is ce.zero(2)
+    assert ce.mu_vec(ce.element("b"), ce.zero(2)) is ce.zero(3)
+    assert ce.apply_d(computed) is ce.zero(2)
+    assert bundle.retract.h(computed) is ce.zero(0)
+    assert bundle.retract.pi(computed) is rm.zero(1)
+    assert bundle.inclusion.apply(rm.zero(2)) is ce.zero(2)

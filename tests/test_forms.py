@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruminalg import forms, parser, rumin, suites
+from ruminalg import forms, linalg, parser, rumin, suites
 from ruminalg.cinfty import permutation_sign
 from ruminalg.errors import DimensionError, DomainError
 from ruminalg.forms import (
@@ -454,7 +454,19 @@ def test_matrices_invertible_up_to_n3():
             matrix = lefschetz_power_matrix(model, k)
             assert len(matrix) == len(matrix[0])
             assert oracle_rank(matrix) == len(matrix)
-            assert all(x.denominator == 1 for row in matrix for x in row)
+            assert all(type(x) is int for row in matrix for x in row)
+
+
+def test_power_matrices_hold_ints_and_full_rank_up_to_n4():
+    # ints, each 0 or +-k!, so linalg.rank starts in integer arithmetic; the
+    # ranks agree with the Fraction oracle and are full, as before
+    for n in (1, 2, 3, 4):
+        model = ContactModel(n)
+        for k in range(1, n + 1):
+            matrix = lefschetz_power_matrix(model, k)
+            assert {type(x) for row in matrix for x in row} == {int}
+            assert {abs(x) for row in matrix for x in row} <= {0, math.factorial(k)}
+            assert linalg.rank(matrix) == oracle_rank(matrix) == len(matrix)
 
 
 def test_matrix_power_out_of_range():
@@ -477,6 +489,22 @@ def test_random_vertical_form_is_vertical():
     rng = stream(12, 0)
     for deg in range(1, M2.dim + 1):
         assert is_vertical(random_form(M2, rng, deg, 2, vertical=True))
+
+
+def test_subtracting_equal_forms_gives_the_zero_of_their_degree():
+    rng = stream(21, 0)
+    for model in (M1, M2):
+        for degree in range(1, model.dim + 1):
+            # every coframe monomial kept: the forms are nonzero
+            a = random_form(model, rng, degree, 2, density=(1, 1))
+            twin = Form(model, degree, dict(a.terms), _canonical=True)  # equal, not the same
+            assert twin == a and twin is not a
+            diff = a - twin
+            assert diff.is_zero() and diff.degree == degree and diff.model == model
+            other = random_form(model, rng, degree, 2, density=(1, 1))
+            assert a - other == a + (-other) and (a - other).terms == (a + other.scale(-1)).terms
+            with pytest.raises(DimensionError):
+                a - random_form(model, rng, degree - 1, 2, density=(1, 1))
 
 
 def test_form_degree_annotation_rules():

@@ -613,6 +613,10 @@ def test_rumin_element_algebra():
     assert isinstance(s, RuminElement) and s.degree == 1
     assert s.scale(Fraction(1, 2)) + s.scale(Fraction(1, 2)) == s
     assert a.zero_of_degree(2).is_zero()
+    # subtraction is the forms': equal elements give a zero of their degree
+    diff = s - RuminElement(Form(M1, 1, dict(s.form.terms), _canonical=True))
+    assert isinstance(diff, RuminElement) and diff.is_zero() and diff.degree == 1
+    assert s - a == b and (s - a).form == s.form + a.form.scale(-1)
 
 
 # -- products kept on elements ------------------------------------------------------

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from ruminalg import cinfty, cli, forms, rumin, suites
+from ruminalg import cinfty, cli, finite, forms, rumin, suites
 from ruminalg.forms import ContactModel, Form, exterior_d
 from ruminalg.parser import eval_text
 from ruminalg.suites import (
@@ -207,8 +207,8 @@ def _stale_signed_shuffle(monkeypatch):
     right = cinfty._signed_shuffles
 
     def stale(p, q, parities, koszul):
-        *rest, (sign, word) = right(p, q, parities, koszul)
-        return (*rest, (-sign, word))
+        *rest, (sign, word, pick) = right(p, q, parities, koszul)
+        return (*rest, (-sign, word, pick))
 
     monkeypatch.setattr(cinfty, "_signed_shuffles", stale)
 
@@ -260,3 +260,39 @@ def test_broken_retract_fails_the_transfer_suites(monkeypatch, capsys, corrupt):
         assert "FAIL" in out and "witness 1:" in out and "Traceback" not in out + err
         assert suites._retract_cache == {}
     assert run_suite("transfer-match", n=1, trials=3).passed
+
+
+def _double_the_finite_homotopy(monkeypatch):
+    # the built-in model's h doubled: the words read fine, the retract fails
+    right = finite.RetractData
+
+    def doubled(**maps):
+        h = maps["h"]
+        return right(**{**maps, "h": lambda v: h(v).scale(2)})
+
+    monkeypatch.setattr(finite, "RetractData", doubled)
+
+
+@pytest.mark.parametrize(
+    "corrupt, tag",
+    [(_double_one_gamma_scalar, "mu outside the span of the basis words"),
+     (_double_the_finite_homotopy, "i pi = 1 - dh - hd")],
+    ids=["gamma-scalar", "doubled-h"],
+)
+def test_a_broken_finite_model_fails_ce_cohomology_with_witness(monkeypatch, capsys, corrupt, tag):
+    # The model cannot be built: no transfer check runs, and the report
+    # fails with witnesses instead of ending in an error line.
+    corrupt(monkeypatch)
+    report = run_suite("ce-cohomology")
+    assert not report.passed and report.failures
+    assert report.checks == len(report.failures)
+    for witness in report.failures:
+        assert witness.inputs[-1] and witness.residual not in ("", "0")
+    assert report.failures[0].inputs[-1] == tag
+    if tag.startswith("mu"):  # the two words and the part of pi(a ^ b) outside their span
+        assert report.failures[0].inputs == ["a", "b", tag]
+        assert report.failures[0].residual == "-dx1^dy1"
+    assert cli.main(["verify", "ce-cohomology"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL" in out and "witness 1:" in out and f"input: {tag}" in out
+    assert "error:" not in out + err and "Traceback" not in out + err
