@@ -1,12 +1,15 @@
 """Finite-dimensional graded algebras and exact cohomology rings.
 
 This is the desk-scale side of the package: a `FiniteGradedAlgebra` stores a
-basis per degree, the differential as exact matrices, and the product as
-structure constants, all over the rationals, with the algebra axioms (d^2 = 0,
-graded commutativity, associativity, the Leibniz rule) checked at
-construction.  `cohomology` computes ker d / im d with representative
-cocycles and the induced product; `check_ring_isomorphism` compares two
-cohomology rings through a cochain map.
+basis per degree, the differential as a `CochainMap` of degree +1 on itself,
+and the product as structure constants, all over the rationals, with the
+algebra axioms (d^2 = 0, graded commutativity, associativity, the Leibniz
+rule) checked at construction.  Two loops do all the coefficient work:
+`CochainMap.apply` applies d, the retract maps and any other linear map, and
+`mu_vec` multiplies, the basis products the construction checks included.
+`cohomology` computes ker d / im d with representative cocycles and the
+induced product; `check_ring_isomorphism` compares two cohomology rings
+through a cochain map.
 
 Coefficients follow the rule of `ruminalg.poly`: a stored coefficient -- of a
 `FiniteVector`, of the `d` and `mu` tables, of a `CochainMap` block -- is an
@@ -178,14 +181,15 @@ class FiniteGradedAlgebra:
             for pair, row in mu.items()
         }
         self._check_labels()
-        # The tables by position: _d_rows[deg][j] lists (target index,
-        # coefficient) of d on basis element j of degree deg, and
-        # _mu_rows[(p, q)][i][j] does the same for the product of basis
-        # elements i of degree p and j of degree q.
-        self._d_rows = {
-            deg: [self._row(self.d.get(label)) for label in labels]
-            for deg, labels in self.basis.items()
-        }
+        blocks = {deg: linalg.zeros(self.dim(deg + 1), self.dim(deg)) for deg in self.degrees}
+        for src, row in self.d.items():
+            deg, j = self._pos[src]
+            for dst, c in row.items():
+                blocks[deg][self._pos[dst][1]][j] = c
+        self._differential = CochainMap(self, self, blocks, shift=1)
+        # The product by position: _mu_rows[(p, q)][i][j] lists (target
+        # index, coefficient) of the product of basis elements i of degree p
+        # and j of degree q.
         self._mu_rows = {
             (p, q): [[self._row(self.mu.get((a, b))) for b in self.basis[q]] for a in self.basis[p]]
             for p in self.degrees
@@ -227,23 +231,15 @@ class FiniteGradedAlgebra:
         return [self.element(label) for deg in self.degrees for label in self.labels(deg)]
 
     def d_matrix(self, degree: int):
-        """Matrix of d from degree to degree+1 (rows indexed by the target)."""
-        rows, cols = self.dim(degree + 1), self.dim(degree)
-        m = linalg.zeros(rows, cols)
-        for j, label in enumerate(self.labels(degree)):
-            for dst, c in self.d.get(label, {}).items():
-                m[self._pos[dst][1]][j] = c
-        return m
+        """Matrix of d from degree to degree+1 (rows indexed by the target),
+        a fresh copy."""
+        block = self._differential.blocks.get(degree)
+        if block is None:
+            return linalg.zeros(self.dim(degree + 1), self.dim(degree))
+        return [row[:] for row in block]
 
     def apply_d(self, v: FiniteVector) -> FiniteVector:
-        if v._zero:
-            return self.zero(v.degree + 1)
-        out = [0] * self.dim(v.degree + 1)
-        for c, row in zip(v.coeffs, self._d_rows.get(v.degree, ())):
-            if c:
-                for dst, w in row:
-                    out[dst] += c * w
-        return FiniteVector._make(self, v.degree + 1, tuple(map(exact, out)))
+        return self._differential.apply(v)
 
     def mu_vec(self, u: FiniteVector, v: FiniteVector) -> FiniteVector:
         degree = u.degree + v.degree
@@ -274,26 +270,21 @@ class FiniteGradedAlgebra:
             if a not in self._pos or b not in self._pos:
                 raise ConstructionError(f"product on unknown labels ({a!r}, {b!r})")
             for dst in row:
+                if dst not in self._pos:
+                    raise ConstructionError(f"product into unknown label {dst!r}")
                 if self.degree_of(dst) != self.degree_of(a) + self.degree_of(b):
                     raise ConstructionError(f"mu {a} {b} -> {dst} violates degree additivity")
 
-    def _product_table(self) -> list:
-        """The nonzero products of basis vectors, read off the structure
-        constants: entry i maps each j with u_i.u_j != 0 to that product,
-        with i and j in the order of `all_basis_vectors`."""
-        cells = [(deg, i) for deg in self.degrees for i in range(self.dim(deg))]
-        table = []
-        for p, i in cells:
-            out = {}
-            for j, (q, jj) in enumerate(cells):
-                row = self._mu_rows[(p, q)][i][jj]
-                if row:  # stored constants are nonzero, so the product is too
-                    coeffs = [0] * self.dim(p + q)
-                    for dst, c in row:
-                        coeffs[dst] = c
-                    out[j] = FiniteVector._make(self, p + q, tuple(coeffs))
-            table.append(out)
-        return table
+    def _product_table(self, vectors) -> list:
+        """The nonzero products of the basis `vectors` (in the order of
+        `all_basis_vectors`): entry i maps each j with u_i.u_j != 0 to that
+        product.  The structure constants choose the pairs; stored constants
+        are nonzero, so their products are too."""
+        labels = [label for deg in self.degrees for label in self.labels(deg)]
+        return [
+            {j: self.mu_vec(u, v) for j, (b, v) in enumerate(zip(labels, vectors)) if self.mu.get((a, b))}
+            for a, u in zip(labels, vectors)
+        ]
 
     def _check_axioms(self):
         vectors = self.all_basis_vectors()
@@ -302,7 +293,7 @@ class FiniteGradedAlgebra:
             if not self.apply_d(dv).is_zero():
                 raise ConstructionError(f"d^2 != 0 on {v}")
         closed = [dv.is_zero() for dv in differentials]
-        products = self._product_table()
+        products = self._product_table(vectors)
         # A pair whose products and differentials are all zero passes both
         # pair checks at once, so it is skipped, in the same order.
         for i, u in enumerate(vectors):
@@ -402,8 +393,7 @@ class Cohomology:
         self._im_cols: dict = {}
         for k in algebra.degrees:
             dim_k = algebra.dim(k)
-            dk = algebra.d_matrix(k)
-            kernel = linalg.nullspace(dk, dim_k) if dim_k else []
+            kernel = linalg.nullspace(algebra.d_matrix(k), dim_k)
             dprev = algebra.d_matrix(k - 1)
             if algebra.dim(k - 1):
                 _, pivots = linalg.rref(dprev)
@@ -411,7 +401,7 @@ class Cohomology:
             else:
                 im_cols = []
             stacked = linalg.from_columns(im_cols + kernel, dim_k)
-            _, pivots = linalg.rref(stacked) if dim_k else ([], [])
+            _, pivots = linalg.rref(stacked)
             reps = [kernel[p - len(im_cols)] for p in pivots if p >= len(im_cols)]
             self._im_cols[k] = im_cols
             self._reps[k] = [FiniteVector(algebra, k, v) for v in reps]
@@ -499,15 +489,14 @@ class RingIsoResult:
         return self.ok
 
 
-def check_ring_isomorphism(fmap: CochainMap, ha: Cohomology | None = None, hb: Cohomology | None = None) -> RingIsoResult:
-    """Does the map induce a graded-ring isomorphism on cohomology?
+def check_ring_isomorphism(fmap: CochainMap, ha: Cohomology, hb: Cohomology) -> RingIsoResult:
+    """Does the map induce a graded-ring isomorphism from `ha`, the cohomology
+    of its source, to `hb`, that of its target?
 
     Checks per degree that the induced matrix on classes is square and
     invertible, and on all pairs of class representatives that the map sends
     products to products.  Returns witnesses instead of raising.
     """
-    ha = ha or cohomology(fmap.src)
-    hb = hb or cohomology(fmap.dst)
     witnesses = []
     degrees = sorted(set(fmap.src.degrees) | set(fmap.dst.degrees))
     for deg in degrees:
@@ -519,7 +508,11 @@ def check_ring_isomorphism(fmap: CochainMap, ha: Cohomology | None = None, hb: C
             continue
         if not reps:
             continue
-        cols = [list(hb.reduce(fmap.apply(r))) for r in reps]
+        try:
+            cols = [list(hb.reduce(fmap.apply(r))) for r in reps]
+        except DomainError as exc:
+            witnesses.append(f"degree {deg}: {exc}")
+            continue
         matrix = linalg.from_columns(cols, hb.betti(deg))
         if linalg.rank(matrix) != len(reps):
             witnesses.append(f"degree {deg}: induced map on classes is singular")

@@ -255,9 +255,6 @@ class Form:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, idx) -> Poly:
-        return self.terms.get(tuple(idx), Poly.zero(self.model.nvars))
-
     def _check(self, other: "Form") -> None:
         if self.model != other.model:
             raise DimensionError("forms over different models")

@@ -64,14 +64,12 @@ def inverse(a):
     return [row[k:] for row in red[:k]]
 
 
-def nullspace(a, cols: int | None = None):
-    """Basis of the right kernel, as a list of column vectors.  `cols` must
-    be given when `a` has no rows (the kernel is then everything)."""
+def nullspace(a, cols: int):
+    """Basis of the right kernel of `a`, a matrix with `cols` columns, as a
+    list of column vectors.  `cols` is needed when `a` has no rows (the
+    kernel is then everything)."""
     if not a:
-        if cols is None:
-            return []
-        return [row[:] for row in identity(cols)]
-    cols = len(a[0])
+        return identity(cols)
     red, pivots = rref(a)
     free = [c for c in range(cols) if c not in pivots]
     basis = []

@@ -354,6 +354,24 @@ def test_cohomology_arg_validation(capsys, tmp_path):
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "not UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("basis u 0\nd x u 1\n", "differential from unknown label 'x'"),
+        ("basis u 0\nd u x 1\n", "differential into unknown label 'x'"),
+        ("basis u 0\nmu u x u 1\n", "product on unknown labels ('u', 'x')"),
+        ("basis u 0\nmu u u x 1\n", "product into unknown label 'x'"),
+        ("basis u 0\nbasis v 1\nmu u u v 1\n", "mu u u -> v violates degree additivity"),
+    ],
+)
+def test_cohomology_rejects_bad_labels_exit_1(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.alg"
+    path.write_text(text)
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

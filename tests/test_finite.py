@@ -106,9 +106,13 @@ def test_rumin_model_zero_differential():
         assert h.betti(deg) == rm.dim(deg)
 
 
+def _ring_iso(fmap):
+    return check_ring_isomorphism(fmap, cohomology(fmap.src), cohomology(fmap.dst))
+
+
 def test_ring_isomorphism_of_inclusion():
     bundle = heisenberg_ce_retract()
-    result = check_ring_isomorphism(bundle.inclusion)
+    result = _ring_iso(bundle.inclusion)
     assert result.ok and not result.witnesses
     assert bool(result)
 
@@ -116,7 +120,7 @@ def test_ring_isomorphism_of_inclusion():
 def test_ring_isomorphism_identity_map():
     ce = heisenberg_ce_algebra()
     ident = CochainMap.from_function(ce, ce, lambda v: v)
-    assert check_ring_isomorphism(ident).ok
+    assert _ring_iso(ident).ok
 
 
 def test_ring_isomorphism_negative_control():
@@ -124,9 +128,30 @@ def test_ring_isomorphism_negative_control():
     blocks = {deg: [row[:] for row in m] for deg, m in bundle.inclusion.blocks.items()}
     blocks[1] = [[Fraction(0)] * len(row) for row in blocks[1]]  # zero map in degree 1
     corrupted = CochainMap(bundle.rumin, bundle.ce, blocks)
-    result = check_ring_isomorphism(corrupted)
+    result = _ring_iso(corrupted)
     assert not result.ok
     assert result.witnesses
+
+
+def test_ring_isomorphism_of_a_map_that_is_not_a_cochain_map():
+    # the identity of the CE algebra but a -> c, b -> 0, c -> 0 in degree 1:
+    # the class [a] goes to c, which is not a cocycle
+    ce = heisenberg_ce_algebra()
+    blocks = {deg: identity(ce.dim(deg)) for deg in ce.degrees}
+    blocks[1] = [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+    result = _ring_iso(CochainMap(ce, ce, blocks))
+    assert not result.ok
+    assert any("not a cocycle" in w for w in result.witnesses), result.witnesses
+
+
+def test_ring_isomorphism_betti_mismatch():
+    # the zero map from the exterior algebra on one generator into CE
+    circle = FiniteGradedAlgebra.loads("basis e 0\nbasis t 1\nmu e e e 1\nmu e t t 1\nmu t e t 1\n")
+    ce = heisenberg_ce_algebra()
+    zero = CochainMap.from_function(circle, ce, lambda v: ce.zero(v.degree))
+    result = _ring_iso(zero)
+    assert not result.ok
+    assert "degree 1: betti 1 vs 2" in result.witnesses
 
 
 def _is_cochain_map(f: CochainMap) -> bool:

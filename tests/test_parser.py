@@ -37,8 +37,8 @@ def test_dz_normalization():
     expected = M1.theta() + M1.generator(1).scale_poly(Poly.variable(3, 1))
     assert got == expected
     got2 = eval_text("dz", M2)
-    assert got2.coefficient((0,)) == Poly.one(5)
-    assert got2.coefficient((2,)) == Poly.variable(5, 3)  # y2 dx2
+    assert got2.terms[(0,)] == Poly.one(5)
+    assert got2.terms[(2,)] == Poly.variable(5, 3)  # y2 dx2
 
 
 def test_rational_literals_and_scalars():

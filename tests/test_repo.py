@@ -2,14 +2,17 @@
 the package defines nothing that only the tests call."""
 
 import ast
+import importlib
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import ruminalg
+from ruminalg import finite
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,47 +38,86 @@ def _allow_list() -> set:
     return set(re.findall(r"^    (\w+)  +\S", ruminalg.__doc__, re.MULTILINE))
 
 
-def _references(tree) -> set:
-    """Every name, attribute and string constant in `tree`, except the
-    strings of an `__all__` list (exporting a name does not call it)."""
+def _references(tree):
+    """The bare names in `tree`, and its attribute names and string
+    constants, except the strings of an `__all__` list (exporting a name
+    does not call it)."""
     exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             exported.update(id(c) for c in ast.walk(node.value) if isinstance(c, ast.Constant))
-    out = set()
+    names, dotted = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            dotted.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exported:
-            out.add(node.value)
-    return out
+            dotted.add(node.value)
+    return names, dotted
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
     # A function, method or class of the package must be referenced somewhere
-    # in src/ruminalg or perfbench/: as a name, an attribute, or a string
-    # constant (the perfbench tracer looks some up with getattr).  A name on
-    # the allow-list must be referenced nowhere in src/ruminalg: once the
-    # package calls it, the entry is stale.
-    defined, referenced, in_package = {}, set(), set()
+    # in src/ruminalg or perfbench/: a function or class as a name, an
+    # attribute or a string constant (the perfbench tracer looks some up with
+    # getattr), a method only as an attribute or a string constant -- a bare
+    # name that equals a method's is some other variable.  A name on the
+    # allow-list must be referenced nowhere in src/ruminalg: once the package
+    # calls it, the entry is stale.
+    defined, functions = {}, set()  # functions: names defined other than as a method
+    names, dotted, in_package = set(), set(), set()
     for top in (ROOT / "src" / "ruminalg", ROOT / "perfbench"):
         for path in sorted(top.rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            refs = _references(tree)
-            referenced |= refs
+            bare, attrs = _references(tree)
+            names |= bare
+            dotted |= attrs
             if top.name == "ruminalg":
-                in_package |= refs
+                in_package |= bare | attrs
+                methods = {
+                    id(n)
+                    for c in ast.walk(tree)
+                    if isinstance(c, ast.ClassDef)
+                    for n in c.body
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                }
                 for node in ast.walk(tree):
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                         defined.setdefault(node.name, f"{path.relative_to(ROOT)}:{node.lineno}")
+                        if id(node) not in methods:
+                            functions.add(node.name)
     allowed = _allow_list()
     assert allowed and allowed <= set(defined), f"allow-list names not defined: {allowed - set(defined)}"
     assert not allowed & in_package, f"allow-list names the package calls: {sorted(allowed & in_package)}"
+    # A name defined both as a method and as a function counts its bare uses.
+    referenced = dotted | (names & functions)
     unused = sorted(
         f"{where} {name}"
         for name, where in defined.items()
         if name not in referenced and name not in allowed and not (name.startswith("__") and name.endswith("__"))
     )
     assert unused == [], "defined in the package but referenced only by tests, if at all:\n" + "\n".join(unused)
+
+
+def test_the_benchmark_finds_the_names_it_wraps(monkeypatch):
+    # perfbench wraps and calls program names by attribute; importing its
+    # workloads and installing its tracer fails at once when one is renamed
+    # or deleted.  A failed install is undone too, so no later test runs
+    # against a half-wrapped program.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    original = finite.FiniteGradedAlgebra.mu_vec
+    tracer = None
+    try:
+        tracing = importlib.import_module("tracing")
+        importlib.import_module("workloads")
+        tracer = tracing.Tracer()
+        tracer.install()
+        assert finite.FiniteGradedAlgebra.mu_vec is not original
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
+        for name in ("tracing", "workloads", "reference"):
+            sys.modules.pop(name, None)
+    assert finite.FiniteGradedAlgebra.mu_vec is original
+    assert ruminalg.kernel_name()

@@ -153,7 +153,7 @@ def _dense_solve(model, power, rhs, lam):
     for j, s in enumerate(src):
         acc = Poly.zero(model.nvars)
         for i, t in enumerate(tgt):
-            acc = acc.add_scaled(rhs.coefficient(t), inv[j][i] / lam**power)
+            acc = acc.add_scaled(rhs.terms.get(t, Poly.zero(model.nvars)), inv[j][i] / lam**power)
         terms[s] = acc
     return Form(model, n - power + 1, terms)
 
