@@ -52,9 +52,8 @@ later calls return it, as `rumin.gamma` keeps gamma(w).  Neither enters ==
 or the hash.  `rumin.pi` reads a kept d but keeps none
 (`exterior_d(w, keep=False)`) unless its value is w itself, because the
 products a `RuminElement` keeps would otherwise each carry their
-derivatives.  The unscaled gamma's constants are kept on the `ContactModel`
-(`_gamma_weights` once, `_gamma_cj` per degree); the rescaled gamma
-computes its own on every call.
+derivatives.  gamma's constants are not kept here: they depend on n and
+the degree alone, and `rumin` caches them as functions of those.
 """
 
 from __future__ import annotations
@@ -106,10 +105,6 @@ class ContactModel:
         self.nvars = 2 * n + 1        # polynomial coordinates x_1..x_n, y_1..y_n, z
         self._dtheta_powers: dict = {}
         self._monomial_cache: dict = {}
-        # rumin's unscaled gamma constants: the pair weights and theta's
-        # scalar once, the c_j over their lcm per degree
-        self._gamma_weights = None
-        self._gamma_cj: dict = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ContactModel) and self.n == other.n
@@ -205,12 +200,10 @@ class Form:
     # long as the form; none of them enters == or hash
     __slots__ = ("model", "degree", "terms", "_hash", "_d", "_gamma")
 
-    def __init__(self, model: ContactModel, degree: int, terms=None, _canonical=False):
+    def __init__(self, model: ContactModel, degree: int, terms, _canonical=False):
         self.model = model
         self.degree = degree
-        if terms is None:
-            self.terms = {}
-        elif _canonical:
+        if _canonical:
             self.terms = terms
         else:
             clean = {}

@@ -229,14 +229,13 @@ def over_lcm(values) -> tuple:
     return [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in values], den
 
 
-def _scaled(nvars: int, terms: dict, checked: bool) -> tuple:
+def _scaled(nvars: int, terms: dict) -> tuple:
     """(num, den) in lowest terms of a {exponent tuple: rational} dictionary,
     whose values may be ints, Fractions or anything Fraction reads; values of
-    one exponent add up.  `checked` skips the check for negative entries."""
-    codec = layout(nvars)[0]
+    one exponent add up."""
     values = {}
     for ex, c in terms.items():
-        ex = int.from_bytes(codec.pack(*ex), "big") if checked else pack(nvars, ex)
+        ex = pack(nvars, ex)
         if type(c) is not int:
             c = Fraction(c)
         if c:
@@ -261,11 +260,11 @@ class Poly:
 
     __slots__ = ("nvars", "num", "den")
 
-    def __init__(self, nvars: int, terms=None, _canonical=False):
+    def __init__(self, nvars: int, terms=None):
         """The polynomial with the rational coefficients `terms`
-        ({exponent: rational}); `_canonical` vouches for the exponents."""
+        ({exponent: rational})."""
         self.nvars = nvars
-        self.num, self.den = _scaled(nvars, terms, _canonical) if terms else ({}, 1)
+        self.num, self.den = _scaled(nvars, terms) if terms else ({}, 1)
 
     # -- constructors ------------------------------------------------------
 
@@ -406,12 +405,8 @@ class Poly:
             ex = unpack(nvars, ex)
             e = ex[index]
             if e:
-                nex = pack(nvars, ex[:index] + (e - 1,) + ex[index + 1 :])
-                s = out.get(nex, 0) + c * e
-                if s:
-                    out[nex] = s
-                else:
-                    del out[nex]
+                # lowering one exponent maps distinct monomials apart: no sums
+                out[pack(nvars, ex[:index] + (e - 1,) + ex[index + 1 :])] = c * e
         return wrap(self.nvars, out, self.den)
 
     # -- equality / display ------------------------------------------------

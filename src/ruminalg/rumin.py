@@ -37,12 +37,13 @@ m2 projects the product an element keeps (below), and a d kept there would
 chain further derivatives onto every kept product for the element's
 lifetime.  Only when pi(w) is w itself, because w already lies in R, does w
 keep the d pi computed: the element's own d (m1) would compute it again.
-gamma's constants at the unscaled contact form are kept on the
-`ContactModel`, filled on first use, so a new model pays for them again:
-the L and Lambda pair weights and theta's scalar once, the c_j over one
-denominator per degree.  The rescaled gamma of `gamma_invariance_check`
-computes its own on every call, reading its weights and scalar off the
-rescaled dtheta and theta, and is always computed afresh.
+gamma's constants at the unscaled contact form depend on n and the degree
+alone, so they are cached functions of those: `_gamma_scalars(n, k)` gives
+the c_j over one denominator and `_unit_weights(n)` the L and Lambda pair
+weights and theta's scalar.  `gamma(w)` takes w alone; the gamma of the
+contact form rescaled by lam, which `gamma_invariance_check` compares with
+it, is the private `_gamma(w, lam)`, computed afresh on every call with its
+weights and scalar read off the rescaled dtheta and theta.
 
 A `RuminElement` is a form checked to lie in R when it is built:
 `RuminElement(form)` (and `certify`) tests membership and raises
@@ -150,8 +151,8 @@ def _gamma_scalars(n: int, k: int) -> tuple:
     r0 = max(1, k - n)), the j-th operator maps L^r alpha_r to L^(r-1) alpha_r
     times prod_{i<j} (r -+ i)(n - k + r + 1 +- i), which is 0 for the r below
     the j-th piece, so the c_j solve a triangular system; `rest` starts from
-    the Fraction 1, so each division is exact.  gamma takes the c_j over one
-    denominator."""
+    the Fraction 1, so each division is exact.  Returned as (int numerators,
+    one denominator)."""
     sign = -1 if k <= n + 1 else 1
 
     def factor(r, j):
@@ -161,48 +162,16 @@ def _gamma_scalars(n: int, k: int) -> tuple:
     for r in range(max(1, k - n), k // 2 + 1):
         rest = _ONE - sum(cj * factor(r, j) for j, cj in enumerate(c, 1))
         c.append(rest / factor(r, len(c) + 1))
-    return tuple(c)
+    nums, den = over_lcm(c)
+    return tuple(nums), den
 
 
-def gamma(w: Form, _lam: Fraction | None = None) -> Form:
-    """Contact-invariant degree -1 operator; output is always vertical.
-
-    The value is kept on w, so a second gamma(w) returns it.  The private
-    `_lam` recomputes gamma from the contact form rescaled by a positive
-    constant (used by `gamma_invariance_check`), and never reads or keeps
-    the value on w, nor the constants kept on the model.
-    """
-    if _lam is not None:
-        return _gamma(w, _lam)
-    out = getattr(w, "_gamma", None)
-    if out is None:
-        out = w._gamma = _gamma(w, None)
-    return out
-
-
-def _constants(model: ContactModel, k: int, lam: Fraction | None = None) -> tuple:
-    """gamma's constants on k-forms: ((c_j numerators, their denominator),
-    L's and Lambda's pair weights, theta's scalar), with the contact form
-    rescaled by lam.  The unscaled ones (lam None) are kept on the model,
-    filled on first use: the weights and the scalar once, the c_j per
-    degree.  Rescaled ones are computed on every call."""
-    if lam is not None:
-        scaled = _weights(model.dtheta().scale(lam), model.theta().scale(lam))
-        return (over_lcm(_gamma_scalars(model.n, k)), *scaled)
-    store = model._gamma_cj
-    c = store.get(k)
-    if c is None:
-        c = store[k] = over_lcm(_gamma_scalars(model.n, k))
-    return (c, *_unscaled_weights(model))
-
-
-def _unscaled_weights(model: ContactModel) -> tuple:
+@cache
+def _unit_weights(n: int) -> tuple:
     """L's and Lambda's pair weights and theta's scalar at the unscaled
-    contact form, kept on the model."""
-    out = model._gamma_weights
-    if out is None:
-        out = model._gamma_weights = _weights(model.dtheta(), model.theta())
-    return out
+    contact form of H^{2n+1}."""
+    model = ContactModel(n)
+    return _weights(model.dtheta(), model.theta())
 
 
 def _weights(dtheta: Form, theta: Form) -> tuple:
@@ -210,12 +179,29 @@ def _weights(dtheta: Form, theta: Form) -> tuple:
     return up, down, theta.terms[(0,)].constant_value()
 
 
+def gamma(w: Form) -> Form:
+    """Contact-invariant degree -1 operator; output is always vertical.
+
+    The value is kept on w, so a second gamma(w) returns it.  gamma from a
+    rescaled contact form is the private `_gamma(w, lam)`, which
+    `gamma_invariance_check` calls."""
+    out = getattr(w, "_gamma", None)
+    if out is None:
+        out = w._gamma = _gamma(w, None)
+    return out
+
+
 def _gamma(w: Form, lam: Fraction | None) -> Form:
     """gamma(w) from the contact form rescaled by lam (unscaled when None),
-    computed afresh."""
+    computed afresh and kept nowhere.  The rescaled weights and scalar are
+    read off the rescaled dtheta and theta on every call."""
     model = w.model
     n, k = model.n, w.degree
-    (c, cden), up, down, t = _constants(model, k, lam)
+    c, cden = _gamma_scalars(n, k)
+    if lam is None:
+        up, down, t = _unit_weights(n)
+    else:
+        up, down, t = _weights(model.dtheta().scale(lam), model.theta().scale(lam))
     alpha = _horizontal(w)
     if not c or not alpha:
         return Form.zero(model, max(k - 1, 0))
@@ -244,16 +230,15 @@ def gamma_invariance_check(w: Form, lam) -> bool:
     lam = Fraction(lam)
     if lam <= 0:
         raise DomainError(f"rescaling must be positive, got {lam}")
-    return gamma(w, _lam=lam) == gamma(w)
+    return _gamma(w, lam) == gamma(w)
 
 
 def is_primitive(w: Form) -> bool:
     """True when Lambda kills the horizontal part of w, i.e. when
     (theta ^ w) ^ dtheta^(n+1-k) = 0 with k = |w| (for k >= n+1 there are no
     powers left and the test is theta ^ w = 0)."""
-    model = w.model
-    down = _unscaled_weights(model)[1]
-    return not any(_pair_op(_horizontal(w), model.n, down, lower=True).values())
+    n = w.model.n
+    return not any(_pair_op(_horizontal(w), n, _unit_weights(n)[1], lower=True).values())
 
 
 def in_rumin(w: Form) -> bool:

@@ -253,6 +253,15 @@ def test_basis_listing(capsys):
     assert out.splitlines() == ["theta^dx1", "theta^dy1"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("basis", "--degree", "7", "--n", "1"), ("basis", "--degree", "-1", "--vertical")],
+    ids=["above-the-top-degree", "negative-vertical"],
+)
+def test_basis_of_an_empty_degree_prints_nothing(capsys, argv):
+    assert run(capsys, *argv) == (0, "", "")
+
+
 SEEDED_SUITES = [name for name in SUITES if name not in ("lefschetz-iso", "ce-cohomology")]
 
 
@@ -330,6 +339,14 @@ def test_cohomology_from_file(capsys, tmp_path):
     assert code == 0 and "betti (1, 2, 2, 1)" in out
 
 
+def test_cohomology_prints_an_empty_degree(capsys, tmp_path):
+    path = tmp_path / "acyclic.alg"
+    path.write_text("basis e 0\nbasis t 1\nbasis u 2\nd t u 1\n")
+    code, out, _ = run(capsys, "cohomology", str(path))
+    assert code == 0
+    assert out.splitlines() == ["algebra: betti (1, 0, 0)", "  H^0 (dim 1): e", "  H^1 (dim 0)", "  H^2 (dim 0)"]
+
+
 def test_cohomology_dump_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "cohomology", "--builtin", "ce", "--dump")
     assert code == 0
@@ -392,6 +409,8 @@ def test_python_m_ruminalg_runs_the_cli():
 
     done = run_module("eval", "gamma(dx1^dy1)")
     assert done.returncode == 0 and done.stdout == "theta\n" and done.stderr == ""
+    done = run_module("eval", "dx1")
+    assert done.returncode == 0 and done.stdout == "dx1\n" and done.stderr == ""
     failed = run_module("eval", "theta ^")
     assert failed.returncode == 2 and failed.stdout == ""
     assert len(failed.stderr.splitlines()) == 1 and "syntax error" in failed.stderr

@@ -556,6 +556,17 @@ def test_fraction_and_int_vectors_are_equal_and_hash_alike():
     assert doubled == ints and hash(doubled) == hash(ints) and doubled.coeffs == ints.coeffs
 
 
+def test_vector_guards():
+    ce, rumin_model = heisenberg_ce_algebra(), heisenberg_rumin_model()
+    with pytest.raises(DimensionError, match="vector of length 2 in degree 1"):
+        FiniteVector(ce, 1, [1, 2])
+    a = FiniteVector(ce, 1, [1, 0, 0])
+    with pytest.raises(DimensionError, match="different algebras"):
+        a + FiniteVector(rumin_model, 1, [1] * rumin_model.dim(1))
+    with pytest.raises(DimensionError, match="adding degrees 1 and 2"):
+        a + FiniteVector(ce, 2, [1, 0, 0])
+
+
 # -- zeros recorded when built ----------------------------------------------------
 
 @cache

@@ -200,7 +200,7 @@ def test_form_coefficients_are_int_or_proper_fraction(a, b):
     for w in (a, a + c, a - c, -a, a.scale(Fraction(3, 2)), wedge(a, b), exterior_d(a), rumin.pi(a).form):
         assert_exact_form(w)
     for lam in (Fraction(1), Fraction(3, 7)):
-        assert_exact_form(rumin.gamma(a, _lam=lam))
+        assert_exact_form(rumin._gamma(a, lam))
 
 
 # -- exterior derivative ----------------------------------------------------------
@@ -253,7 +253,7 @@ def as_fractions(w, model):
     """w over `model` with every coefficient stored as a Fraction, past the
     int normalization of `poly`."""
     terms = {
-        idx: Poly(model.nvars, {ex: Fraction(c) for ex, c in p.terms.items()}, _canonical=True)
+        idx: Poly(model.nvars, {ex: Fraction(c) for ex, c in p.terms.items()})
         for idx, p in w.terms.items()
     }
     return Form(model, w.degree, terms, _canonical=True)
@@ -512,3 +512,18 @@ def test_form_degree_annotation_rules():
         Form(M1, 5, {(0, 1): _one(M1)})
     assert Form.zero(M1, 7).is_zero()  # zero may carry any degree
     assert Form.zero(M1, 2) == Form.zero(M1, 5)
+
+
+@pytest.mark.parametrize(
+    "degree, terms",
+    [(1, {(5,): 1}), (2, {(1, 0): 1}), (1, {(0,): Poly.one(5)})],
+    ids=["index-out-of-range", "index-unsorted", "wrong-coordinate-count"],
+)
+def test_form_rejects_bad_terms(degree, terms):
+    with pytest.raises(DimensionError):
+        Form(M1, degree, terms)
+
+
+def test_contact_model_needs_positive_n():
+    with pytest.raises(DimensionError, match="n must be positive, got 0"):
+        ContactModel(0)

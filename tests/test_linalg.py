@@ -63,3 +63,7 @@ def test_int_matrices_stay_int():
     red, _ = linalg.rref([[2, 4], [1, 3]])
     assert red == [[1, 0], [0, 1]]
     assert linalg.inverse([[2, 0], [0, 4]]) == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
+
+
+def test_solve_exact_refuses_an_inconsistent_system():
+    assert linalg.solve_exact([[1, 0], [0, 0]], [1, 1]) is None

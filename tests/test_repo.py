@@ -121,3 +121,25 @@ def test_the_benchmark_finds_the_names_it_wraps(monkeypatch):
             sys.modules.pop(name, None)
     assert finite.FiniteGradedAlgebra.mu_vec is original
     assert ruminalg.kernel_name()
+
+
+WORKLOAD_NAMES = ("symbolic-n3", "lefschetz-cold-n5", "ce-sweep", "eval-roundtrip")
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_each_benchmark_workload_passes_its_checks(monkeypatch, name):
+    # The benchmark's correctness stage on one cold pass at seed 1: a change
+    # that breaks a workload's checks fails here, before any timing run.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+        assert sorted(workloads.WORKLOADS) == sorted(WORKLOAD_NAMES)
+        workload = workloads.WORKLOADS[name](1)
+        workload.fresh()
+        steps = list(workload.run_pass())
+        assert [s for s in steps if s.failed != s.known] == []
+        assert sum(s.checks for s in steps) == workload.expected_checks()
+        assert workload.verify() == []
+    finally:
+        for module in ("workloads", "reference"):
+            sys.modules.pop(module, None)

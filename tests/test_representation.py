@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruminalg import forms, poly
+from ruminalg import forms, poly, rumin
 from ruminalg.forms import ContactModel, Form, exterior_d, wedge
 from ruminalg.poly import Poly
 from ruminalg.rumin import gamma, pi
@@ -78,7 +78,7 @@ def test_form_operations_are_in_lowest_terms(data):
     c = data.draw(rationals)
     same = b if b.degree == a.degree else a.scale(Fraction(-1, 2))
     results = [a + same, a - same, -a, a.scale(c), wedge(a, b), exterior_d(a), pi(a).form]
-    results += [gamma(a, _lam=lam) for lam in LAMBDAS]
+    results += [rumin._gamma(a, lam) for lam in LAMBDAS]
     for w in results:
         assert_lowest_form(w)
 
@@ -90,7 +90,7 @@ def test_int_fraction_and_mixed_dicts_agree(d):
     as_ints = {ex: c.numerator if c.denominator == 1 else c for ex, c in as_fractions.items()}
     mixed = {ex: c if i % 2 else as_ints[ex] for i, (ex, c) in enumerate(as_fractions.items())}
     built = [Poly(NVARS, as_fractions), Poly(NVARS, as_ints), Poly(NVARS, mixed),
-             Poly(NVARS, as_fractions, _canonical=True), Poly(NVARS, dict(Poly(NVARS, d).terms))]
+             Poly(NVARS, as_fractions), Poly(NVARS, dict(Poly(NVARS, d).terms))]
     for p in built:
         assert_lowest(p)
         assert p == built[0] and hash(p) == hash(built[0])
@@ -140,7 +140,7 @@ def test_a_wrap_without_gcd_breaks_lowest_terms(monkeypatch):
     model = MODELS[1]
     x1, y2 = Poly.variable(model.nvars, 0), Poly.variable(model.nvars, 3)
     w = Form.monomial(model, (1, 3), x1 * y2 + Poly.constant(model.nvars, 3))
-    scaled = gamma(w, _lam=Fraction(3, 7))
+    scaled = rumin._gamma(w, Fraction(3, 7))
     with pytest.raises(AssertionError):
         assert_lowest_form(scaled)
     assert scaled != gamma(w)

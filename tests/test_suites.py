@@ -147,8 +147,8 @@ def _double_one_gamma_scalar(monkeypatch):
     right = rumin._gamma_scalars
 
     def wrong(n, k):
-        b = right(n, k)
-        return (2 * b[0],) + b[1:] if k == 2 else b
+        nums, den = right(n, k)
+        return ((2 * nums[0],) + nums[1:], den) if k == 2 else (nums, den)
 
     monkeypatch.setattr(rumin, "_gamma_scalars", wrong)
 
