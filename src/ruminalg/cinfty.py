@@ -29,8 +29,10 @@ operator values need:
   stored with it in that table.
 * Every memo (an operator family's, and psi's, h psi's and the lift's in
   the transfer) is a dict whose `__missing__` computes the value, and the
-  evaluator is its `__getitem__`, so a hit is one C call (hashing the key
-  still calls each element's `__hash__`).
+  evaluator is its `__getitem__`, so a hit is one C call.  Hashing the key
+  calls each element's `__hash__`: Python code for forms and Rumin
+  elements, but none for the interned vectors of `ruminalg.finite`, which
+  hash by identity in C.
 * The insertion sums and the transfer's psi read each Koszul sign off a
   running prefix parity of the degrees and build no tensor word.
 * A value that is zero is neither scaled nor added, and an operator is not

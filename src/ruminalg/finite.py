@@ -19,11 +19,19 @@ integral case builds no `Fraction`.  Since ``Fraction(2) == 2`` and
 ``hash(Fraction(2)) == hash(2)``, vectors compare and hash exactly as they
 would with all-`Fraction` coordinates.
 
+Vectors are interned.  An algebra keeps one table from (degree, coefficients)
+to the one vector of that value, and every way of making a vector (the
+constructor, `element`, `scale`, `+`, `-`, `apply_d`, `mu_vec`,
+`CochainMap.apply`) returns the table's vector; a zero value is the
+algebra's one zero of its degree.  Equal nonzero vectors are therefore one
+object and hash by identity, so a memo hit keyed by a tuple of vectors is
+hashed and compared in C.  The table keeps every vector made in the algebra
+for the algebra's lifetime.
+
 Zeros cost nothing: a vector records when it is built whether it is zero, so
-`is_zero` reads a slot, and an algebra keeps one zero vector per degree,
-which `zero`, `apply_d`, `mu_vec` and `CochainMap.apply` return at once when
-an input is zero (the homotopy transfer of the built-in model meets mostly
-zero values).
+`is_zero` reads a slot, and `zero`, `apply_d`, `mu_vec` and
+`CochainMap.apply` return the kept zero at once when an input is zero (the
+homotopy transfer of the built-in model meets mostly zero values).
 
 The built-in model is the exterior algebra on three degree-one generators
 a, b, c with da = db = 0 and dc = a^b -- the left-invariant forms of the
@@ -45,7 +53,10 @@ File format (consumed by the CLI `cohomology` subcommand), line oriented,
     d SRC DST COEFF         entry of the differential: d(SRC) += COEFF * DST
     mu A B C COEFF          structure constant: A * B += COEFF * C
 
-COEFF is an integer or `p/q` rational.  Omitted entries are zero.
+COEFF is an integer or `p/q` rational.  Omitted entries are zero, and
+repeated records of one entry add up.  NAME and every LABEL are one word
+with no `#`; the constructor refuses any other, so `dumps` writes text that
+`loads` reads back to the same algebra.
 """
 
 from __future__ import annotations
@@ -66,33 +77,47 @@ class FiniteVector:
 
     `coeffs` holds one exact coordinate per basis element of `degree`: an
     `int` when it is integral, else a `Fraction` with denominator > 1.  The
-    constructor accepts any rationals and normalizes them."""
+    constructor accepts any rationals and normalizes them.
 
-    __slots__ = ("algebra", "degree", "coeffs", "_zero", "_hash")
+    Vectors are interned: every way of making a vector returns the one object
+    its algebra keeps for that value (a zero value, the algebra's zero of
+    that degree), so equal nonzero vectors are the same object and hash by
+    identity, in C.  Zeros of every degree are equal, so they hash by value."""
 
-    def __init__(self, algebra: "FiniteGradedAlgebra", degree: int, coeffs):
-        self.algebra = algebra
-        self.degree = degree
-        self.coeffs = tuple(map(exact, coeffs))
-        self._zero = not any(self.coeffs)
-        self._hash = None
-        if len(self.coeffs) != algebra.dim(degree):
+    __slots__ = ("algebra", "degree", "coeffs", "_zero")
+
+    def __new__(cls, algebra: "FiniteGradedAlgebra", degree: int, coeffs):
+        coeffs = tuple(map(exact, coeffs))
+        if len(coeffs) != algebra.dim(degree):
             raise DimensionError(
-                f"vector of length {len(self.coeffs)} in degree {degree} "
+                f"vector of length {len(coeffs)} in degree {degree} "
                 f"(dimension {algebra.dim(degree)})"
             )
+        return FiniteVector._make(algebra, degree, coeffs)
 
-    @classmethod
-    def _make(cls, algebra, degree, coeffs) -> "FiniteVector":
-        """Internal fast path: `coeffs` must already be a tuple of stored
+    @staticmethod
+    def _make(algebra, degree, coeffs) -> "FiniteVector":
+        """The vector `algebra` keeps for this value, made on first use.
+        Internal fast path: `coeffs` must already be a tuple of stored
         (`exact`) coefficients of the right length."""
-        v = object.__new__(cls)
-        v.algebra = algebra
-        v.degree = degree
-        v.coeffs = coeffs
-        v._zero = not any(coeffs)
-        v._hash = None
+        key = (degree, coeffs)
+        v = algebra._vectors.get(key)
+        if v is None:
+            if any(coeffs):
+                v = _new_vector(FiniteVector, algebra, degree, coeffs)
+            else:
+                v = algebra.zero(degree)
+            algebra._vectors[key] = v
         return v
+
+    def __reduce__(self):
+        # copy.copy gets the vector itself back; unpickled, a vector is
+        # interned again in the unpickled algebra
+        return FiniteVector, (self.algebra, self.degree, self.coeffs)
+
+    def __deepcopy__(self, memo) -> "FiniteVector":
+        # immutable and interned: the copy is the vector, in its own algebra
+        return self
 
     def is_zero(self) -> bool:
         return self._zero
@@ -135,12 +160,9 @@ class FiniteVector:
             return True
         return self.degree == other.degree and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        if self._hash is None:
-            # All zero vectors are equal whatever their degree, so they hash alike.
-            shape = None if self._zero else (self.degree, self.coeffs)
-            self._hash = hash((id(self.algebra), shape))
-        return self._hash
+    # Equal nonzero vectors are one object (see `_make`), so identity is a
+    # hash that agrees with ==, and dict lookups use object's C slot.
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         labels = self.algebra.labels(self.degree)
@@ -160,18 +182,41 @@ class FiniteVector:
         return f"FiniteVector({self.degree}, {self})"
 
 
+class _ZeroVector(FiniteVector):
+    """The zero an algebra keeps for one degree.  All zeros of an algebra are
+    equal whatever their degree, so they hash alike."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash((id(self.algebra), None))
+
+
+def _new_vector(cls, algebra, degree, coeffs) -> FiniteVector:
+    v = object.__new__(cls)
+    v.algebra, v.degree, v.coeffs, v._zero = algebra, degree, coeffs, cls is _ZeroVector
+    return v
+
+
 class FiniteGradedAlgebra:
     """Graded commutative differential algebra with explicit basis, exact
     differential matrices and product structure constants."""
 
     def __init__(self, basis, d, mu, name: str = ""):
+        if name != "" and not _is_word(name):
+            raise ConstructionError(f"algebra name {name!r} is not one word free of '#'")
         self.name = name
         self.basis = {deg: list(labels) for deg, labels in sorted(basis.items()) if labels}
         self.degrees = sorted(self.basis)
         self._pos: dict = {}
         self._zeros: dict = {}  # degree -> its one zero vector
+        # (degree, coeffs) -> the one vector of that value, kept for the
+        # algebra's lifetime (see FiniteVector._make)
+        self._vectors: dict = {}
         for deg, labels in self.basis.items():
             for i, label in enumerate(labels):
+                if not _is_word(label):
+                    raise ConstructionError(f"basis label {label!r} is not one word free of '#'")
                 if label in self._pos:
                     raise ConstructionError(f"duplicate basis label {label!r}")
                 self._pos[label] = (deg, i)
@@ -197,6 +242,14 @@ class FiniteGradedAlgebra:
         }
         self._check_axioms()
 
+    # A pickle holds the algebra's structure, not the vectors it keeps: a
+    # kept vector's arguments would name the algebra before its state is set.
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in ("_zeros", "_vectors")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _zeros={}, _vectors={})
+
     def _row(self, row) -> tuple:
         return tuple((self._pos[dst][1], c) for dst, c in row.items()) if row else ()
 
@@ -215,7 +268,7 @@ class FiniteGradedAlgebra:
         """The zero of `degree`: one vector per degree, built on first use."""
         z = self._zeros.get(degree)
         if z is None:
-            z = self._zeros[degree] = FiniteVector._make(self, degree, (0,) * self.dim(degree))
+            z = self._zeros[degree] = _new_vector(_ZeroVector, self, degree, (0,) * self.dim(degree))
         return z
 
     def element(self, label: str) -> FiniteVector:
@@ -371,14 +424,29 @@ class FiniteGradedAlgebra:
                 elif kind == "basis" and len(fields) == 3:
                     basis.setdefault(int(fields[2]), []).append(fields[1])
                 elif kind == "d" and len(fields) == 4:
-                    d.setdefault(fields[1], {})[fields[2]] = Fraction(fields[3])
+                    _add_entry(d.setdefault(fields[1], {}), fields[2], fields[3])
                 elif kind == "mu" and len(fields) == 5:
-                    mu.setdefault((fields[1], fields[2]), {})[fields[3]] = Fraction(fields[4])
+                    _add_entry(mu.setdefault((fields[1], fields[2]), {}), fields[3], fields[4])
                 else:
                     raise ValueError(f"unrecognized record {kind!r}")
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ConstructionError(f"line {lineno}: {exc}") from exc
         return cls(basis, d, mu, name=name)
+
+
+def _is_word(text) -> bool:
+    """Can `text` be a name or label of the file format: a non-empty str
+    with no whitespace and no '#'?"""
+    return isinstance(text, str) and text.split() == [text] and "#" not in text
+
+
+def _add_entry(row: dict, dst: str, field: str) -> None:
+    """row[dst] += the COEFF `field` (records of one entry add up)."""
+    try:
+        c = Fraction(field)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {field!r}") from None
+    row[dst] = row.get(dst, 0) + c
 
 
 # -- exact cohomology ----------------------------------------------------------

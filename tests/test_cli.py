@@ -347,6 +347,22 @@ def test_cohomology_prints_an_empty_degree(capsys, tmp_path):
     assert out.splitlines() == ["algebra: betti (1, 0, 0)", "  H^0 (dim 1): e", "  H^1 (dim 0)", "  H^2 (dim 0)"]
 
 
+@pytest.mark.parametrize(
+    "text, betti",
+    [
+        # d(SRC) += COEFF * DST: repeated records add up
+        ("basis a 0\nbasis b 1\nd a b 1\nd a b -1\n", "algebra: betti (1, 1)"),
+        ("basis a 0\nbasis b 1\nd a b 1\nd a b 1\n", "algebra: betti (0, 0)"),
+        ("algebra unit\nbasis e 0\nmu e e e 1/2\nmu e e e 1/2\n", "unit: betti (1,)"),
+    ],
+)
+def test_cohomology_adds_up_repeated_records(capsys, tmp_path, text, betti):
+    path = tmp_path / "repeated.alg"
+    path.write_text(text)
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert code == 0 and err == "" and out.splitlines()[0] == betti
+
+
 def test_cohomology_dump_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "cohomology", "--builtin", "ce", "--dump")
     assert code == 0
@@ -379,6 +395,8 @@ def test_cohomology_arg_validation(capsys, tmp_path):
         ("basis u 0\nmu u x u 1\n", "product on unknown labels ('u', 'x')"),
         ("basis u 0\nmu u u x 1\n", "product into unknown label 'x'"),
         ("basis u 0\nbasis v 1\nmu u u v 1\n", "mu u u -> v violates degree additivity"),
+        ("basis u 0\nbasis v 1\nd u v 1/0\n", "line 3: zero denominator in '1/0'"),
+        ("basis e 0\nmu e e e 0/0\n", "line 2: zero denominator in '0/0'"),
     ],
 )
 def test_cohomology_rejects_bad_labels_exit_1(capsys, tmp_path, text, message):

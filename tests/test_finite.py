@@ -1,3 +1,7 @@
+import copy
+import pickle
+import re
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -5,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruminalg.cinfty import RetractData
+from ruminalg.cinfty import RetractData, markl_transfer
 from ruminalg.errors import ConstructionError, DimensionError, DomainError
 from ruminalg.finite import (
     CochainMap,
@@ -278,6 +282,26 @@ def test_duplicate_label_rejected():
         FiniteGradedAlgebra({0: ["x"], 1: ["x"]}, {}, {})
 
 
+@pytest.mark.parametrize(
+    "basis, name, message",
+    [
+        ({0: ["a#1"]}, "", "basis label 'a#1'"),
+        ({0: ["a b"]}, "", "basis label 'a b'"),
+        ({0: ["a\u2028b"]}, "", "basis label 'a\\u2028b'"),
+        ({0: [""]}, "", "basis label ''"),
+        ({0: [1]}, "", "basis label 1"),
+        ({0: ["u"]}, "my alg", "algebra name 'my alg'"),
+        ({0: ["u"]}, "x#", "algebra name 'x#'"),
+        ({0: ["u"]}, None, "algebra name None"),
+    ],
+)
+def test_names_and_labels_the_file_format_cannot_carry_are_refused(basis, name, message):
+    # dumps would write them, and loads would refuse the text or read back
+    # another label (an int label comes back as a str)
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        FiniteGradedAlgebra(basis, {}, {}, name=name)
+
+
 # -- file format ------------------------------------------------------------------------
 
 
@@ -397,6 +421,62 @@ def test_load_bad_rational():
     with pytest.raises(ConstructionError) as err:
         FiniteGradedAlgebra.loads("basis u 0\nbasis v 1\nd u v 1/0\n")
     assert "line 3" in str(err.value)
+    assert str(err.value) == "line 3: zero denominator in '1/0'"
+
+
+def test_load_adds_up_repeated_records():
+    # d(SRC) += COEFF * DST: two records of one entry add up, to zero here
+    text = "basis a 0\nbasis b 1\nd a b 1\nd a b -1\n"
+    alg = FiniteGradedAlgebra.loads(text)
+    assert alg.d == {"a": {}} and cohomology(alg).betti_numbers() == (1, 1)
+    doubled = FiniteGradedAlgebra.loads("basis a 0\nbasis b 1\nd a b 1/2\nd a b 3/2\n")
+    assert doubled.d == {"a": {"b": 2}}
+    unit = FiniteGradedAlgebra.loads("basis e 0\nmu e e e 1/3\nmu e e e 2/3\n")
+    assert unit.mu == {("e", "e"): {"e": 1}}
+
+
+_WORD_CHARS = st.characters(exclude_categories=("Cs",))
+
+
+@st.composite
+def small_algebras(draw):
+    # an optional unit times everything, and d from "source" labels into
+    # "sink" labels one degree up, which have no d; every other product is
+    # zero, so d^2 = 0 and the Leibniz rule hold
+    words = st.text(_WORD_CHARS, min_size=1, max_size=4).filter(lambda w: w.split() == [w] and "#" not in w)
+    labels = draw(st.lists(words, min_size=1, max_size=7, unique=True))
+    coefficients = st.sampled_from([1, -1, 2, Fraction(3, 2), Fraction(-1, 3)])
+    unit = labels[0] if draw(st.booleans()) else None
+    basis, d, degree_of, sources = {}, {}, {}, []
+    for label in labels:
+        role = "unit" if label == unit else draw(st.sampled_from(["source", "sink", "idle"]))
+        if role == "sink" and sources:
+            src = draw(st.sampled_from(sources))
+            d.setdefault(src, {})[label] = draw(coefficients)
+            deg = degree_of[src] + 1
+        else:
+            deg = 0 if role == "unit" else draw(st.integers(-1, 2))
+            if role == "source":
+                sources.append(label)
+        basis.setdefault(deg, []).append(label)
+        degree_of[label] = deg
+    mu = {}
+    if unit is not None:
+        for label in labels:
+            mu[(unit, label)] = mu[(label, unit)] = {label: 1}
+    name = draw(st.one_of(st.just(""), words))
+    return FiniteGradedAlgebra(basis, d, mu, name=name)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_algebras())
+def test_dumps_loads_round_trip(alg):
+    text = alg.dumps()
+    again = FiniteGradedAlgebra.loads(text)
+    assert again.name == alg.name
+    assert again.basis == alg.basis
+    assert again.d == alg.d and again.mu == alg.mu
+    assert again.dumps() == text
 
 
 # -- vectors -----------------------------------------------------------------------------
@@ -628,11 +708,110 @@ def test_zero_inputs_return_the_kept_zero():
     bundle = _bundle()
     ce, rm = bundle.ce, bundle.rumin
     a = ce.element("a")
-    computed = a - a  # a zero the algebra did not keep
-    assert computed is not ce.zero(1) and computed.is_zero()
+    computed = a - a  # a computed zero is the kept zero too
+    assert computed is ce.zero(1) and computed.is_zero()
     assert ce.mu_vec(computed, ce.element("b")) is ce.zero(2)
     assert ce.mu_vec(ce.element("b"), ce.zero(2)) is ce.zero(3)
     assert ce.apply_d(computed) is ce.zero(2)
     assert bundle.retract.h(computed) is ce.zero(0)
     assert bundle.retract.pi(computed) is rm.zero(1)
     assert bundle.inclusion.apply(rm.zero(2)) is ce.zero(2)
+
+
+# -- interned vectors -------------------------------------------------------------------
+
+
+def _combination(coords, images, zero):
+    # sum of coords[i] * images[i] by scale and +, starting from `zero`
+    total = zero
+    for c, w in zip(coords, images):
+        total = total + w.scale(c)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinate_vectors(), coordinate_vectors(), st.sampled_from([0, 1, -1, 3, Fraction(-2, 3)]))
+def test_equal_values_are_one_vector(u, v, c):
+    # every way of making a vector returns the one object its algebra keeps
+    # for the value; a zero value is the algebra's zero of its degree
+    alg, degree = u.algebra, u.degree
+    assert FiniteVector(alg, degree, [Fraction(x) for x in u.coeffs]) is u
+    assert FiniteVector(alg, degree, [str(Fraction(x)) for x in u.coeffs]) is u
+    assert FiniteVector(alg, degree, [int(x) if x == int(x) else x for x in u.coeffs]) is u
+    basis = alg.basis_vectors(degree)
+    assert _combination(u.coeffs, basis, alg.zero(degree)) is u
+    assert u.scale(c) is FiniteVector(alg, degree, [c * x for x in u.coeffs])
+    assert u - u is alg.zero(degree) and u + u is u.scale(2)
+    built = [u, u.scale(c), u - u, alg.zero(degree), alg.apply_d(u), *basis]
+    assert alg.apply_d(u) is _combination(u.coeffs, map(alg.apply_d, basis), alg.zero(degree + 1))
+    for fmap in _maps():
+        if fmap.src is alg:
+            image = fmap.apply(u)
+            assert image is _combination(u.coeffs, map(fmap.apply, basis), fmap.dst.zero(degree + fmap.shift))
+            built.append(image)
+    if v.algebra is alg:
+        product = alg.mu_vec(u, v)
+        products = [alg.mu_vec(e, v) for e in basis]
+        assert product is _combination(u.coeffs, products, alg.zero(degree + v.degree))
+        built += [product, alg.mu_vec(u.scale(c), v), v]
+        if v.degree == degree:
+            assert (u + v) - v is u and u + v is v + u
+            built += [u + v, u - v]
+    for w in built:
+        assert w is FiniteVector(w.algebra, w.degree, w.coeffs)
+        if not any(w.coeffs):
+            assert w is w.algebra.zero(w.degree)
+    # == is value equality, and agrees with hash
+    for x in built:
+        for y in built:
+            same_value = x.algebra is y.algebra and (
+                (x.is_zero() and y.is_zero()) or (x.degree, x.coeffs) == (y.degree, y.coeffs)
+            )
+            assert (x == y) == same_value
+            if same_value:
+                assert hash(x) == hash(y) and (x is y or x.is_zero())
+
+
+def test_a_repeated_memo_hit_runs_no_python_code():
+    # the memo key is a tuple of interned vectors: hashing it calls object's
+    # hash of each element in C, and comparing it with the stored key finds
+    # the same objects, so a hit runs no Python-level __hash__ or __eq__
+    bundle = _bundle()
+    mset, _ = markl_transfer(bundle.retract, max_arity=4)
+    labels = ["a", "b", "ca", "a"]
+    first = tuple(map(bundle.rumin.element, labels))
+    m4 = mset.op(4)  # mset(4, block) is mset.op(4)(block)
+    value = mset(4, first)
+    block = tuple(map(bundle.rumin.element, labels))  # a new tuple of equal vectors
+
+    def profiled(fn, *args):
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name) if event == "call" else None)
+        try:
+            result = fn(*args)
+        finally:
+            sys.setprofile(None)
+        assert result is value
+        return calls
+
+    assert profiled(m4, block) == []
+    # the family's own Python frames only, no call into the vectors
+    assert profiled(mset, 4, block) == ["__call__", "op"]
+
+
+def test_a_copy_of_a_vector_is_the_vector():
+    ce = heisenberg_ce_algebra()
+    for v in (ce.element("ac").scale(2) - ce.element("bc"), ce.zero(2), FiniteVector(ce, 1, ["1/2", 0, 3])):
+        assert copy.copy(v) is v and copy.deepcopy(v) is v
+        assert copy.deepcopy([v, (v, 1)]) == [v, (v, 1)]
+
+
+def test_an_algebra_and_its_vectors_pickle():
+    # the unpickled vectors are interned in the unpickled algebra
+    ce = heisenberg_ce_algebra()
+    v = ce.element("ac").scale(2) - ce.element("bc")
+    again, v2, z2 = pickle.loads(pickle.dumps((ce, v, ce.zero(2))))
+    assert again is not ce and again.dumps() == ce.dumps()
+    assert v2 is again.element("ac").scale(2) - again.element("bc") and v2.coeffs == v.coeffs
+    assert z2 is again.zero(2)
+    assert pickle.loads(pickle.dumps(v)).coeffs == v.coeffs
