@@ -6,8 +6,15 @@ evaluate the would-be-zero residual, record a witness when it is not zero.
 Identical seed and parameters produce an identical report, independent of
 evaluation order.
 
+One `_Recorder` counts every check and failed check per relation and keeps
+the first MAX_WITNESSES failures, each with its relation's name and inputs.
+A name is the identity as the suite spells it ("d pi = pi d", "stasheff 3",
+"nu(1,2) on morphism"), or as `RetractError` spells a failed retract
+identity.  `_stasheff` and `_shuffles` check the Stasheff relations and the
+shuffle sums on seeded prefixes and on every basis tuple alike.
+
 Every suite but lefschetz-iso and ce-cohomology, which draw nothing, is a
-body run once per trial by one loop, `_trials`.  It refuses a model whose
+trial body that `_seeded` runs once per trial.  It refuses a model whose
 largest basis is over forms.MAX_MONOMIALS before any draw, and hands each
 body the trial's stream and the shared recorder.  A body builds the operator
 families it uses, so their memos end with the trial; the transfer suites
@@ -43,7 +50,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -67,6 +75,7 @@ MAX_WITNESSES = 50
 
 @dataclass
 class Failure:
+    relation: str
     inputs: list
     residual: str
 
@@ -80,8 +89,13 @@ class VerifyReport:
     max_poly_degree: int
     passed: bool
     failures: list = field(default_factory=list)
-    checks: int = 0
+    relation_checks: dict = field(default_factory=dict)  # relation -> checks; not in the JSON
+    relation_failures: dict = field(default_factory=dict)  # relation -> failed checks
     wall_time: float = 0.0
+
+    @property
+    def checks(self) -> int:
+        return sum(self.relation_checks.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,36 +105,63 @@ class VerifyReport:
             "seed": self.seed,
             "maxPolyDegree": self.max_poly_degree,
             "passed": self.passed,
-            "failures": [{"inputs": f.inputs, "residual": f.residual} for f in self.failures],
+            "failures": [asdict(f) for f in self.failures],
             "version": __version__,
             "wallTimeSeconds": round(self.wall_time, 3),
         }
 
 
 class _Recorder:
+    """The one place a check is counted and a witness stored: checks and
+    failed checks per relation name, and the first MAX_WITNESSES failures."""
+
     def __init__(self):
-        self.checks = 0
+        self.checks = Counter()  # relation -> checks
+        self.failed = Counter()  # relation -> failed checks
         self.failures: list = []
 
-    def residual(self, value, inputs) -> None:
-        self.checks += 1
-        if not value.is_zero() and len(self.failures) < MAX_WITNESSES:
-            self.failures.append(Failure([str(x) for x in inputs], str(value)))
+    def residual(self, relation: str, value, inputs) -> None:
+        self.expect(relation, value.is_zero(), inputs, value)
 
-    def expect(self, ok: bool, inputs, note: str) -> None:
-        self.checks += 1
-        if not ok and len(self.failures) < MAX_WITNESSES:
-            self.failures.append(Failure([str(x) for x in inputs], note))
+    def expect(self, relation: str, ok: bool, inputs, note) -> None:
+        self.checks[relation] += 1
+        if not ok:
+            self.failed[relation] += 1
+            if len(self.failures) < MAX_WITNESSES:
+                self.failures.append(Failure(relation, [str(x) for x in inputs], str(note)))
+
+    def retract_failed(self, exc: RetractError) -> None:
+        """Record each identity of a retract that could not be built as a
+        failed check of that identity, with its sample as the input."""
+        for identity, sample, residual in exc.issues:
+            self.residual(identity, residual, [sample])
 
 
-def _trials(n: int, trials: int, seed: int, trial) -> _Recorder:
-    """Run `trial(model, rng, rec)` for t = 0..trials-1 on the model
-    H^{2n+1}, with `rng = stream(seed, t)`, into one recorder."""
-    model = _guarded_model(n)
-    rec = _Recorder()
-    for t in range(trials):
-        trial(model, stream(seed, t), rec)
-    return rec
+def _seeded(transfer_arity: int = 0):
+    """Make a suite `(n, trials, seed, maxd, **kwargs) -> _Recorder` that runs
+    `body(model, rng, rec, maxd, **kwargs)` on H^{2n+1} with
+    `rng = stream(seed, t)` for t = 0..trials-1.  With a `transfer_arity`,
+    the body also gets `mset, fset`, a fresh `markl_transfer` per trial of
+    the rumin retract, checked once first; a failed check runs no trial."""
+
+    def decorate(body):
+        def suite(n, trials, seed, maxd, **kwargs) -> _Recorder:
+            rec = _Recorder()
+            if transfer_arity:
+                try:
+                    retract = verified_rumin_retract(n, maxd)
+                except RetractError as exc:
+                    rec.retract_failed(exc)
+                    return rec
+            model = _guarded_model(n)
+            for t in range(trials):
+                ops = markl_transfer(retract, max_arity=transfer_arity) if transfer_arity else ()
+                body(model, stream(seed, t), rec, maxd, *ops, **kwargs)
+            return rec
+
+        return suite
+
+    return decorate
 
 
 def _guarded_model(n: int) -> ContactModel:
@@ -150,40 +191,49 @@ def _certified_tuple(model: ContactModel, rng, count: int, maxd: int):
     return tuple(out)
 
 
+def _stasheff(rec: _Recorder, mset, k: int, tuples) -> None:
+    """Check Stasheff relation k, named "stasheff k", on each k-tuple."""
+    relation = f"stasheff {k}"
+    for elements in tuples:
+        rec.residual(relation, check_stasheff(mset, k, elements), elements)
+
+
+def _shuffles(rec: _Recorder, mset, fset, p: int, q: int, tuples) -> None:
+    """Check that the products and the morphism kill the (p, q) shuffle sum."""
+    products, morphism = f"nu({p},{q}) on products", f"nu({p},{q}) on morphism"
+    for elements in tuples:
+        rec.residual(products, shuffle_vanishing_residual(mset, p, q, elements), elements)
+        rec.residual(morphism, shuffle_vanishing_residual(fset, p, q, elements), elements)
+
+
 # -- individual suites ---------------------------------------------------------
 
 
-def suite_dsq(n, trials, seed, maxd):
-    def trial(model, rng, rec):
-        for deg in range(model.dim + 1):
-            w = random_form(model, rng, deg, maxd)
-            rec.residual(exterior_d(exterior_d(w)), [w])
-
-    return _trials(n, trials, seed, trial)
+@_seeded()
+def suite_dsq(model, rng, rec, maxd):
+    for deg in range(model.dim + 1):
+        w = random_form(model, rng, deg, maxd)
+        rec.residual("d^2 = 0", exterior_d(exterior_d(w)), [w])
 
 
-def suite_leibniz(n, trials, seed, maxd):
-    def trial(model, rng, rec):
-        for a in range(model.dim + 1):
-            b = rng.randint(0, model.dim)
-            w = random_form(model, rng, a, maxd)
-            tau = random_form(model, rng, b, maxd)
-            res = exterior_d(wedge(w, tau)) - wedge(exterior_d(w), tau) - wedge(
-                w, exterior_d(tau)
-            ).scale(-1 if a & 1 else 1)
-            rec.residual(res, [w, tau])
-
-    return _trials(n, trials, seed, trial)
+@_seeded()
+def suite_leibniz(model, rng, rec, maxd):
+    for a in range(model.dim + 1):
+        b = rng.randint(0, model.dim)
+        w = random_form(model, rng, a, maxd)
+        tau = random_form(model, rng, b, maxd)
+        res = exterior_d(wedge(w, tau)) - wedge(exterior_d(w), tau) - wedge(
+            w, exterior_d(tau)
+        ).scale(-1 if a & 1 else 1)
+        rec.residual("d(w^t) = dw^t + (-1)^|w| w^dt", res, [w, tau])
 
 
-def suite_dsa_lemma(n, trials, seed, maxd):
-    def trial(model, rng, rec):
-        theta, dtheta = model.theta(), model.dtheta()
-        for deg in range(1, model.dim + 1):
-            w = random_form(model, rng, deg, maxd, vertical=True)
-            rec.residual(wedge(theta, exterior_d(w)) - wedge(w, dtheta), [w])
-
-    return _trials(n, trials, seed, trial)
+@_seeded()
+def suite_dsa_lemma(model, rng, rec, maxd):
+    theta, dtheta = model.theta(), model.dtheta()
+    for deg in range(1, model.dim + 1):
+        w = random_form(model, rng, deg, maxd, vertical=True)
+        rec.residual("theta^dw = w^dtheta", wedge(theta, exterior_d(w)) - wedge(w, dtheta), [w])
 
 
 def suite_lefschetz_iso(n, trials, seed, maxd):
@@ -193,6 +243,7 @@ def suite_lefschetz_iso(n, trials, seed, maxd):
         matrix = lefschetz_power_matrix(model, k)
         size = len(matrix)
         rec.expect(
+            "lefschetz power matrix invertible",
             linalg.rank(matrix) == size,
             [f"k={k}"],
             f"lefschetz power matrix k={k} is singular",
@@ -200,114 +251,93 @@ def suite_lefschetz_iso(n, trials, seed, maxd):
     return rec
 
 
-def suite_gamma_props(n, trials, seed, maxd):
-    def trial(model, rng, rec):
-        for deg in range(1, model.dim + 1):
-            v = random_form(model, rng, deg, maxd, vertical=True)
-            rec.residual(gamma(v), [v])
-        for deg in range(model.dim + 1):
-            w = random_form(model, rng, deg, maxd)
-            rec.residual(gamma(exterior_d(gamma(w))) - gamma(w), [w])
-            rec.residual(gamma(gamma(w)), [w])
-        for deg in range(1, n + 1):
-            v = random_form(model, rng, deg, maxd, vertical=True)
-            rec.residual(gamma(exterior_d(v)) - v, [v])
-        a = random_form(model, rng, rng.randint(0, model.dim), maxd)
-        b = random_form(model, rng, rng.randint(0, model.dim), maxd)
-        rec.residual(wedge(gamma(a), gamma(b)), [a, b])
-        rec.residual(gamma(wedge(gamma(a), b)), [a, b])
-        rec.residual(gamma(wedge(a, gamma(b))), [a, b])
-
-    return _trials(n, trials, seed, trial)
+@_seeded()
+def suite_gamma_props(model, rng, rec, maxd):
+    for deg in range(1, model.dim + 1):
+        v = random_form(model, rng, deg, maxd, vertical=True)
+        rec.residual("gamma v = 0 on vertical v", gamma(v), [v])
+    for deg in range(model.dim + 1):
+        w = random_form(model, rng, deg, maxd)
+        rec.residual("gamma d gamma = gamma", gamma(exterior_d(gamma(w))) - gamma(w), [w])
+        rec.residual("gamma^2 = 0", gamma(gamma(w)), [w])
+    for deg in range(1, model.n + 1):
+        v = random_form(model, rng, deg, maxd, vertical=True)
+        rec.residual("gamma d v = v on low vertical v", gamma(exterior_d(v)) - v, [v])
+    a = random_form(model, rng, rng.randint(0, model.dim), maxd)
+    b = random_form(model, rng, rng.randint(0, model.dim), maxd)
+    rec.residual("gamma a ^ gamma b = 0", wedge(gamma(a), gamma(b)), [a, b])
+    rec.residual("gamma(gamma a ^ b) = 0", gamma(wedge(gamma(a), b)), [a, b])
+    rec.residual("gamma(a ^ gamma b) = 0", gamma(wedge(a, gamma(b))), [a, b])
 
 
-def suite_gamma_invariance(n, trials, seed, maxd):
-    def trial(model, rng, rec):
-        lams = [Fraction(2), Fraction(3, 7), Fraction(rng.randint(1, 9), rng.randint(1, 9))]
-        for deg in range(model.dim + 1):
-            w = random_form(model, rng, deg, maxd)
-            for lam in lams:
-                rec.expect(
-                    gamma_invariance_check(w, lam),
-                    [w],
-                    f"gamma changed under contact form rescaled by {lam}",
-                )
-
-    return _trials(n, trials, seed, trial)
-
-
-def suite_retract(n, trials, seed, maxd):
-    def trial(model, rng, rec):
-        for deg in range(model.dim + 1):
-            w = random_form(model, rng, deg, maxd)
-            p = pi(w)
-            rec.residual(pi(p.form).form - p.form, [w])  # pi^2 = pi and pi i = 1
-            rec.residual(pi(exterior_d(w)).form - exterior_d(pi(w).form), [w])  # d pi = pi d
-            rec.residual(gamma(p.form), [w])  # gamma i = 0
-            rec.expect(in_rumin(p.form), [w], "pi output fails membership")
-            direct = w - exterior_d(gamma(w)) - gamma(exterior_d(w))
-            rec.residual(p.form - direct, [w])  # i pi = 1 - d gamma - gamma d
-
-    return _trials(n, trials, seed, trial)
-
-
-def suite_rumin_membership(n, trials, seed, maxd):
-    def trial(model, rng, rec):
-        for deg in range(model.dim + 1):
-            w = random_form(model, rng, deg, maxd)
-            via_powers = in_rumin(w)
-            via_gamma = gamma(w).is_zero() and gamma(exterior_d(w)).is_zero()
+@_seeded()
+def suite_gamma_invariance(model, rng, rec, maxd):
+    lams = [Fraction(2), Fraction(3, 7), Fraction(rng.randint(1, 9), rng.randint(1, 9))]
+    for deg in range(model.dim + 1):
+        w = random_form(model, rng, deg, maxd)
+        for lam in lams:
             rec.expect(
-                via_powers == via_gamma,
+                "gamma invariant under theta -> lambda theta",
+                gamma_invariance_check(w, lam),
                 [w],
-                f"membership disagreement: powers={via_powers} gamma={via_gamma}",
+                f"gamma changed under contact form rescaled by {lam}",
             )
-            rho = pi(w)
-            rec.expect(in_rumin(rumin.m1(rho).form), [w], "d leaves the subcomplex")
-
-    return _trials(n, trials, seed, trial)
 
 
-def suite_stasheff(n, trials, seed, maxd, max_relation=5):
-    def trial(model, rng, rec):
-        mset = rumin_ops(model)
-        elements = _certified_tuple(model, rng, max_relation, maxd)
-        for n_rel in range(1, max_relation + 1):
-            res = check_stasheff(mset, n_rel, elements[:n_rel])
-            rec.residual(res, list(elements[:n_rel]))
+@_seeded()
+def suite_retract(model, rng, rec, maxd):
+    for deg in range(model.dim + 1):
+        w = random_form(model, rng, deg, maxd)
+        p = pi(w)
+        rec.residual("pi^2 = pi, pi i = 1", pi(p.form).form - p.form, [w])
+        rec.residual("d pi = pi d", pi(exterior_d(w)).form - exterior_d(pi(w).form), [w])
+        rec.residual("gamma i = 0", gamma(p.form), [w])
+        rec.expect("pi lands in R", in_rumin(p.form), [w], "pi output fails membership")
+        direct = w - exterior_d(gamma(w)) - gamma(exterior_d(w))
+        rec.residual("i pi = 1 - d gamma - gamma d", p.form - direct, [w])
 
-    return _trials(n, trials, seed, trial)
+
+@_seeded()
+def suite_rumin_membership(model, rng, rec, maxd):
+    for deg in range(model.dim + 1):
+        w = random_form(model, rng, deg, maxd)
+        via_powers = in_rumin(w)
+        via_gamma = gamma(w).is_zero() and gamma(exterior_d(w)).is_zero()
+        rec.expect(
+            "membership by powers = by gamma",
+            via_powers == via_gamma,
+            [w],
+            f"membership disagreement: powers={via_powers} gamma={via_gamma}",
+        )
+        rho = pi(w)
+        rec.expect("d preserves R", in_rumin(rumin.m1(rho).form), [w], "d leaves the subcomplex")
+
+
+@_seeded()
+def suite_stasheff(model, rng, rec, maxd, max_relation=5):
+    mset = rumin_ops(model)
+    elements = _certified_tuple(model, rng, max_relation, maxd)
+    for k in range(1, max_relation + 1):
+        _stasheff(rec, mset, k, [elements[:k]])
 
 
 SHUFFLE_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
 
 
-def suite_shuffle_vanishing(n, trials, seed, maxd):
-    def trial(model, rng, rec):
-        mset, fset = rumin_ops(model), rumin_morphism(model)
-        elements = _certified_tuple(model, rng, 4, maxd)
-        for p, q in SHUFFLE_PAIRS:
-            rec.residual(
-                shuffle_vanishing_residual(mset, p, q, elements[: p + q]),
-                elements[: p + q],
-            )
-            rec.residual(
-                shuffle_vanishing_residual(fset, p, q, elements[: p + q]),
-                elements[: p + q],
-            )
-
-    return _trials(n, trials, seed, trial)
+@_seeded()
+def suite_shuffle_vanishing(model, rng, rec, maxd):
+    mset, fset = rumin_ops(model), rumin_morphism(model)
+    elements = _certified_tuple(model, rng, 4, maxd)
+    for p, q in SHUFFLE_PAIRS:
+        _shuffles(rec, mset, fset, p, q, [elements[: p + q]])
 
 
-def suite_morphism(n, trials, seed, maxd, max_relation=4):
-    def trial(model, rng, rec):
-        mset, mbar, fset = rumin_ops(model), derham_ops(model), rumin_morphism(model)
-        elements = _certified_tuple(model, rng, max_relation, maxd)
-        for n_rel in range(1, max_relation + 1):
-            res = check_morphism(fset, mset, mbar, n_rel, elements[:n_rel])
-            rec.residual(res, list(elements[:n_rel]))
-
-    return _trials(n, trials, seed, trial)
+@_seeded()
+def suite_morphism(model, rng, rec, maxd, max_relation=4):
+    mset, mbar, fset = rumin_ops(model), derham_ops(model), rumin_morphism(model)
+    elements = _certified_tuple(model, rng, max_relation, maxd)
+    for k in range(1, max_relation + 1):
+        rec.residual(f"morphism {k}", check_morphism(fset, mset, mbar, k, elements[:k]), elements[:k])
 
 
 _retract_cache: dict = {}
@@ -329,44 +359,21 @@ def verified_rumin_retract(n: int, maxd: int = 2):
     return _retract_cache[key]
 
 
-def _transfer_trials(n, trials, seed, maxd, max_arity, trial) -> _Recorder:
-    """Check the rumin retract once; when it holds, run
-    `trial(model, rng, rec, mset, fset)` through `_trials` on a fresh
-    `markl_transfer` of it per trial.  Otherwise no trial runs, and each
-    failed retract identity is recorded with its sample as the witness
-    input."""
-    try:
-        retract = verified_rumin_retract(n, maxd)
-    except RetractError as exc:
-        rec = _Recorder()
-        for _, sample, residual in exc.issues:
-            rec.residual(residual, [sample])
-        return rec
-    return _trials(
-        n, trials, seed,
-        lambda model, rng, rec: trial(model, rng, rec, *markl_transfer(retract, max_arity=max_arity)),
-    )
+@_seeded(transfer_arity=3)
+def suite_transfer_match(model, rng, rec, maxd, mset_t, fset_t):
+    a, b, c = _certified_tuple(model, rng, 3, maxd)
+    rec.residual("transferred m2 = m2", (mset_t(2, (a, b)) - rumin.m2(a, b)).form, [a, b])
+    rec.residual("transferred m3 = m3", (mset_t(3, (a, b, c)) - rumin.m3(a, b, c)).form, [a, b, c])
+    rec.residual("transferred f2 = f2", fset_t(2, (a, b)) - rumin.f2(a, b), [a, b])
 
 
-def suite_transfer_match(n, trials, seed, maxd):
-    def trial(model, rng, rec, mset_t, fset_t):
-        a, b, c = _certified_tuple(model, rng, 3, maxd)
-        rec.residual((mset_t(2, (a, b)) - rumin.m2(a, b)).form, [a, b])
-        rec.residual((mset_t(3, (a, b, c)) - rumin.m3(a, b, c)).form, [a, b, c])
-        rec.residual(fset_t(2, (a, b)) - rumin.f2(a, b), [a, b])
-
-    return _transfer_trials(n, trials, seed, maxd, 3, trial)
-
-
-def suite_higher_vanish(n, trials, seed, maxd):
-    def trial(model, rng, rec, mset_t, fset_t):
-        elements = _certified_tuple(model, rng, 5, maxd)
-        rec.residual(mset_t(4, elements[:4]).form, elements[:4])
-        rec.residual(mset_t(5, elements).form, elements)
-        rec.residual(fset_t(3, elements[:3]), elements[:3])
-        rec.residual(fset_t(4, elements[:4]), elements[:4])
-
-    return _transfer_trials(n, trials, seed, maxd, 5, trial)
+@_seeded(transfer_arity=5)
+def suite_higher_vanish(model, rng, rec, maxd, mset_t, fset_t):
+    elements = _certified_tuple(model, rng, 5, maxd)
+    rec.residual("transferred m4 = 0", mset_t(4, elements[:4]).form, elements[:4])
+    rec.residual("transferred m5 = 0", mset_t(5, elements).form, elements)
+    rec.residual("transferred f3 = 0", fset_t(3, elements[:3]), elements[:3])
+    rec.residual("transferred f4 = 0", fset_t(4, elements[:4]), elements[:4])
 
 
 def suite_ce_cohomology(n, trials, seed, maxd, max_relation=5):
@@ -380,52 +387,37 @@ def suite_ce_cohomology(n, trials, seed, maxd, max_relation=5):
     try:
         bundle = finite.heisenberg_ce_retract()
     except RetractError as exc:
-        for identity, sample, residual in exc.issues:
-            rec.residual(residual, [sample, identity])
+        rec.retract_failed(exc)
         return rec
     except finite.SpanError as exc:
-        rec.residual(exc.outside, [*exc.words, f"{exc.op} outside the span of the basis words"])
+        rec.residual(f"{exc.op} outside the span of the basis words", exc.outside, exc.words)
         return rec
     ha = finite.cohomology(bundle.rumin)
     hb = finite.cohomology(bundle.ce)
-    rec.expect(
-        hb.betti_numbers() == (1, 2, 2, 1),
-        ["ce model"],
-        f"betti {hb.betti_numbers()} != (1, 2, 2, 1)",
-    )
-    rec.expect(
-        ha.betti_numbers() == (1, 2, 2, 1),
-        ["rumin model"],
-        f"betti {ha.betti_numbers()} != (1, 2, 2, 1)",
-    )
+    for side, coh in (("ce", hb), ("rumin", ha)):
+        betti = coh.betti_numbers()
+        rec.expect(f"{side} betti numbers", betti == (1, 2, 2, 1), [f"{side} model"], f"betti {betti} != (1, 2, 2, 1)")
     iso = finite.check_ring_isomorphism(bundle.inclusion, ha, hb)
-    rec.expect(iso.ok, ["inclusion"], "; ".join(iso.witnesses) or "ring isomorphism failed")
+    rec.expect("ring isomorphism", iso.ok, ["inclusion"], "; ".join(iso.witnesses) or "ring isomorphism failed")
 
     # arity 4 is always needed: the shuffle sweep goes up to p+q = 4
     mset, fset = markl_transfer(bundle.retract, max_arity=max(max_relation, 4))
     basis = bundle.rumin.all_basis_vectors()
 
-    for n_rel in range(1, max_relation + 1):
-        for elements in product(basis, repeat=n_rel):
-            res = check_stasheff(mset, n_rel, elements)
-            rec.residual(res, list(elements) + [f"stasheff {n_rel}"])
+    for k in range(1, max_relation + 1):
+        _stasheff(rec, mset, k, product(basis, repeat=k))
     for p, q in SHUFFLE_PAIRS:
-        for elements in product(basis, repeat=p + q):
-            rec.residual(
-                shuffle_vanishing_residual(mset, p, q, elements),
-                list(elements) + [f"nu({p},{q}) on products"],
-            )
-            rec.residual(
-                shuffle_vanishing_residual(fset, p, q, elements),
-                list(elements) + [f"nu({p},{q}) on morphism"],
-            )
+        _shuffles(rec, mset, fset, p, q, product(basis, repeat=p + q))
     a = bundle.rumin.element("a")
     b = bundle.rumin.element("b")
     ca = bundle.rumin.element("ca")
     value = mset(3, (a, b, a))
-    rec.expect(value == ca.scale(2), ["m3(a, b, a)"], f"expected 2*ca, got {value}")
+    rec.expect("m3(a, b, a) = 2ca", value == ca.scale(2), ["m3(a, b, a)"], f"expected 2*ca, got {value}")
     rec.expect(
-        any(ha.reduce(value)), ["m3(a, b, a)"], "ternary product class vanishes in degree 2"
+        "m3(a, b, a) nonzero in H^2",
+        any(ha.reduce(value)),
+        ["m3(a, b, a)"],
+        "ternary product class vanishes in degree 2",
     )
     return rec
 
@@ -487,9 +479,10 @@ def run_suite(name: str, n: int = 1, trials: int = 100, seed: int = 0, max_poly_
         trials=trials,
         seed=seed,
         max_poly_degree=max_poly_degree,
-        passed=rec.checks > 0 and not rec.failures,  # a run that checked nothing proves nothing
+        passed=bool(rec.checks) and not rec.failures,  # a run that checked nothing proves nothing
         failures=rec.failures,
-        checks=rec.checks,
+        relation_checks=dict(rec.checks),
+        relation_failures=dict(rec.failed),
         wall_time=elapsed,
     )
 
@@ -512,14 +505,18 @@ def report_json(reports, path: str) -> None:
 
 def format_report(report: VerifyReport) -> str:
     status = "PASS" if report.passed else "FAIL"
+    failed = sum(report.relation_failures.values())
     head = (
         f"suite={report.suite} n={report.n} trials={report.trials} seed={report.seed} "
         f"max-poly-degree={report.max_poly_degree}: {status} "
-        f"({report.checks} checks, {len(report.failures)} failures, {report.wall_time:.2f}s)"
+        f"({report.checks} checks, {failed} failures, {report.wall_time:.2f}s)"
     )
     lines = [head]
+    if failed > len(report.failures):
+        lines.append(f"  only the first {len(report.failures)} witnesses follow")
     for i, f in enumerate(report.failures, start=1):
         lines.append(f"  witness {i}:")
+        lines.append(f"    relation: {f.relation}")
         for inp in f.inputs:
             lines.append(f"    input: {inp}")
         lines.append(f"    residual: {f.residual}")

@@ -7,6 +7,7 @@ import pytest
 from ruminalg import cinfty, cli, finite, forms, rumin, suites
 from ruminalg.forms import ContactModel, Form, exterior_d
 from ruminalg.parser import eval_text
+from ruminalg.prng import stream
 from ruminalg.suites import (
     SUITES,
     corrupted_rumin_ops,
@@ -83,6 +84,42 @@ def test_run_all_covers_everything(all_reports):
     }
 
 
+def test_ce_cohomology_counts_its_checks_per_relation(all_reports):
+    # 6 basis vectors: relation k and each (p, q) shuffle sum run over every
+    # basis tuple, 6^k and 6^(p+q) of them; the other five checks run once
+    singles = dict.fromkeys(
+        ["ce betti numbers", "rumin betti numbers", "ring isomorphism", "m3(a, b, a) = 2ca",
+         "m3(a, b, a) nonzero in H^2"], 1
+    )
+    shuffles = {
+        f"nu({p},{q}) on {side}": 6 ** (p + q)
+        for p in range(1, 4) for q in range(1, 5 - p) for side in ("products", "morphism")
+    }
+
+    def stasheff(top):
+        return {f"stasheff {k}": 6**k for k in range(1, top + 1)}
+
+    (report,) = [r for r in all_reports if r.suite == "ce-cohomology"]
+    assert report.relation_checks == {**singles, **stasheff(5), **shuffles}
+    assert report.checks == 18047
+    report = run_suite("ce-cohomology", max_relation=3)
+    assert report.relation_checks == {**singles, **stasheff(3), **shuffles}
+    assert report.checks == 8975  # the count the benchmark's ce-sweep pins
+
+
+def test_seeded_stasheff_tuples_with_a_zero_element():
+    # The baseline of ROADMAP item 5: how many seed-0 stasheff tuples (trials
+    # 0..99, drawn as the suite draws them) hold a zero among their first 3
+    # and first 5 elements, on which relations 3 and 5 cannot fail.  A
+    # sampler that draws nonzero elements moves these counts.
+    counts = {}
+    for n in (1, 2, 3):
+        model = ContactModel(n)
+        tuples = [suites._certified_tuple(model, stream(0, t), 5, 2) for t in range(100)]
+        counts[n] = tuple(sum(any(x.is_zero() for x in tup[:k]) for tup in tuples) for k in (3, 5))
+    assert counts == {1: (71, 85), 2: (39, 61), 3: (26, 44)}
+
+
 def test_format_report_mentions_status():
     report = run_suite("lefschetz-iso", n=2, trials=1, seed=0)
     text = format_report(report)
@@ -110,6 +147,37 @@ def test_corrupted_f2_fails_morphism_with_witness(monkeypatch):
     rec = suite_morphism(1, 30, 0, 2, max_relation=2)
     assert rec.failures
     assert rec.failures[0].residual not in ("", "0")
+
+
+def _rerun_stasheff(model):
+    mset = corrupted_rumin_ops(model)
+    return lambda k, elements: cinfty.check_stasheff(mset, k, elements)
+
+
+def _rerun_morphism(model):
+    fset, mset, mbar = corrupted_rumin_morphism(model), rumin.rumin_ops(model), rumin.derham_ops(model)
+    return lambda k, elements: cinfty.check_morphism(fset, mset, mbar, k, elements)
+
+
+@pytest.mark.parametrize(
+    "suite, n, patch, family, kwargs",
+    [("stasheff", 2, "rumin_ops", corrupted_rumin_ops, dict(max_relation=3)),  # the golden report
+     ("morphism", 1, "rumin_morphism", corrupted_rumin_morphism, {})],
+)
+def test_a_witness_reruns_through_its_named_relation(monkeypatch, suite, n, patch, family, kwargs):
+    # A witness's text is enough to re-run its check: reparse and certify the
+    # inputs, call the checker its relation names on the same corrupted
+    # family, and get the recorded residual back.
+    model = ContactModel(n)
+    with monkeypatch.context() as m:
+        m.setattr(suites, patch, family)
+        report = run_suite(suite, n=n, trials=30, **kwargs)
+    assert report.failures
+    checkers = {"stasheff": _rerun_stasheff(model), "morphism": _rerun_morphism(model)}
+    for witness in report.failures:
+        name, k = witness.relation.split()
+        elements = [rumin.certify(eval_text(text, model)) for text in witness.inputs]
+        assert str(checkers[name](int(k), elements)) == witness.residual
 
 
 def test_witnesses_refeed_to_eval(monkeypatch):
@@ -151,6 +219,19 @@ def _double_one_gamma_scalar(monkeypatch):
         return ((2 * nums[0],) + nums[1:], den) if k == 2 else (nums, den)
 
     monkeypatch.setattr(rumin, "_gamma_scalars", wrong)
+
+
+def test_the_report_header_counts_failed_checks_not_witnesses(monkeypatch):
+    _double_one_gamma_scalar(monkeypatch)
+    report = run_suite("retract", n=1, trials=40)
+    assert len(report.failures) == suites.MAX_WITNESSES
+    assert report.relation_failures == {"pi^2 = pi, pi i = 1": 54, "pi lands in R": 54, "gamma i = 0": 23}
+    head, cap, first = format_report(report).splitlines()[:3]
+    assert "(800 checks, 131 failures, " in head
+    assert cap == "  only the first 50 witnesses follow" and first == "  witness 1:"
+    few = run_suite("retract", n=1, trials=3)  # every failed check has its witness
+    assert sum(few.relation_failures.values()) == len(few.failures) > 0
+    assert format_report(few).splitlines()[1] == "  witness 1:"
 
 
 def _flip_gamma_d_in_pi(monkeypatch):
@@ -287,12 +368,12 @@ def test_a_broken_finite_model_fails_ce_cohomology_with_witness(monkeypatch, cap
     assert not report.passed and report.failures
     assert report.checks == len(report.failures)
     for witness in report.failures:
-        assert witness.inputs[-1] and witness.residual not in ("", "0")
-    assert report.failures[0].inputs[-1] == tag
+        assert witness.relation and witness.inputs and witness.residual not in ("", "0")
+    assert report.failures[0].relation == tag
     if tag.startswith("mu"):  # the two words and the part of pi(a ^ b) outside their span
-        assert report.failures[0].inputs == ["a", "b", tag]
+        assert report.failures[0].inputs == ["a", "b"]
         assert report.failures[0].residual == "-dx1^dy1"
     assert cli.main(["verify", "ce-cohomology"]) == 1
     out, err = capsys.readouterr()
-    assert "FAIL" in out and "witness 1:" in out and f"input: {tag}" in out
+    assert "FAIL" in out and "witness 1:" in out and f"relation: {tag}" in out
     assert "error:" not in out + err and "Traceback" not in out + err
