@@ -4,12 +4,22 @@ This is the desk-scale side of the package: a `FiniteGradedAlgebra` stores a
 basis per degree, the differential as a `CochainMap` of degree +1 on itself,
 and the product as structure constants, all over the rationals, with the
 algebra axioms (d^2 = 0, graded commutativity, associativity, the Leibniz
-rule) checked at construction.  Two loops do all the coefficient work:
-`CochainMap.apply` applies d, the retract maps and any other linear map, and
-`mu_vec` multiplies, the basis products the construction checks included.
-`cohomology` computes ker d / im d with representative cocycles and the
-induced product; `check_ring_isomorphism` compares two cohomology rings
-through a cochain map.
+rule) checked at construction.  Two loops do all the coefficient work on
+vectors: `CochainMap.apply` applies d, the retract maps and any other linear
+map, and `mu_vec` multiplies.  `cohomology` computes ker d / im d with
+representative cocycles and the induced product; `check_ring_isomorphism`
+compares two cohomology rings through a cochain map.
+
+The construction checks make no vector: they read the stored rows of d and
+mu (label -> coefficient), and each one asks whether a sum of c * row over
+(coefficient, row) pairs is zero.  They run in basis order -- d^2 = 0 on each
+basis element, then graded commutativity and the Leibniz rule on each pair,
+then associativity on each triple -- and the first failure raises an
+`AxiomError` (a `ConstructionError`) that names the axiom and the basis
+labels.  A pair with no products and no differentials is skipped, and for a
+triple (u, v, w) whose product uv is zero only the w with a nonzero vw are
+visited, so the work is the stored entries the sums touch: m^3 short sums for
+m generators whose products are all nonzero.
 
 Coefficients follow the rule of `ruminalg.poly`: a stored coefficient -- of a
 `FiniteVector`, of the `d` and `mu` tables, of a `CochainMap` block -- is an
@@ -26,7 +36,7 @@ constructor, `element`, `scale`, `+`, `-`, `apply_d`, `mu_vec`,
 algebra's one zero of its degree.  Equal nonzero vectors are therefore one
 object and hash by identity, so a memo hit keyed by a tuple of vectors is
 hashed and compared in C.  The table keeps every vector made in the algebra
-for the algebra's lifetime.
+for the algebra's lifetime; building an algebra makes none.
 
 Zeros cost nothing: a vector records when it is built whether it is zero, so
 `is_zero` reads a slot, and `zero`, `apply_d`, `mu_vec` and
@@ -53,14 +63,18 @@ File format (consumed by the CLI `cohomology` subcommand), line oriented,
     d SRC DST COEFF         entry of the differential: d(SRC) += COEFF * DST
     mu A B C COEFF          structure constant: A * B += COEFF * C
 
-COEFF is an integer or `p/q` rational.  Omitted entries are zero, and
-repeated records of one entry add up.  NAME and every LABEL are one word
-with no `#`; the constructor refuses any other, so `dumps` writes text that
-`loads` reads back to the same algebra.
+COEFF is an integer or a `p/q` rational, as `dumps` writes it: an optional
+sign, ASCII digits, and optionally `/` and digits.  Any other text (`1.5`,
+`1e5`, `1_0`) is refused with its line, and so is a zero denominator.
+Omitted entries are zero, and repeated records of one entry add up.  NAME
+and every LABEL are one word with no `#`; the constructor refuses any other,
+so `dumps` writes text that `loads` reads back to the same algebra: it
+writes the stored entries sorted by the basis positions of their labels.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -198,6 +212,15 @@ def _new_vector(cls, algebra, degree, coeffs) -> FiniteVector:
     return v
 
 
+class AxiomError(ConstructionError):
+    """A FiniteGradedAlgebra breaks the axiom `axiom` on the basis element,
+    pair or triple `labels`."""
+
+    def __init__(self, axiom: str, labels, message: str):
+        self.axiom, self.labels = axiom, tuple(labels)
+        super().__init__(message)
+
+
 class FiniteGradedAlgebra:
     """Graded commutative differential algebra with explicit basis, exact
     differential matrices and product structure constants."""
@@ -328,83 +351,62 @@ class FiniteGradedAlgebra:
                 if self.degree_of(dst) != self.degree_of(a) + self.degree_of(b):
                     raise ConstructionError(f"mu {a} {b} -> {dst} violates degree additivity")
 
-    def _product_table(self, vectors) -> list:
-        """The nonzero products of the basis `vectors` (in the order of
-        `all_basis_vectors`): entry i maps each j with u_i.u_j != 0 to that
-        product.  The structure constants choose the pairs; stored constants
-        are nonzero, so their products are too."""
-        labels = [label for deg in self.degrees for label in self.labels(deg)]
-        return [
-            {j: self.mu_vec(u, v) for j, (b, v) in enumerate(zip(labels, vectors)) if self.mu.get((a, b))}
-            for a, u in zip(labels, vectors)
-        ]
-
     def _check_axioms(self):
-        vectors = self.all_basis_vectors()
-        differentials = [self.apply_d(v) for v in vectors]
-        for v, dv in zip(vectors, differentials):
-            if not self.apply_d(dv).is_zero():
-                raise ConstructionError(f"d^2 != 0 on {v}")
-        closed = [dv.is_zero() for dv in differentials]
-        products = self._product_table(vectors)
-        # A pair whose products and differentials are all zero passes both
-        # pair checks at once, so it is skipped, in the same order.
-        for i, u in enumerate(vectors):
-            for j, v in enumerate(vectors):
-                uv, vu = products[i].get(j), products[j].get(i)
-                if uv is None and vu is None and closed[i] and closed[j]:
+        """Check the axioms on the stored rows of d and mu, in basis order:
+        the first basis element, pair or triple that fails raises an
+        AxiomError."""
+        labels = [label for deg in self.degrees for label in self.labels(deg)]
+        d, mu, empty = self.d, self.mu, {}
+        for u in labels:
+            if _nonzero((c, d.get(w, empty)) for w, c in d.get(u, empty).items()):
+                raise AxiomError("d^2 = 0", (u,), f"d^2 != 0 on {u}")
+        for u in labels:
+            for v in labels:
+                uv, vu = mu.get((u, v), empty), mu.get((v, u), empty)
+                du, dv = d.get(u, empty), d.get(v, empty)
+                if not (uv or vu or du or dv):
                     continue
-                zero = self.zero(u.degree + v.degree)
-                uv, vu = uv or zero, vu or zero
-                sign = -1 if (u.degree & 1) and (v.degree & 1) else 1
-                if uv != vu.scale(sign):
-                    raise ConstructionError(f"product not graded commutative on ({u}, {v})")
-                left = self.apply_d(uv)
-                right = self.mu_vec(differentials[i], v) + self.mu_vec(
-                    u, differentials[j]
-                ).scale(-1 if u.degree & 1 else 1)
-                if left != right:
-                    raise ConstructionError(f"Leibniz rule fails on ({u}, {v})")
-        # (uv)w = u(vw) holds at once where uv and vw are both zero, so for a
-        # zero uv only the w with a nonzero vw are checked, in the same order.
-        # Every zero vector equals every other, so one stands for a zero side.
-        everything, zero = range(len(vectors)), self.zero(0)
-        for i, u in enumerate(vectors):
-            for j, v in enumerate(vectors):
-                uv = products[i].get(j)
-                for k in everything if uv is not None else products[j]:
-                    w, vw = vectors[k], products[j].get(k)
-                    left = zero if uv is None else self.mu_vec(uv, w)
-                    right = zero if vw is None else self.mu_vec(u, vw)
-                    if left != right:
-                        raise ConstructionError(f"product not associative on ({u}, {v}, {w})")
+                odd_u, odd_v = self.degree_of(u) & 1, self.degree_of(v) & 1
+                # uv - (-1)^(|u||v|) vu
+                if _nonzero([(1, uv), (1 if odd_u and odd_v else -1, vu)]):
+                    raise AxiomError(
+                        "graded commutativity", (u, v), f"product not graded commutative on ({u}, {v})"
+                    )
+                # d(uv) - d(u)v - (-1)^|u| u d(v)
+                terms = [(c, d.get(w, empty)) for w, c in uv.items()]
+                terms += [(-c, mu.get((w, v), empty)) for w, c in du.items()]
+                terms += [(c if odd_u else -c, mu.get((u, w), empty)) for w, c in dv.items()]
+                if _nonzero(terms):
+                    raise AxiomError("Leibniz rule", (u, v), f"Leibniz rule fails on ({u}, {v})")
+        # (uv)w - u(vw) is zero at once where uv and vw are both zero, so for a
+        # zero uv only the w with a nonzero vw are visited
+        partners = {v: [w for w in labels if mu.get((v, w))] for v in labels}
+        for u in labels:
+            for v in labels:
+                uv = mu.get((u, v), empty)
+                for w in labels if uv else partners[v]:
+                    terms = [(c, mu.get((x, w), empty)) for x, c in uv.items()]
+                    terms += [(-c, mu.get((u, x), empty)) for x, c in mu.get((v, w), empty).items()]
+                    if _nonzero(terms):
+                        raise AxiomError(
+                            "associativity", (u, v, w), f"product not associative on ({u}, {v}, {w})"
+                        )
 
     # -- plain-text serialization ----------------------------------------------
 
     def dumps(self) -> str:
-        lines = []
-        if self.name:
-            lines.append(f"algebra {self.name}")
-        for deg in self.degrees:
-            for label in self.labels(deg):
-                lines.append(f"basis {label} {deg}")
-        for deg in self.degrees:
-            for label in self.labels(deg):
-                for dst in self.labels(deg + 1):
-                    c = self.d.get(label, {}).get(dst)
-                    if c:
-                        lines.append(f"d {label} {dst} {c}")
-        ordered = [label for deg in self.degrees for label in self.labels(deg)]
-        for a in ordered:
-            for b in ordered:
-                row = self.mu.get((a, b))
-                if not row:
-                    continue
-                for dst in ordered:
-                    c = row.get(dst)
-                    if c:
-                        lines.append(f"mu {a} {b} {dst} {c}")
+        d = (((src, dst), c) for src, row in self.d.items() for dst, c in row.items())
+        mu = (((a, b, dst), c) for (a, b), row in self.mu.items() for dst, c in row.items())
+        lines = [f"algebra {self.name}"] if self.name else []
+        lines += [f"basis {label} {deg}" for deg in self.degrees for label in self.labels(deg)]
+        lines += self._records("d", d) + self._records("mu", mu)
         return "\n".join(lines) + "\n"
+
+    def _records(self, kind: str, entries) -> list:
+        """The `kind` lines of the stored (labels, coefficient) `entries`,
+        sorted by the basis positions of their labels."""
+        ordered = sorted(entries, key=lambda entry: [self._pos[label] for label in entry[0]])
+        return [f"{kind} {' '.join(labels)} {c}" for labels, c in ordered]
 
     @classmethod
     def loads(cls, text: str) -> "FiniteGradedAlgebra":
@@ -440,8 +442,20 @@ def _is_word(text) -> bool:
     return isinstance(text, str) and text.split() == [text] and "#" not in text
 
 
+def _nonzero(terms) -> bool:
+    """Is the sum of c * row over the (coefficient c, row) `terms` nonzero?  A
+    row maps labels to coefficients, as a stored d or mu row does."""
+    total: dict = {}
+    for c, row in terms:
+        for label, x in row.items():
+            total[label] = total.get(label, 0) + c * x
+    return any(total.values())
+
+
 def _add_entry(row: dict, dst: str, field: str) -> None:
     """row[dst] += the COEFF `field` (records of one entry add up)."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", field):
+        raise ValueError(f"coefficient {field!r} is not an integer or p/q")
     try:
         c = Fraction(field)
     except ZeroDivisionError:

@@ -381,13 +381,17 @@ def suite_ce_cohomology(n, trials, seed, maxd, max_relation=5):
     Stasheff relation up to `max_relation` and every shuffle sum up to
     p + q = 4 on basis tuples, and m3(a, b, a) = 2ca.  A model that cannot
     be built is a failed report, and no transfer check runs: each failed
-    retract identity is recorded with its sample, and a value outside the
-    span of the basis words with the words it came from."""
+    retract identity is recorded with its sample, a failed algebra axiom
+    with its basis words, and a value outside the span of the basis words
+    with the words it came from."""
     rec = _Recorder()
     try:
         bundle = finite.heisenberg_ce_retract()
     except RetractError as exc:
         rec.retract_failed(exc)
+        return rec
+    except finite.AxiomError as exc:
+        rec.expect(exc.axiom, False, exc.labels, exc)
         return rec
     except finite.SpanError as exc:
         rec.residual(f"{exc.op} outside the span of the basis words", exc.outside, exc.words)

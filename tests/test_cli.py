@@ -397,6 +397,13 @@ def test_cohomology_arg_validation(capsys, tmp_path):
         ("basis u 0\nbasis v 1\nmu u u v 1\n", "mu u u -> v violates degree additivity"),
         ("basis u 0\nbasis v 1\nd u v 1/0\n", "line 3: zero denominator in '1/0'"),
         ("basis e 0\nmu e e e 0/0\n", "line 2: zero denominator in '0/0'"),
+        # COEFF is an optional sign, digits and optionally /digits, nothing else
+        ("basis u 0\nbasis v 1\nd u v 1.5\n", "line 3: coefficient '1.5' is not an integer or p/q"),
+        ("basis u 0\nbasis v 1\nd u v .5\n", "line 3: coefficient '.5' is not an integer or p/q"),
+        ("basis u 0\nbasis v 1\nd u v 1_0\n", "line 3: coefficient '1_0' is not an integer or p/q"),
+        ("basis u 0\nbasis v 1\nd u v 1e5\n", "line 3: coefficient '1e5' is not an integer or p/q"),
+        ("basis u 0\nbasis v 1\nd u v 1e10000000\n", "line 3: coefficient '1e10000000' is not"),
+        ("basis u 0\nbasis v 1\nd u v \u0663\n", "line 3: coefficient '\u0663' is not an integer or p/q"),
     ],
 )
 def test_cohomology_rejects_bad_labels_exit_1(capsys, tmp_path, text, message):

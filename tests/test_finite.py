@@ -2,6 +2,7 @@ import copy
 import pickle
 import re
 import sys
+import time
 from fractions import Fraction
 from functools import cache
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruminalg import finite
 from ruminalg.cinfty import RetractData, markl_transfer
 from ruminalg.errors import ConstructionError, DimensionError, DomainError
 from ruminalg.finite import (
@@ -222,11 +224,19 @@ def test_construction_rejects_nonassociative_product_with_first_witness():
         FiniteGradedAlgebra(basis, {}, mu)
 
 
+def test_associativity_keeps_the_first_witness_behind_a_zero_product():
+    # p(qr) = ps = t while pq = pr = 0: the first failing triple (p, q, r)
+    # has a zero first product, so it is found among the w with a nonzero qw
+    basis = {0: ["p", "q", "r", "s", "t"]}
+    mu = {("q", "r"): {"s": 1}, ("r", "q"): {"s": 1}, ("p", "s"): {"t": 1}, ("s", "p"): {"t": 1}}
+    with pytest.raises(ConstructionError, match=r"not associative on \(p, q, r\)"):
+        FiniteGradedAlgebra(basis, {}, mu)
+
+
 def test_associativity_check_skips_zero_products(monkeypatch):
     # 120 generators with no differential and no products: every u.v is
-    # zero, so no triple needs a product and the build makes the pair
-    # checks' 3 * 120**2 products only (twice 120**3 more when each triple
-    # was multiplied out).
+    # zero, so no triple needs a product, and the checks, which read the
+    # stored rows, make none.
     calls = 0
     mu_vec = FiniteGradedAlgebra.mu_vec
 
@@ -245,9 +255,8 @@ def test_associativity_check_skips_zero_products(monkeypatch):
 
 def test_pair_checks_skip_pairs_with_nothing_to_check(monkeypatch):
     # 300 generators with no differential and no products: no pair has a
-    # product or a differential to compare, so the build makes no product at
-    # all (3 * 300**2 when the table and each pair's Leibniz sides were
-    # multiplied out).
+    # product or a differential to compare, and the checks, which read the
+    # stored rows, make no product at all.
     calls = 0
     mu_vec = FiniteGradedAlgebra.mu_vec
 
@@ -259,6 +268,144 @@ def test_pair_checks_skip_pairs_with_nothing_to_check(monkeypatch):
     monkeypatch.setattr(FiniteGradedAlgebra, "mu_vec", counted)
     algebra = FiniteGradedAlgebra.loads("".join(f"basis u{i} 1\n" for i in range(300)))
     assert algebra.dim(1) == 300 and calls == 0
+
+
+def test_no_pair_or_triple_is_summed_when_nothing_is_stored(monkeypatch):
+    # 300 generators with no differential and no products: the d^2 check
+    # sums each generator's empty row once, and every pair and triple is
+    # skipped before a sum
+    calls = 0
+    nonzero = finite._nonzero
+
+    def counted(terms):
+        nonlocal calls
+        calls += 1
+        return nonzero(terms)
+
+    monkeypatch.setattr(finite, "_nonzero", counted)
+    FiniteGradedAlgebra.loads("".join(f"basis u{i} 1\n" for i in range(300)))
+    assert calls == 300
+
+
+def _semilattice(m: int) -> str:
+    # m degree-0 generators with u_i u_j = u_max(i,j): commutative and
+    # associative, and every product is nonzero
+    return "".join(f"basis u{i} 0\n" for i in range(m)) + "".join(
+        f"mu u{i} u{j} u{max(i, j)} 1\n" for i in range(m) for j in range(m)
+    )
+
+
+def test_a_60_generator_algebra_loads_within_its_budget():
+    # every one of the 60**3 triples needs its associativity sums
+    text, budget = _semilattice(60), 2.0
+    start = time.perf_counter()
+    algebra = FiniteGradedAlgebra.loads(text)
+    elapsed = time.perf_counter() - start
+    assert len(text) > 60_000 and algebra.dim(0) == 60
+    assert elapsed < budget, f"loading took {elapsed:.2f}s, over its {budget:.0f}s budget"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [heisenberg_ce_algebra, heisenberg_rumin_model, lambda: FiniteGradedAlgebra.loads(_semilattice(12)),
+     lambda: FiniteGradedAlgebra.loads(CE_DUMP), lambda: FiniteGradedAlgebra.loads(RATIONAL_ALGEBRA)],
+    ids=["ce", "rumin", "semilattice", "ce-dump", "rational"],
+)
+def test_building_an_algebra_makes_no_vector(build):
+    algebra = build()
+    assert algebra._vectors == {} and algebra._zeros == {}
+
+
+# -- the row checks against the vector checks ---------------------------------------
+
+
+def _vector_check(alg):
+    # The reference: the axiom checks on basis vectors, every product made by
+    # mu_vec and every differential by apply_d, compared as vectors, in the
+    # order and with the skips and messages of the row checks.
+    vectors = alg.all_basis_vectors()
+    labels = [label for deg in alg.degrees for label in alg.labels(deg)]
+    differentials = [alg.apply_d(v) for v in vectors]
+    for v, dv in zip(vectors, differentials):
+        if not alg.apply_d(dv).is_zero():
+            raise ConstructionError(f"d^2 != 0 on {v}")
+    closed = [dv.is_zero() for dv in differentials]
+    products = [
+        {j: alg.mu_vec(u, v) for j, (b, v) in enumerate(zip(labels, vectors)) if alg.mu.get((a, b))}
+        for a, u in zip(labels, vectors)
+    ]
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            uv, vu = products[i].get(j), products[j].get(i)
+            if uv is None and vu is None and closed[i] and closed[j]:
+                continue
+            zero = alg.zero(u.degree + v.degree)
+            uv, vu = uv or zero, vu or zero
+            sign = -1 if (u.degree & 1) and (v.degree & 1) else 1
+            if uv != vu.scale(sign):
+                raise ConstructionError(f"product not graded commutative on ({u}, {v})")
+            left = alg.apply_d(uv)
+            right = alg.mu_vec(differentials[i], v) + alg.mu_vec(u, differentials[j]).scale(
+                -1 if u.degree & 1 else 1
+            )
+            if left != right:
+                raise ConstructionError(f"Leibniz rule fails on ({u}, {v})")
+    everything, zero = range(len(vectors)), alg.zero(0)
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            uv = products[i].get(j)
+            for k in everything if uv is not None else products[j]:
+                w, vw = vectors[k], products[j].get(k)
+                left = zero if uv is None else alg.mu_vec(uv, w)
+                right = zero if vw is None else alg.mu_vec(u, vw)
+                if left != right:
+                    raise ConstructionError(f"product not associative on ({u}, {v}, {w})")
+
+
+@st.composite
+def random_tables(draw):
+    # 1-5 labels of degrees 0-2 with random d and mu entries of the right
+    # degrees; half the tables have no d and half make mu graded
+    # commutative, so that the Leibniz and associativity checks are reached
+    degrees = draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+    labels = [f"x{i}" for i in range(len(degrees))]
+    degree = dict(zip(labels, degrees))
+    entry = st.sampled_from([None, None, None, 1, -1, 2, Fraction(1, 2)])
+    basis: dict = {}
+    for label in labels:
+        basis.setdefault(degree[label], []).append(label)
+
+    def row(deg):
+        return {c: x for c in labels if degree[c] == deg and (x := draw(entry)) is not None}
+
+    d = {a: row(degree[a] + 1) for a in labels} if draw(st.booleans()) else {}
+    symmetric, mu = draw(st.booleans()), {}
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            if symmetric and j < i:
+                sign = -1 if degree[a] & degree[b] & 1 else 1
+                mu[(a, b)] = {c: sign * x for c, x in mu[(b, a)].items()}
+            else:
+                mu[(a, b)] = row(degree[a] + degree[b])
+    return basis, d, mu
+
+
+def _refusal(build):
+    try:
+        build()
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_tables())
+def test_row_checks_decide_as_the_vector_checks(table):
+    # the same tables accepted, and the same first message for the others
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(FiniteGradedAlgebra, "_check_axioms", lambda self: None)
+        unchecked = FiniteGradedAlgebra(*table)
+    assert _refusal(lambda: FiniteGradedAlgebra(*table)) == _refusal(lambda: _vector_check(unchecked))
 
 
 @pytest.mark.parametrize(

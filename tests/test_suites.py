@@ -357,8 +357,9 @@ def _double_the_finite_homotopy(monkeypatch):
 @pytest.mark.parametrize(
     "corrupt, tag",
     [(_double_one_gamma_scalar, "mu outside the span of the basis words"),
-     (_double_the_finite_homotopy, "i pi = 1 - dh - hd")],
-    ids=["gamma-scalar", "doubled-h"],
+     (_double_the_finite_homotopy, "i pi = 1 - dh - hd"),
+     (_wedge_ignores_merge_sign, "graded commutativity")],
+    ids=["gamma-scalar", "doubled-h", "wedge-merge-sign"],
 )
 def test_a_broken_finite_model_fails_ce_cohomology_with_witness(monkeypatch, capsys, corrupt, tag):
     # The model cannot be built: no transfer check runs, and the report
@@ -373,6 +374,9 @@ def test_a_broken_finite_model_fails_ce_cohomology_with_witness(monkeypatch, cap
     if tag.startswith("mu"):  # the two words and the part of pi(a ^ b) outside their span
         assert report.failures[0].inputs == ["a", "b"]
         assert report.failures[0].residual == "-dx1^dy1"
+    if tag == "graded commutativity":  # the first failing pair and the constructor's message
+        assert report.failures[0].inputs == ["a", "b"]
+        assert report.failures[0].residual == "product not graded commutative on (a, b)"
     assert cli.main(["verify", "ce-cohomology"]) == 1
     out, err = capsys.readouterr()
     assert "FAIL" in out and "witness 1:" in out and f"relation: {tag}" in out
