@@ -1,14 +1,21 @@
 """Finite-dimensional graded algebras and exact cohomology rings.
 
 This is the desk-scale side of the package: a `FiniteGradedAlgebra` stores a
-basis per degree, the differential as a `CochainMap` of degree +1 on itself,
-and the product as structure constants, all over the rationals, with the
-algebra axioms (d^2 = 0, graded commutativity, associativity, the Leibniz
-rule) checked at construction.  Two loops do all the coefficient work on
-vectors: `CochainMap.apply` applies d, the retract maps and any other linear
-map, and `mu_vec` multiplies.  `cohomology` computes ker d / im d with
-representative cocycles and the induced product; `check_ring_isomorphism`
-compares two cohomology rings through a cochain map.
+basis per degree, the differential as label rows (label -> {label:
+coefficient}, a `CochainMap` of degree +1 on itself) and the product as rows
+of structure constants, all over the rationals, with the algebra axioms
+(d^2 = 0, graded commutativity, associativity, the Leibniz rule) checked at
+construction.  Every linear map -- d, the retract maps, any other -- is a
+`CochainMap` built from label rows {source label: {target label:
+coefficient}}, the shape of `d` and of the file format; it stores only sparse
+columns and makes a dense block only on demand (`CochainMap.matrix`, which
+`d_matrix` and `cohomology` read).  The product stores only its nonzero
+entries.  So building an algebra costs the basis plus the stored entries,
+not the square of the basis.  Two loops do all the coefficient work on
+vectors: `CochainMap.apply` applies a map, and `mu_vec` multiplies.
+`cohomology` computes ker d / im d with representative cocycles and the
+induced product; `check_ring_isomorphism` compares two cohomology rings
+through a cochain map.
 
 The construction checks make no vector: they read the stored rows of d and
 mu (label -> coefficient), and each one asks whether a sum of c * row over
@@ -16,13 +23,15 @@ mu (label -> coefficient), and each one asks whether a sum of c * row over
 basis element, then graded commutativity and the Leibniz rule on each pair,
 then associativity on each triple -- and the first failure raises an
 `AxiomError` (a `ConstructionError`) that names the axiom and the basis
-labels.  A pair with no products and no differentials is skipped, and for a
+labels.  The pair and triple checks visit only the labels that have a
+differential or are a factor of a stored product (any other label makes every
+sum zero), a pair with no products and no differentials is skipped, and for a
 triple (u, v, w) whose product uv is zero only the w with a nonzero vw are
 visited, so the work is the stored entries the sums touch: m^3 short sums for
-m generators whose products are all nonzero.
+m generators whose products are all nonzero, and none for bare basis labels.
 
 Coefficients follow the rule of `ruminalg.poly`: a stored coefficient -- of a
-`FiniteVector`, of the `d` and `mu` tables, of a `CochainMap` block -- is an
+`FiniteVector`, of the `d` and `mu` tables, of a `CochainMap` column -- is an
 `int` when it is integral and a `Fraction` with denominator > 1 otherwise.
 Every operation normalizes its result once with `poly.exact`, so the common
 integral case builds no `Fraction`.  Since ``Fraction(2) == 2`` and
@@ -52,8 +61,9 @@ coframe forms (a = dx1, b = dy1, c = theta), and d and the product are
 The operators gamma and pi of `ruminalg.rumin` preserve constant
 coefficients, so they restrict too: the six-dimensional Rumin subcomplex
 spanned by 1; a, b; c^a, c^b; c^a^b takes the projected wedge pi(u ^ v) as
-its product, and `heisenberg_ce_retract` samples (inclusion, pi, gamma) into
-a deformation retract onto it, ready for the generic homotopy transfer.
+its product, and `heisenberg_ce_retract` reads (inclusion, pi, gamma) of each
+basis word into a row, a deformation retract onto it, ready for the generic
+homotopy transfer.
 
 File format (consumed by the CLI `cohomology` subcommand), line oriented,
 `#` starts a comment:
@@ -63,9 +73,11 @@ File format (consumed by the CLI `cohomology` subcommand), line oriented,
     d SRC DST COEFF         entry of the differential: d(SRC) += COEFF * DST
     mu A B C COEFF          structure constant: A * B += COEFF * C
 
+DEGREE is an integer as `dumps` writes it: an optional `-` and ASCII digits.
 COEFF is an integer or a `p/q` rational, as `dumps` writes it: an optional
-sign, ASCII digits, and optionally `/` and digits.  Any other text (`1.5`,
-`1e5`, `1_0`) is refused with its line, and so is a zero denominator.
+sign, ASCII digits, and optionally `/` and digits.  Any other text (`+2`,
+`1_0`, `1.5`, `1e5`, non-ASCII digits) is refused with its line, and so are a
+zero denominator and a number of more digits than Python reads (4,300).
 Omitted entries are zero, and repeated records of one entry add up.  NAME
 and every LABEL are one word with no `#`; the constructor refuses any other,
 so `dumps` writes text that `loads` reads back to the same algebra: it
@@ -83,7 +95,7 @@ from . import linalg, rumin
 from .cinfty import RetractData
 from .errors import ConstructionError, DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, wedge
-from .poly import Poly, exact
+from .poly import Poly, exact, read_int
 
 
 class FiniteVector:
@@ -222,8 +234,10 @@ class AxiomError(ConstructionError):
 
 
 class FiniteGradedAlgebra:
-    """Graded commutative differential algebra with explicit basis, exact
-    differential matrices and product structure constants."""
+    """Graded commutative differential algebra with explicit basis and exact
+    structure constants: the differential as label rows `d` (label -> {label:
+    coefficient}) and the product as rows `mu` ((label, label) -> {label:
+    coefficient})."""
 
     def __init__(self, basis, d, mu, name: str = ""):
         if name != "" and not _is_word(name):
@@ -249,20 +263,16 @@ class FiniteGradedAlgebra:
             for pair, row in mu.items()
         }
         self._check_labels()
-        blocks = {deg: linalg.zeros(self.dim(deg + 1), self.dim(deg)) for deg in self.degrees}
-        for src, row in self.d.items():
-            deg, j = self._pos[src]
-            for dst, c in row.items():
-                blocks[deg][self._pos[dst][1]][j] = c
-        self._differential = CochainMap(self, self, blocks, shift=1)
-        # The product by position: _mu_rows[(p, q)][i][j] lists (target
-        # index, coefficient) of the product of basis elements i of degree p
-        # and j of degree q.
-        self._mu_rows = {
-            (p, q): [[self._row(self.mu.get((a, b))) for b in self.basis[q]] for a in self.basis[p]]
-            for p in self.degrees
-            for q in self.degrees
-        }
+        self._differential = CochainMap(self, self, self.d, shift=1)
+        # The stored products by degree: _mu_rows[(p, q)] lists (i, j, row)
+        # for each nonzero product of basis element i of degree p and j of
+        # degree q, its row as (target index, coefficient) pairs.
+        self._mu_rows: dict = {}
+        for (a, b), row in self.mu.items():
+            if row:
+                (p, i), (q, j) = self._pos[a], self._pos[b]
+                row = tuple((self._pos[w][1], c) for w, c in row.items())
+                self._mu_rows.setdefault((p, q), []).append((i, j, row))
         self._check_axioms()
 
     # A pickle holds the algebra's structure, not the vectors it keeps: a
@@ -272,9 +282,6 @@ class FiniteGradedAlgebra:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state, _zeros={}, _vectors={})
-
-    def _row(self, row) -> tuple:
-        return tuple((self._pos[dst][1], c) for dst, c in row.items()) if row else ()
 
     # -- basic structure -----------------------------------------------------
 
@@ -300,19 +307,13 @@ class FiniteGradedAlgebra:
         coeffs[i] = 1
         return FiniteVector._make(self, deg, tuple(coeffs))
 
-    def basis_vectors(self, degree: int):
-        return [self.element(label) for label in self.labels(degree)]
-
     def all_basis_vectors(self):
         return [self.element(label) for deg in self.degrees for label in self.labels(deg)]
 
     def d_matrix(self, degree: int):
         """Matrix of d from degree to degree+1 (rows indexed by the target),
         a fresh copy."""
-        block = self._differential.blocks.get(degree)
-        if block is None:
-            return linalg.zeros(self.dim(degree + 1), self.dim(degree))
-        return [row[:] for row in block]
+        return self._differential.matrix(degree)
 
     def apply_d(self, v: FiniteVector) -> FiniteVector:
         return self._differential.apply(v)
@@ -322,13 +323,12 @@ class FiniteGradedAlgebra:
         if u._zero or v._zero:
             return self.zero(degree)
         out = [0] * self.dim(degree)
-        for cu, rows in zip(u.coeffs, self._mu_rows.get((u.degree, v.degree), ())):
-            if cu:
-                for cv, row in zip(v.coeffs, rows):
-                    if cv:
-                        c = cu * cv
-                        for dst, w in row:
-                            out[dst] += c * w
+        cu, cv = u.coeffs, v.coeffs
+        for i, j, row in self._mu_rows.get((u.degree, v.degree), ()):
+            c = cu[i] * cv[j]
+            if c:
+                for dst, w in row:
+                    out[dst] += c * w
         return FiniteVector._make(self, degree, tuple(map(exact, out)))
 
     # -- construction checks ---------------------------------------------------
@@ -360,6 +360,11 @@ class FiniteGradedAlgebra:
         for u in labels:
             if _nonzero((c, d.get(w, empty)) for w, c in d.get(u, empty).items()):
                 raise AxiomError("d^2 = 0", (u,), f"d^2 != 0 on {u}")
+        # a label with no differential that is no factor of a stored product
+        # makes every sum of its pairs and triples zero, so it is left out
+        busy = {u for u, row in d.items() if row}
+        busy.update(x for pair, row in mu.items() if row for x in pair)
+        labels = [u for u in labels if u in busy]
         for u in labels:
             for v in labels:
                 uv, vu = mu.get((u, v), empty), mu.get((v, u), empty)
@@ -424,7 +429,7 @@ class FiniteGradedAlgebra:
                 if kind == "algebra" and len(fields) == 2:
                     name = fields[1]
                 elif kind == "basis" and len(fields) == 3:
-                    basis.setdefault(int(fields[2]), []).append(fields[1])
+                    basis.setdefault(_degree(fields[2]), []).append(fields[1])
                 elif kind == "d" and len(fields) == 4:
                     _add_entry(d.setdefault(fields[1], {}), fields[2], fields[3])
                 elif kind == "mu" and len(fields) == 5:
@@ -452,15 +457,22 @@ def _nonzero(terms) -> bool:
     return any(total.values())
 
 
+def _degree(field: str) -> int:
+    """The DEGREE `field`: an optional '-' and ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", field):
+        raise ValueError(f"degree {field!r} is not an integer")
+    return read_int(field)
+
+
 def _add_entry(row: dict, dst: str, field: str) -> None:
     """row[dst] += the COEFF `field` (records of one entry add up)."""
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", field):
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", field)
+    if not match:
         raise ValueError(f"coefficient {field!r} is not an integer or p/q")
-    try:
-        c = Fraction(field)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {field!r}") from None
-    row[dst] = row.get(dst, 0) + c
+    num, den = read_int(match[1]), read_int(match[2] or "1")
+    if not den:
+        raise ValueError(f"zero denominator in {field!r}")
+    row[dst] = row.get(dst, 0) + Fraction(num, den)
 
 
 # -- exact cohomology ----------------------------------------------------------
@@ -520,34 +532,42 @@ def cohomology(algebra: FiniteGradedAlgebra) -> Cohomology:
 
 
 class CochainMap:
-    """Linear map between finite algebras that changes degree by `shift`, one
-    exact matrix per source degree (dst.dim(deg + shift) rows x src.dim(deg)
-    columns).  Cochain maps have shift 0; a homotopy has shift -1."""
+    """Linear map between finite algebras that changes degree by `shift`,
+    given by label rows {source label: {target label: coefficient}} -- the
+    shape of `FiniteGradedAlgebra.d` and of the file format; a source label
+    without a row maps to zero.  A label that is not in the source or the
+    target, or a target outside degree + shift, is a DimensionError.  Only
+    sparse columns are stored; `matrix` makes a dense block on demand.
+    Cochain maps have shift 0; a homotopy has shift -1."""
 
-    def __init__(self, src: FiniteGradedAlgebra, dst: FiniteGradedAlgebra, blocks, shift: int = 0):
+    def __init__(self, src: FiniteGradedAlgebra, dst: FiniteGradedAlgebra, rows, shift: int = 0):
         self.src = src
         self.dst = dst
         self.shift = shift
-        self.blocks = {}
-        for deg, m in blocks.items():
-            rows, cols = dst.dim(deg + shift), src.dim(deg)
-            if len(m) != rows or any(len(row) != cols for row in m):
-                raise DimensionError(f"block for degree {deg} is not {rows} x {cols}")
-            self.blocks[deg] = [[exact(c) for c in row] for row in m]
-        # Column j of a block as (row, coefficient) pairs of its nonzero entries.
-        self._columns = {
-            deg: [tuple((r, row[j]) for r, row in enumerate(m) if row[j]) for j in range(src.dim(deg))]
-            for deg, m in self.blocks.items()
-        }
+        # Column j of degree deg as (target index, coefficient) pairs of its
+        # nonzero entries.
+        self._columns = {deg: [()] * src.dim(deg) for deg in src.degrees}
+        for label, row in rows.items():
+            if label not in src._pos:
+                raise DimensionError(f"map from unknown label {label!r}")
+            deg, j = src._pos[label]
+            column = []
+            for target, c in row.items():
+                where = dst._pos.get(target)
+                if where is None or where[0] != deg + shift:
+                    raise DimensionError(f"map sends {label} to {target!r}, not a label of degree {deg + shift}")
+                if e := exact(c):
+                    column.append((where[1], e))
+            self._columns[deg][j] = tuple(column)
 
-    @classmethod
-    def from_function(cls, src, dst, fn, shift: int = 0) -> "CochainMap":
-        """Sample the linear map `fn` on the basis of every degree of `src`."""
-        blocks = {}
-        for deg in src.degrees:
-            cols = [fn(v).coeffs for v in src.basis_vectors(deg)]
-            blocks[deg] = linalg.from_columns(cols, dst.dim(deg + shift))
-        return cls(src, dst, blocks, shift)
+    def matrix(self, degree: int):
+        """The dense block from `degree`: dst.dim(degree + shift) rows x
+        src.dim(degree) columns, a fresh copy."""
+        block = linalg.zeros(self.dst.dim(degree + self.shift), self.src.dim(degree))
+        for j, column in enumerate(self._columns.get(degree, ())):
+            for r, c in column:
+                block[r][j] = c
+        return block
 
     def apply(self, v: FiniteVector) -> FiniteVector:
         degree = v.degree + self.shift
@@ -707,21 +727,11 @@ def _rumin_words():
 
 
 def _sample(src, dst, op, name: str, shift: int = 0) -> CochainMap:
-    """The linear map v -> op(form of v), read back in `dst`, sampled on the
-    basis of `src`; both are (algebra, word forms, reader) triples, and a
-    SpanError names `op` as `name` and v by its text."""
+    """The linear map u -> op(form of u) on the basis words u of `src`, each
+    image read into a row of `dst`; both are (algebra, word forms, reader)
+    triples, and a SpanError names `op` as `name`."""
     (a, forms, _), (b, _, read) = src, dst
-
-    def fn(v: FiniteVector) -> FiniteVector:
-        form = Form.zero(forms["1"].model, v.degree)
-        for c, label in zip(v.coeffs, a.labels(v.degree)):
-            if c:
-                form = form + forms[label].scale(c)
-        row = read(op(form), name, (str(v),))
-        degree = v.degree + shift
-        return FiniteVector(b, degree, [row.get(label, 0) for label in b.labels(degree)])
-
-    return CochainMap.from_function(a, b, fn, shift)
+    return CochainMap(a, b, {u: read(op(forms[u]), name, (u,)) for u in a._pos}, shift)
 
 
 def heisenberg_ce_algebra() -> FiniteGradedAlgebra:
@@ -755,9 +765,9 @@ def heisenberg_ce_retract() -> FiniteModelBundle:
     broken pi or gamma can already make a value that is not in the span of
     the basis words while the two algebras are read, a `SpanError`.
 
-    The three maps are sampled once through the symbolic operators and then
-    applied as exact matrices, which keeps exhaustive transfer sweeps over
-    all basis tuples cheap.
+    The three maps are read once through the symbolic operators, one row
+    per basis word, and then applied through their sparse columns, which
+    keeps exhaustive transfer sweeps over all basis tuples cheap.
     """
     ce_words, rm_words = _ce_words(), _rumin_words()
     ce, rm = ce_words[0], rm_words[0]

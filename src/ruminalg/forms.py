@@ -75,6 +75,7 @@ from .poly import (
     exact,
     exponent_error,
     mul_into,
+    signed_join,
     unpack,
     wrap,
 )
@@ -361,13 +362,7 @@ class Form:
             else:
                 body = f"({p.to_text()})"
                 rendered.append((False, f"{body} {word}" if word else body))
-        out = []
-        for i, (negative, body) in enumerate(rendered):
-            if i == 0:
-                out.append(("-" if negative else "") + body)
-            else:
-                out.append((" - " if negative else " + ") + body)
-        return "".join(out)
+        return signed_join(rendered)
 
     def __str__(self) -> str:
         return self.to_text()

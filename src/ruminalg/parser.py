@@ -51,7 +51,7 @@ import re
 
 from .errors import DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, lefschetz, wedge
-from .poly import Poly, add_into, mul_into, variable_key, wrap
+from .poly import Poly, add_into, mul_into, read_int, variable_key, wrap
 from .rumin import certify, f2, gamma, m2, m3, pi
 
 
@@ -161,12 +161,10 @@ class Parser:
         """The value of the token's digits, or of `digits` cut from its text.
         What `int` refuses, such as more digits than Python converts, is a
         ParseError at the token."""
-        digits = tok[1] if digits is None else digits
         try:
-            return int(digits)
-        except ValueError:
-            shown = digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
-            raise self.error(f"cannot read number {shown}", tok) from None
+            return read_int(tok[1] if digits is None else digits)
+        except ValueError as exc:
+            raise self.error(str(exc), tok) from None
 
     def open_group(self, tok: tuple) -> None:
         """Enter one level of nesting at `tok`; `close_group` leaves it."""

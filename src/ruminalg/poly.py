@@ -176,6 +176,24 @@ def coefficient_text(v: int, den: int) -> str:
         ) from None
 
 
+def signed_join(pieces) -> str:
+    """The canonical text of a sum of (negative, body) `pieces`, at least one:
+    "-" before a negative first body, " - " or " + " before each later one."""
+    text = "".join((" - " if negative else " + ") + body for negative, body in pieces)
+    return "-" + text[3:] if text.startswith(" - ") else text[3:]
+
+
+def read_int(digits: str) -> int:
+    """The int of the text `digits`.  What `int` refuses, such as more digits
+    than Python converts, is a one-line ValueError that shows at most 20 of
+    them: "cannot read number 12345678901234567890... (5000 digits)"."""
+    try:
+        return int(digits)
+    except ValueError:
+        shown = digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
+        raise ValueError(f"cannot read number {shown}") from None
+
+
 def add_into(acc: dict, terms: dict, c: int) -> None:
     """acc += c * terms on {packed exponent: int} dictionaries, dropping the
     entries that cancel; c = 0 does nothing.  An empty acc is filled with a
@@ -448,13 +466,7 @@ class Poly:
             else:
                 body = "*".join([coefficient_text(abs(v), den)] + factors)
             pieces.append((v < 0, body))
-        out = []
-        for i, (negative, body) in enumerate(pieces):
-            if i == 0:
-                out.append(("-" if negative else "") + body)
-            else:
-                out.append((" - " if negative else " + ") + body)
-        return "".join(out)
+        return signed_join(pieces)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -404,6 +404,17 @@ def test_cohomology_arg_validation(capsys, tmp_path):
         ("basis u 0\nbasis v 1\nd u v 1e5\n", "line 3: coefficient '1e5' is not an integer or p/q"),
         ("basis u 0\nbasis v 1\nd u v 1e10000000\n", "line 3: coefficient '1e10000000' is not"),
         ("basis u 0\nbasis v 1\nd u v \u0663\n", "line 3: coefficient '\u0663' is not an integer or p/q"),
+        # DEGREE is an optional '-' and ASCII digits, nothing else
+        ("basis u 1_0\n", "line 1: degree '1_0' is not an integer"),
+        ("basis u +2\n", "line 1: degree '+2' is not an integer"),
+        ("basis u \u0663\n", "line 1: degree '\u0663' is not an integer"),
+        # a number of more digits than Python reads is a format message
+        pytest.param(f"basis u 0\nbasis v 1\nd u v {'1' * 5000}\n",
+                     f"line 3: cannot read number {'1' * 20}... (5000 digits)", id="5000-digit-coeff"),
+        pytest.param(f"basis u 0\nbasis v 1\nd u v 1/{'1' * 5000}\n",
+                     f"line 3: cannot read number {'1' * 20}... (5000 digits)", id="5000-digit-denominator"),
+        pytest.param(f"basis u {'1' * 5000}\n",
+                     f"line 1: cannot read number {'1' * 20}... (5000 digits)", id="5000-digit-degree"),
     ],
 )
 def test_cohomology_rejects_bad_labels_exit_1(capsys, tmp_path, text, message):
