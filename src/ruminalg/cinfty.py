@@ -56,7 +56,9 @@ from .errors import DomainError
 
 
 def permutation_sign(perm) -> int:
-    """Parity sign of a permutation given as a tuple (perm[i] = image of i)."""
+    """Parity sign of a permutation given as a tuple (perm[i] = image of i);
+    for any sequence of distinct values, the sign of the permutation that
+    sorts it."""
     inv = 0
     k = len(perm)
     for i in range(k):

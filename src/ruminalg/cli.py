@@ -137,15 +137,16 @@ def cmd_cohomology(args) -> int:
         print(algebra.dumps(), end="")
         return 0
     h = cohomology(algebra)
-    name = algebra.name or "algebra"
-    print(f"{name}: betti {h.betti_numbers()}")
+    # the whole report is built first: a representative too long to print
+    # is a DomainError before any output
+    lines = [f"{algebra.name or 'algebra'}: betti {h.betti_numbers()}"]
     for deg in algebra.degrees:
         reps = h.representatives(deg)
         if reps:
-            rendered = "; ".join(str(r) for r in reps)
-            print(f"  H^{deg} (dim {len(reps)}): {rendered}")
+            lines.append(f"  H^{deg} (dim {len(reps)}): {'; '.join(str(r) for r in reps)}")
         else:
-            print(f"  H^{deg} (dim 0)")
+            lines.append(f"  H^{deg} (dim 0)")
+    print("\n".join(lines))
     return 0
 
 

@@ -30,22 +30,31 @@ triple (u, v, w) whose product uv is zero only the w with a nonzero vw are
 visited, so the work is the stored entries the sums touch: m^3 short sums for
 m generators whose products are all nonzero, and none for bare basis labels.
 
+The rows are checked once, where they are read: the `CochainMap` built from
+the d rows refuses an unknown label or a target of the wrong degree (the
+algebra re-raises that as a `ConstructionError` naming the differential), and
+the loop that stores the product rows refuses an unknown label or a target
+that breaks degree additivity.
+
 Coefficients follow the rule of `ruminalg.poly`: a stored coefficient -- of a
 `FiniteVector`, of the `d` and `mu` tables, of a `CochainMap` column -- is an
 `int` when it is integral and a `Fraction` with denominator > 1 otherwise.
 Every operation normalizes its result once with `poly.exact`, so the common
-integral case builds no `Fraction`.  Since ``Fraction(2) == 2`` and
-``hash(Fraction(2)) == hash(2)``, vectors compare and hash exactly as they
-would with all-`Fraction` coordinates.
+integral case builds no `Fraction`; a coordinate given as ``Fraction(2)``
+is stored as ``2``, so both make one vector.  Every number is printed through
+`poly.coefficient_text`, as a `Form` prints its coefficients: a number with
+more digits than Python prints is a one-line DomainError, not a traceback.
 
 Vectors are interned.  An algebra keeps one table from (degree, coefficients)
 to the one vector of that value, and every way of making a vector (the
 constructor, `element`, `scale`, `+`, `-`, `apply_d`, `mu_vec`,
 `CochainMap.apply`) returns the table's vector; a zero value is the
 algebra's one zero of its degree.  Equal nonzero vectors are therefore one
-object and hash by identity, so a memo hit keyed by a tuple of vectors is
-hashed and compared in C.  The table keeps every vector made in the algebra
-for the algebra's lifetime; building an algebra makes none.
+object, so equality is identity (the zeros of all degrees of one algebra
+are equal too) and the hash is the identity hash: a memo hit keyed by a
+tuple of vectors is hashed and compared in C.  The table keeps every vector
+made in the algebra for the algebra's lifetime; building an algebra makes
+none.
 
 Zeros cost nothing: a vector records when it is built whether it is zero, so
 `is_zero` reads a slot, and `zero`, `apply_d`, `mu_vec` and
@@ -95,7 +104,7 @@ from . import linalg, rumin
 from .cinfty import RetractData
 from .errors import ConstructionError, DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, wedge
-from .poly import Poly, exact, read_int
+from .poly import Poly, coefficient_text, exact, read_int, signed_join
 
 
 class FiniteVector:
@@ -107,8 +116,10 @@ class FiniteVector:
 
     Vectors are interned: every way of making a vector returns the one object
     its algebra keeps for that value (a zero value, the algebra's zero of
-    that degree), so equal nonzero vectors are the same object and hash by
-    identity, in C.  Zeros of every degree are equal, so they hash by value."""
+    that degree), so equal nonzero vectors are the same object: `==` is
+    `is`, and the hash is the identity hash, in C.  Zeros of every degree
+    are equal, so they hash by value.  `str` prints each coefficient
+    through `poly.coefficient_text`."""
 
     __slots__ = ("algebra", "degree", "coeffs", "_zero")
 
@@ -178,31 +189,24 @@ class FiniteVector:
         return self + other.scale(-1)
 
     def __eq__(self, other) -> bool:
+        # equal nonzero values are one object (see `_make`)
+        if self is other:
+            return True
         if not isinstance(other, FiniteVector):
             return NotImplemented
-        if self.algebra is not other.algebra:
-            return False
-        if self._zero and other._zero:
-            return True
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return self._zero and other._zero and self.algebra is other.algebra
 
-    # Equal nonzero vectors are one object (see `_make`), so identity is a
-    # hash that agrees with ==, and dict lookups use object's C slot.
+    # Identity is a hash that agrees with ==, and dict lookups use object's
+    # C slot.
     __hash__ = object.__hash__
 
     def __str__(self) -> str:
-        labels = self.algebra.labels(self.degree)
-        parts = []
-        for c, label in zip(self.coeffs, labels):
-            if not c:
-                continue
-            if c == 1:
-                parts.append(label)
-            elif c == -1:
-                parts.append(f"-{label}")
-            else:
-                parts.append(f"{c}*{label}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        pieces = []
+        for c, label in zip(self.coeffs, self.algebra.labels(self.degree)):
+            if c:
+                text = _number_text(abs(c))
+                pieces.append((c < 0, label if text == "1" else f"{text}*{label}"))
+        return signed_join(pieces) if pieces else "0"
 
     def __repr__(self) -> str:
         return f"FiniteVector({self.degree}, {self})"
@@ -262,17 +266,28 @@ class FiniteGradedAlgebra:
             pair: {dst: e for dst, c in row.items() if (e := exact(c))}
             for pair, row in mu.items()
         }
-        self._check_labels()
-        self._differential = CochainMap(self, self, self.d, shift=1)
+        try:
+            self._differential = CochainMap(self, self, self.d, shift=1)
+        except DimensionError as exc:
+            raise ConstructionError(f"differential: {exc}") from None
         # The stored products by degree: _mu_rows[(p, q)] lists (i, j, row)
         # for each nonzero product of basis element i of degree p and j of
         # degree q, its row as (target index, coefficient) pairs.
         self._mu_rows: dict = {}
         for (a, b), row in self.mu.items():
-            if row:
-                (p, i), (q, j) = self._pos[a], self._pos[b]
-                row = tuple((self._pos[w][1], c) for w, c in row.items())
-                self._mu_rows.setdefault((p, q), []).append((i, j, row))
+            if a not in self._pos or b not in self._pos:
+                raise ConstructionError(f"product on unknown labels ({a!r}, {b!r})")
+            (p, i), (q, j) = self._pos[a], self._pos[b]
+            targets = []
+            for dst, c in row.items():
+                where = self._pos.get(dst)
+                if where is None:
+                    raise ConstructionError(f"product into unknown label {dst!r}")
+                if where[0] != p + q:
+                    raise ConstructionError(f"mu {a} {b} -> {dst} violates degree additivity")
+                targets.append((where[1], c))
+            if targets:
+                self._mu_rows.setdefault((p, q), []).append((i, j, tuple(targets)))
         self._check_axioms()
 
     # A pickle holds the algebra's structure, not the vectors it keeps: a
@@ -332,24 +347,6 @@ class FiniteGradedAlgebra:
         return FiniteVector._make(self, degree, tuple(map(exact, out)))
 
     # -- construction checks ---------------------------------------------------
-
-    def _check_labels(self):
-        for src, row in self.d.items():
-            if src not in self._pos:
-                raise ConstructionError(f"differential from unknown label {src!r}")
-            for dst in row:
-                if dst not in self._pos:
-                    raise ConstructionError(f"differential into unknown label {dst!r}")
-                if self.degree_of(dst) != self.degree_of(src) + 1:
-                    raise ConstructionError(f"d {src} -> {dst} does not raise degree by one")
-        for (a, b), row in self.mu.items():
-            if a not in self._pos or b not in self._pos:
-                raise ConstructionError(f"product on unknown labels ({a!r}, {b!r})")
-            for dst in row:
-                if dst not in self._pos:
-                    raise ConstructionError(f"product into unknown label {dst!r}")
-                if self.degree_of(dst) != self.degree_of(a) + self.degree_of(b):
-                    raise ConstructionError(f"mu {a} {b} -> {dst} violates degree additivity")
 
     def _check_axioms(self):
         """Check the axioms on the stored rows of d and mu, in basis order:
@@ -411,7 +408,7 @@ class FiniteGradedAlgebra:
         """The `kind` lines of the stored (labels, coefficient) `entries`,
         sorted by the basis positions of their labels."""
         ordered = sorted(entries, key=lambda entry: [self._pos[label] for label in entry[0]])
-        return [f"{kind} {' '.join(labels)} {c}" for labels, c in ordered]
+        return [f"{kind} {' '.join(labels)} {_number_text(c)}" for labels, c in ordered]
 
     @classmethod
     def loads(cls, text: str) -> "FiniteGradedAlgebra":
@@ -447,6 +444,13 @@ def _is_word(text) -> bool:
     return isinstance(text, str) and text.split() == [text] and "#" not in text
 
 
+def _number_text(c) -> str:
+    """The rational `c` as the file format and `str` write it: an optional
+    '-', then `poly.coefficient_text` (a DomainError for more digits than
+    Python prints)."""
+    return "-" * (c < 0) + coefficient_text(abs(c.numerator), c.denominator)
+
+
 def _nonzero(terms) -> bool:
     """Is the sum of c * row over the (coefficient c, row) `terms` nonzero?  A
     row maps labels to coefficients, as a stored d or mu row does."""
@@ -479,7 +483,13 @@ def _add_entry(row: dict, dst: str, field: str) -> None:
 
 
 class Cohomology:
-    """Per-degree basis of ker d / im d with representative cocycles."""
+    """Per-degree basis of ker d / im d with representative cocycles.
+
+    One elimination per degree chooses them: the kernel columns that are
+    pivots of [every nonzero column of d from degree k - 1 | a kernel
+    basis].  A kernel column is a pivot exactly when it lies outside the
+    span of the columns before it, which dependent image columns do not
+    change."""
 
     def __init__(self, algebra: FiniteGradedAlgebra):
         self.algebra = algebra
@@ -488,12 +498,7 @@ class Cohomology:
         for k in algebra.degrees:
             dim_k = algebra.dim(k)
             kernel = linalg.nullspace(algebra.d_matrix(k), dim_k)
-            dprev = algebra.d_matrix(k - 1)
-            if algebra.dim(k - 1):
-                _, pivots = linalg.rref(dprev)
-                im_cols = [[dprev[r][c] for r in range(dim_k)] for c in pivots]
-            else:
-                im_cols = []
+            im_cols = [list(column) for column in zip(*algebra.d_matrix(k - 1)) if any(column)]
             stacked = linalg.from_columns(im_cols + kernel, dim_k)
             _, pivots = linalg.rref(stacked)
             reps = [kernel[p - len(im_cols)] for p in pivots if p >= len(im_cols)]
@@ -536,7 +541,8 @@ class CochainMap:
     given by label rows {source label: {target label: coefficient}} -- the
     shape of `FiniteGradedAlgebra.d` and of the file format; a source label
     without a row maps to zero.  A label that is not in the source or the
-    target, or a target outside degree + shift, is a DimensionError.  Only
+    target, or a target outside degree + shift, is a DimensionError: the
+    rows are checked here, where they are read, and nowhere else.  Only
     sparse columns are stored; `matrix` makes a dense block on demand.
     Cochain maps have shift 0; a homotopy has shift -1."""
 
@@ -555,7 +561,9 @@ class CochainMap:
             for target, c in row.items():
                 where = dst._pos.get(target)
                 if where is None or where[0] != deg + shift:
-                    raise DimensionError(f"map sends {label} to {target!r}, not a label of degree {deg + shift}")
+                    raise DimensionError(
+                        f"map sends {label} to {target!r}, not a label of degree {_number_text(deg + shift)}"
+                    )
                 if e := exact(c):
                     column.append((where[1], e))
             self._columns[deg][j] = tuple(column)

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import re
 
+from .cinfty import permutation_sign
 from .errors import DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, lefschetz, wedge
 from .poly import Poly, add_into, mul_into, read_int, variable_key, wrap
@@ -265,12 +266,12 @@ class Parser:
     def wedge_run(self, out: Form | None, run: list) -> Form | None:
         """out (None for 1) wedged with the plain generators `run`, coframe
         indices in the order read: one sorted index and the sign of its
-        permutation, or a zero of degree len(run) when an index repeats."""
+        permutation (`cinfty.permutation_sign`), or a zero of degree
+        len(run) when an index repeats."""
         if not run:
             return out
         idx = tuple(sorted(run))
-        s = -1 if sum(a > b for j, a in enumerate(run) for b in run[j + 1:]) & 1 else 1
-        terms = {idx: wrap(self.model.nvars, {0: s}, 1)} if len(set(idx)) == len(idx) else {}
+        terms = {idx: wrap(self.model.nvars, {0: permutation_sign(run)}, 1)} if len(set(idx)) == len(idx) else {}
         form = Form(self.model, len(run), terms, _canonical=True)
         return form if out is None else wedge(out, form)
 

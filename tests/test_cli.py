@@ -390,8 +390,8 @@ def test_cohomology_arg_validation(capsys, tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("basis u 0\nd x u 1\n", "differential from unknown label 'x'"),
-        ("basis u 0\nd u x 1\n", "differential into unknown label 'x'"),
+        ("basis u 0\nd x u 1\n", "differential: map from unknown label 'x'"),
+        ("basis u 0\nd u x 1\n", "differential: map sends u to 'x', not a label of degree 1"),
         ("basis u 0\nmu u x u 1\n", "product on unknown labels ('u', 'x')"),
         ("basis u 0\nmu u u x 1\n", "product into unknown label 'x'"),
         ("basis u 0\nbasis v 1\nmu u u v 1\n", "mu u u -> v violates degree additivity"),
@@ -415,6 +415,10 @@ def test_cohomology_arg_validation(capsys, tmp_path):
                      f"line 3: cannot read number {'1' * 20}... (5000 digits)", id="5000-digit-denominator"),
         pytest.param(f"basis u {'1' * 5000}\n",
                      f"line 1: cannot read number {'1' * 20}... (5000 digits)", id="5000-digit-degree"),
+        # a degree Python prints whose successor it does not: the message
+        # naming degree + 1 cannot print it either
+        pytest.param(f"basis u {'9' * 4300}\nbasis v 0\nd u v 1\n", "too long to print",
+                     id="4300-digit-degree-successor"),
     ],
 )
 def test_cohomology_rejects_bad_labels_exit_1(capsys, tmp_path, text, message):
@@ -423,6 +427,29 @@ def test_cohomology_rejects_bad_labels_exit_1(capsys, tmp_path, text, message):
     code, out, err = run(capsys, "cohomology", str(path))
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+NINES = "9" * 4300  # the most digits Python reads and prints
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        # two records of one entry add up to 4,301 digits, which dumps cannot write
+        pytest.param(f"basis u 0\nbasis v 1\nd u v {NINES}\nd u v {NINES}\n", ["--dump"], id="dump"),
+        # ... and d u = c w, d v = 7 w with c of 4,301 digits: the kernel of d
+        # in degree 1 is spanned by v - (7/c) u, which cannot be printed
+        pytest.param(f"basis u 1\nbasis v 1\nbasis w 2\nd u w {NINES}\nd u w {NINES}\nd v w 7\n", [],
+                     id="representative"),
+    ],
+)
+def test_cohomology_overlong_number_exit_1(capsys, tmp_path, text, argv):
+    # every number of the file reads, but one the report must print does not
+    path = tmp_path / "long.alg"
+    path.write_text(text)
+    code, out, err = run(capsys, "cohomology", str(path), *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "too long to print" in err
 
 
 def test_version_flag(capsys):

@@ -111,6 +111,17 @@ def test_rumin_model_zero_differential():
         assert h.betti(deg) == rm.dim(deg)
 
 
+def test_dependent_image_columns():
+    # d u = w and d v = 2w: the two image columns of degree 1 are dependent,
+    # and x is closed and no boundary
+    alg = FiniteGradedAlgebra({0: ["u", "v"], 1: ["w", "x"]}, {"u": {"w": 1}, "v": {"w": 2}}, {})
+    h = cohomology(alg)
+    assert h.betti_numbers() == oracle_betti(alg) == (1, 1)
+    assert h.representatives(0) == [alg.element("v") - alg.element("u").scale(2)]
+    assert h.representatives(1) == [alg.element("x")]
+    assert h.reduce(alg.element("w") + alg.element("x").scale(3)) == (3,)
+
+
 def _ring_iso(fmap):
     return check_ring_isomorphism(fmap, cohomology(fmap.src), cohomology(fmap.dst))
 
