@@ -82,7 +82,8 @@ File format (consumed by the CLI `cohomology` subcommand), line oriented,
     d SRC DST COEFF         entry of the differential: d(SRC) += COEFF * DST
     mu A B C COEFF          structure constant: A * B += COEFF * C
 
-DEGREE is an integer as `dumps` writes it: an optional `-` and ASCII digits.
+DEGREE is an integer as `dumps` writes it: an optional `-` and ASCII digits,
+and neither degree + 1 nor degree - 1 may have more digits than Python prints.
 COEFF is an integer or a `p/q` rational, as `dumps` writes it: an optional
 sign, ASCII digits, and optionally `/` and digits.  Any other text (`+2`,
 `1_0`, `1.5`, `1e5`, non-ASCII digits) is refused with its line, and so are a
@@ -96,6 +97,7 @@ writes the stored entries sorted by the basis positions of their labels.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -462,10 +464,16 @@ def _nonzero(terms) -> bool:
 
 
 def _degree(field: str) -> int:
-    """The DEGREE `field`: an optional '-' and ASCII digits."""
+    """The DEGREE `field`: an optional '-' and ASCII digits.  Maps name the
+    degree they land in, so a degree next to one Python cannot print is
+    refused."""
     if not re.fullmatch(r"-?[0-9]+", field):
         raise ValueError(f"degree {field!r} is not an integer")
-    return read_int(field)
+    degree = read_int(field)
+    limit = sys.get_int_max_str_digits()
+    if len(field) >= limit > 0 and abs(degree) + 1 >= 10**limit:
+        raise ValueError(f"degree {field[:20]}... ({len(field)} digits) has a neighbour too long to print")
+    return degree
 
 
 def _add_entry(row: dict, dst: str, field: str) -> None:

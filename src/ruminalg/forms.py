@@ -59,7 +59,7 @@ the degree alone, and `rumin` caches them as functions of those.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, compress
 from math import factorial, lcm
 from operator import add, or_, sub
@@ -75,7 +75,7 @@ from .poly import (
     exact,
     exponent_error,
     mul_into,
-    signed_join,
+    signed_text,
     unpack,
     wrap,
 )
@@ -124,6 +124,11 @@ class ContactModel:
         if self.n < i <= 2 * self.n:
             return f"dy{i - self.n}"
         raise DimensionError(f"coframe index {i} out of range for n={self.n}")
+
+    @cached_property
+    def coframe_labels(self) -> tuple:
+        """The label of every coframe index, 0..dim - 1, built on first use."""
+        return tuple(map(self.coframe_label, range(self.dim)))
 
     def generator(self, i: int) -> "Form":
         """The coframe one-form e^i."""
@@ -346,23 +351,22 @@ class Form:
         parenthesized; '0' for the zero form."""
         if not self.terms:
             return "0"
-        rendered = []
-        for idx in sorted(self.terms):
-            p = self.terms[idx]
-            word = "^".join(self.model.coframe_label(i) for i in idx)
+        labels = self.model.coframe_labels
+        out = []
+        for idx, p in sorted(self.terms.items()):
+            word = "^".join([labels[i] for i in idx])
             if p.is_constant():
-                c = p.constant_value()
-                text = coefficient_text(abs(c.numerator), c.denominator)
-                if not word:
-                    rendered.append((c < 0, text))
-                elif abs(c) == 1:
-                    rendered.append((c < 0, word))
+                v, den = p.num.get(0, 0), p.den
+                out.append(" - " if v < 0 else " + ")
+                if word and abs(v) == den:  # a coefficient of 1 or -1
+                    out.append(word)
                 else:
-                    rendered.append((c < 0, f"{text} {word}"))
+                    out.append(coefficient_text(abs(v), den))
+                    if word:
+                        out.append(" " + word)
             else:
-                body = f"({p.to_text()})"
-                rendered.append((False, f"{body} {word}" if word else body))
-        return signed_join(rendered)
+                out += (" + (", p.to_text(), ") " + word if word else ")")
+        return signed_text("".join(out))
 
     def __str__(self) -> str:
         return self.to_text()

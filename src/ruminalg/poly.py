@@ -33,14 +33,17 @@ exponent of 2**31 or more: `mul_into` refuses such a product with
 DomainError, and so do the y_i d/dz move of `forms.exterior_d`, `Poly(...)`,
 `variable_key` and `Poly.__pow__` for an exponent they would make or are
 given.
-`Poly.__pow__` also refuses, before any product, a power whose
-coefficients could have more than MAX_POWER_BITS bits, or whose term count
-times coefficient bits could pass MAX_POWER_WORK.
+`Poly.__pow__` also refuses, before it powers, a power whose coefficients
+could have more than MAX_POWER_BITS bits, or whose term count times
+coefficient bits could pass MAX_POWER_WORK.  It expands the power by the
+multinomial theorem in one walk that adds each counted term once, so that
+budget bounds the work of the power, not only its output.
 
 This module holds the integer arithmetic of the whole package, on numerator
-maps {packed exponent: int}: `add_into` (acc += c * terms) and `mul_into`
-(acc += c * a * b) accumulate in place and drop what cancels, and `over_lcm`
-brings rationals to their least common denominator.  `Poly` is built on
+maps {packed exponent: int}: `add_into` (acc += c * terms), `mul_into`
+(acc += c * a * b) and `power_into` (acc += a**k) accumulate in place and
+drop what cancels, and `over_lcm` brings rationals to their least common
+denominator.  `Poly` is built on
 them, and so are `forms.wedge`, the dtheta term of `forms.exterior_d` and
 gamma's pair operators and Horner sum in `rumin`, which run on whole blocks
 of numerators.  `deriv` keeps its own loop on unpacked tuples (unpack, slice,
@@ -179,7 +182,12 @@ def coefficient_text(v: int, den: int) -> str:
 def signed_join(pieces) -> str:
     """The canonical text of a sum of (negative, body) `pieces`, at least one:
     "-" before a negative first body, " - " or " + " before each later one."""
-    text = "".join((" - " if negative else " + ") + body for negative, body in pieces)
+    return signed_text("".join((" - " if negative else " + ") + body for negative, body in pieces))
+
+
+def signed_text(text: str) -> str:
+    """The canonical text of a sum written with " - " or " + " before every
+    term: the first term's sign becomes "-" or nothing."""
     return "-" + text[3:] if text.startswith(" - ") else text[3:]
 
 
@@ -238,6 +246,49 @@ def mul_into(acc: dict, a: dict, b: dict, c: int) -> None:
                 del acc[ex]
 
 
+def power_into(acc: dict, a: dict, k: int) -> None:
+    """acc += a**k on {packed exponent: int} dictionaries, for k >= 1 and a
+    of m >= 2 terms (e_i, c_i), by the multinomial theorem: one walk over
+    the compositions j_1 + ... + j_m = k, each adding
+    k!/(j_1! ... j_m!) * c_1**j_1 ... c_m**j_m at the key j_1 e_1 + ... +
+    j_m e_m.  Compositions that collide add up and the entries that cancel
+    are dropped.  The caller checks the exponents: no field of a key may
+    pass MAX_EXPONENT.
+
+    A node (i, r, key, coef) of the walk fixes the multiplicities of the
+    terms before i and leaves r of k; key and coef hold their sum and their
+    product of binomials comb(r', j) * c**j.  The node adds the one
+    composition that puts all r on the last term, and its children put
+    j >= 1 on a term t in i..m-2 and nothing on the terms between, with
+    comb(r, j) updated from comb(r, j - 1) as j rises.  So the walk visits
+    each composition exactly once, and the nodes wait on a list: its depth
+    does not grow with m."""
+    items = list(a.items())
+    last = len(items) - 1
+    e_last, c_last = items[last]
+    tail = [1]  # c_last**r for r = 0..k
+    for _ in range(k):
+        tail.append(tail[-1] * c_last)
+    nodes = [(0, k, 0, 1)]
+    while nodes:
+        i, r, key, coef = nodes.pop()
+        ex = key + r * e_last
+        s = acc.get(ex, 0) + coef * tail[r]
+        if s:
+            acc[ex] = s
+        else:
+            del acc[ex]
+        if not r:
+            continue
+        for t in range(i, last):
+            e, c = items[t]
+            ex, v = key, coef
+            for j in range(1, r + 1):  # j of the r on term t
+                ex += e
+                v = v * c * (r - j + 1) // j  # coef * comb(r, j) * c**j
+                nodes.append((t + 1, r - j, ex, v))
+
+
 def over_lcm(values) -> tuple:
     """(numerators, den): the rationals `values` (a sequence of ints and
     Fractions) as ints over their least common denominator, in order."""
@@ -270,6 +321,13 @@ def var_name(nvars: int, index: int) -> str:
     if index < 2 * n:
         return f"y{index - n + 1}"
     return "z"
+
+
+@cache
+def field_names(nvars: int) -> tuple:
+    """The coordinate names of the fields of a packed key, least significant
+    first: field f holds coordinate nvars - 1 - f."""
+    return tuple(var_name(nvars, nvars - 1 - field) for field in range(nvars))
 
 
 class Poly:
@@ -376,16 +434,19 @@ class Poly:
         return self._linear(other, *_ratio(c))
 
     def __pow__(self, k: int) -> "Poly":
-        """self**k by square and multiply.  DomainError before any product
-        when an exponent of the power would be above MAX_EXPONENT, or when a
-        coefficient could have more than MAX_POWER_BITS bits: a numerator of
-        the power is at most (m*c)**k for m terms and largest numerator c,
-        and its denominator divides den**k, so k times the larger of
-        ceil(log2 c) + ceil(log2 m) and ceil(log2 den) bounds its bits.  A
-        coefficient of 1 or -1 costs none.  The power has at most
-        comb(k + m - 1, m - 1) terms, the monomials of degree k in m letters,
-        and DomainError also comes first when that count times the bits is
-        above MAX_POWER_WORK, which bounds the work of the squarings."""
+        """self**k by the multinomial theorem (`power_into`): 1 for k = 0,
+        even for the zero polynomial, and c**k at once for one term c.
+        DomainError before the power when an exponent of it would be above
+        MAX_EXPONENT, or when a coefficient could have more than
+        MAX_POWER_BITS bits: a numerator of the power is at most (m*c)**k
+        for m terms and largest numerator c, and its denominator divides
+        den**k, so k times the larger of ceil(log2 c) + ceil(log2 m) and
+        ceil(log2 den) bounds its bits.  A coefficient of 1 or -1 costs
+        none.  The power has at most comb(k + m - 1, m - 1) terms, one per
+        composition j_1 + ... + j_m = k, and DomainError also comes first
+        when that count times the bits is above MAX_POWER_WORK.  The walk
+        adds exactly those compositions, each once, so the budget bounds
+        the work of the power itself."""
         if k < 0:
             raise ValueError("negative polynomial power")
         check_power(k, max([max(unpack(self.nvars, ex)) for ex in self.num], default=0))
@@ -402,15 +463,14 @@ class Poly:
                     f"power {k} may have {terms} terms of {k * size} bits, "
                     f"above the limit of {MAX_POWER_WORK} term-bits"
                 )
-        out = Poly.one(self.nvars)
-        base = self
-        while k:  # square and multiply
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        if not k:
+            return Poly.one(self.nvars)
+        if len(self.num) > 1:
+            out = {}
+            power_into(out, self.num, k)
+        else:
+            out = {ex * k: v**k for ex, v in self.num.items()}
+        return wrap(self.nvars, out, self.den**k)
 
     def deriv(self, index: int) -> "Poly":
         """Exact partial derivative with respect to coordinate `index`, on
@@ -448,25 +508,21 @@ class Poly:
         coordinates, not nvars."""
         if not self.num:
             return "0"
-        den, nvars = self.den, self.nvars
-        pieces = []
-        for ex in sorted(self.num, reverse=True):
-            v = self.num[ex]
-            factors = []
+        den, names = self.den, field_names(self.nvars)
+        out = []
+        for ex, v in sorted(self.num.items(), reverse=True):
+            out.append(" - " if v < 0 else " + ")
+            star = ""
+            if not ex or abs(v) != den:  # a coefficient other than 1 or -1
+                out.append(coefficient_text(abs(v), den))
+                star = "*"
             while ex:
                 field = (ex.bit_length() - 1) // FIELD
                 e = ex >> FIELD * field  # the top nonzero field: nothing above it
                 ex ^= e << FIELD * field
-                name = var_name(nvars, nvars - 1 - field)
-                factors.append(name if e == 1 else f"{name}**{e}")
-            if not factors:
-                body = coefficient_text(abs(v), den)
-            elif abs(v) == den:
-                body = "*".join(factors)
-            else:
-                body = "*".join([coefficient_text(abs(v), den)] + factors)
-            pieces.append((v < 0, body))
-        return signed_join(pieces)
+                out.append(star + names[field] if e == 1 else f"{star}{names[field]}**{e}")
+                star = "*"
+        return signed_text("".join(out))
 
     def __str__(self) -> str:
         return self.to_text()

@@ -415,10 +415,14 @@ def test_cohomology_arg_validation(capsys, tmp_path):
                      f"line 3: cannot read number {'1' * 20}... (5000 digits)", id="5000-digit-denominator"),
         pytest.param(f"basis u {'1' * 5000}\n",
                      f"line 1: cannot read number {'1' * 20}... (5000 digits)", id="5000-digit-degree"),
-        # a degree Python prints whose successor it does not: the message
-        # naming degree + 1 cannot print it either
-        pytest.param(f"basis u {'9' * 4300}\nbasis v 0\nd u v 1\n", "too long to print",
+        # a degree Python prints next to one it does not, where a map of
+        # the algebra would land, is refused with its line
+        pytest.param(f"basis u {'9' * 4300}\nbasis v 0\nd u v 1\n",
+                     f"line 1: degree {'9' * 20}... (4300 digits) has a neighbour too long to print",
                      id="4300-digit-degree-successor"),
+        pytest.param(f"basis u -{'9' * 4300}\n",
+                     f"line 1: degree -{'9' * 19}... (4301 digits) has a neighbour too long to print",
+                     id="4300-digit-degree-predecessor"),
     ],
 )
 def test_cohomology_rejects_bad_labels_exit_1(capsys, tmp_path, text, message):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,56 @@ def test_power_is_repeated_product(p, k):
     for _ in range(k):
         expected = expected * p
     assert p ** k == expected
+
+
+ONE = Poly.one(3)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        pytest.param(ONE + X1 - X1 * X1, id="colliding"),  # x1**2 and x1**4 cancel at k = 3
+        pytest.param(X1 - ONE, id="alternating"),
+        pytest.param(X1.scale(Fraction(1, 2)) + ONE.scale(Fraction(1, 3)), id="rational"),
+        pytest.param(X1 * Y1 - Y1.scale(3) + Z * Z.scale(Fraction(-2, 5)) + ONE, id="four-terms"),
+    ],
+)
+def test_power_matches_repeated_product_on_collisions_and_cancellations(base):
+    expected = ONE
+    for k in range(13):
+        assert base ** k == expected
+        expected = expected * base
+
+
+def test_power_drops_compositions_that_cancel():
+    cube = (ONE + X1 - X1 * X1) ** 3
+    assert cube.terms == {(0, 0, 0): 1, (1, 0, 0): 3, (3, 0, 0): -5, (5, 0, 0): 3, (6, 0, 0): -1}
+
+
+def test_power_of_zero_and_of_a_constant():
+    zero = X1 - X1
+    assert Poly.zero(3) ** 0 == zero ** 0 == ONE
+    assert Poly.zero(3) ** 5 == zero ** 7 == Poly.zero(3)
+    assert ONE.scale(Fraction(-2, 3)) ** 5 == Poly.constant(3, Fraction(-32, 243))
+    assert (X1.scale(Fraction(2, 3)) ** 3).terms == {(3, 0, 0): Fraction(8, 27)}
+
+
+def test_power_of_450_terms_is_a_walk_not_a_recursion():
+    # a 450-term base squared is within MAX_POWER_WORK (101,475 terms of 18
+    # bits); the walk runs with the recursion limit just above this frame
+    base = Poly(3, {(i, j, 0): (-1) ** (i * j) for i in range(30) for j in range(15)})
+    assert len(base.num) == 450
+    expected = base * base
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        square = base ** 2
+    finally:
+        sys.setrecursionlimit(limit)
+    assert square == expected
 
 
 # -- reference arithmetic on plain dicts of Fractions ---------------------------
