@@ -14,6 +14,8 @@ and benchmark v2 (ROADMAP item 1) can let them go:
     add_scaled           Poly.add_scaled: the tracer wraps it by name.
     deriv                Poly.deriv: the tracer wraps it by name.
     inverse              linalg.inverse: the tracer counts calls and rows.
+    rref                 linalg.rref: the tracer wraps it by name.  Listing
+                         it keeps the package off dense elimination.
     corrupted_rumin_ops  symbolic-n3's negative control.
 
 The `model` parameter of rumin.rumin_ops, rumin_morphism, derham_ops and

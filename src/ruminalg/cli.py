@@ -23,7 +23,7 @@ import sys
 
 from ._version import __version__
 from .errors import ConstructionError, DimensionError, DomainError
-from .finite import FiniteGradedAlgebra, cohomology, heisenberg_ce_algebra, heisenberg_rumin_model
+from .finite import FiniteGradedAlgebra, cohomology, heisenberg_ce_algebra, heisenberg_rumin_model, terms_text
 from .forms import ContactModel
 from .parser import ParseError, eval_text
 from .suites import SUITE_NAMES, format_report, report_json, run_all, run_suite
@@ -141,11 +141,9 @@ def cmd_cohomology(args) -> int:
     # is a DomainError before any output
     lines = [f"{algebra.name or 'algebra'}: betti {h.betti_numbers()}"]
     for deg in algebra.degrees:
-        reps = h.representatives(deg)
-        if reps:
-            lines.append(f"  H^{deg} (dim {len(reps)}): {'; '.join(str(r) for r in reps)}")
-        else:
-            lines.append(f"  H^{deg} (dim 0)")
+        labels, rows = algebra.labels(deg), h.rows(deg)
+        texts = "; ".join(terms_text((c, labels[i]) for i, c in row.items()) for row in rows)
+        lines.append(f"  H^{deg} (dim {len(rows)})" + (f": {texts}" if rows else ""))
     print("\n".join(lines))
     return 0
 

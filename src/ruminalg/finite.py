@@ -9,13 +9,13 @@ construction.  Every linear map -- d, the retract maps, any other -- is a
 `CochainMap` built from label rows {source label: {target label:
 coefficient}}, the shape of `d` and of the file format; it stores only sparse
 columns and makes a dense block only on demand (`CochainMap.matrix`, which
-`d_matrix` and `cohomology` read).  The product stores only its nonzero
-entries.  So building an algebra costs the basis plus the stored entries,
-not the square of the basis.  Two loops do all the coefficient work on
-vectors: `CochainMap.apply` applies a map, and `mu_vec` multiplies.
+`d_matrix` returns).  The product stores only its nonzero entries.  So
+building an algebra costs the basis plus the stored entries, not the square
+of the basis.  Two loops do all the coefficient work on vectors:
+`CochainMap.apply` applies a map, and `mu_vec` multiplies.
 `cohomology` computes ker d / im d with representative cocycles and the
-induced product; `check_ring_isomorphism` compares two cohomology rings
-through a cochain map.
+induced product from the sparse columns of d; `check_ring_isomorphism`
+compares two cohomology rings through a cochain map.
 
 The construction checks make no vector: they read the stored rows of d and
 mu (label -> coefficient), and each one asks whether a sum of c * row over
@@ -29,6 +29,7 @@ sum zero), a pair with no products and no differentials is skipped, and for a
 triple (u, v, w) whose product uv is zero only the w with a nonzero vw are
 visited, so the work is the stored entries the sums touch: m^3 short sums for
 m generators whose products are all nonzero, and none for bare basis labels.
+Past MAX_AXIOM_WORK steps, estimated first, the algebra is refused instead.
 
 The rows are checked once, where they are read: the `CochainMap` built from
 the d rows refuses an unknown label or a target of the wrong degree (the
@@ -98,6 +99,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -107,6 +109,8 @@ from .cinfty import RetractData
 from .errors import ConstructionError, DimensionError, DomainError
 from .forms import ContactModel, Form, exterior_d, wedge
 from .poly import Poly, coefficient_text, exact, read_int, signed_join
+
+MAX_AXIOM_WORK = 2_000_000  # the most steps the construction checks may take
 
 
 class FiniteVector:
@@ -203,12 +207,7 @@ class FiniteVector:
     __hash__ = object.__hash__
 
     def __str__(self) -> str:
-        pieces = []
-        for c, label in zip(self.coeffs, self.algebra.labels(self.degree)):
-            if c:
-                text = _number_text(abs(c))
-                pieces.append((c < 0, label if text == "1" else f"{text}*{label}"))
-        return signed_join(pieces) if pieces else "0"
+        return terms_text(zip(self.coeffs, self.algebra.labels(self.degree)))
 
     def __repr__(self) -> str:
         return f"FiniteVector({self.degree}, {self})"
@@ -350,10 +349,29 @@ class FiniteGradedAlgebra:
 
     # -- construction checks ---------------------------------------------------
 
+    def _axiom_work(self) -> int:
+        """A bound on the steps of `_check_axioms`, one per sum and per row
+        entry a sum reads, in time linear in the stored rows."""
+        d, mu, empty = self.d, {pair: row for pair, row in self.mu.items() if row}, {}
+        left, right = Counter(), Counter()  # entries of the rows a*w and w*b
+        for (a, b), row in mu.items():
+            left[a] += len(row)
+            right[b] += len(row)
+        partners, factors = Counter(a for a, _ in mu), Counter(b for _, b in mu)
+        busy = {u for u, row in d.items() if row}.union(*mu)
+        n = len(busy)
+        # d^2 per label, two sums per pair of busy labels, one per triple
+        # visited, and the rows read for each stored entry of d and mu
+        work = len(self._pos) + 2 * n * n + 2 * sum(map(len, mu.values()))
+        work += sum(len(d.get(w, empty)) + left[w] + right[w] for row in (*d.values(), *mu.values()) for w in row)
+        return work + sum(factors[v] * n + (n - factors[v]) * partners[v] for v in busy)
+
     def _check_axioms(self):
         """Check the axioms on the stored rows of d and mu, in basis order:
         the first basis element, pair or triple that fails raises an
-        AxiomError."""
+        AxiomError.  Work past MAX_AXIOM_WORK is refused before any check."""
+        if (work := self._axiom_work()) > MAX_AXIOM_WORK:
+            raise DomainError(f"checking the algebra axioms takes about {work} steps, more than {MAX_AXIOM_WORK}")
         labels = [label for deg in self.degrees for label in self.labels(deg)]
         d, mu, empty = self.d, self.mu, {}
         for u in labels:
@@ -453,6 +471,16 @@ def _number_text(c) -> str:
     return "-" * (c < 0) + coefficient_text(abs(c.numerator), c.denominator)
 
 
+def terms_text(terms) -> str:
+    """The (coefficient, label) `terms` as a `FiniteVector` prints them."""
+    pieces = []
+    for c, label in terms:
+        if c:
+            text = _number_text(abs(c))
+            pieces.append((c < 0, label if text == "1" else f"{text}*{label}"))
+    return signed_join(pieces) if pieces else "0"
+
+
 def _nonzero(terms) -> bool:
     """Is the sum of c * row over the (coefficient c, row) `terms` nonzero?  A
     row maps labels to coefficients, as a stored d or mu row does."""
@@ -491,51 +519,46 @@ def _add_entry(row: dict, dst: str, field: str) -> None:
 
 
 class Cohomology:
-    """Per-degree basis of ker d / im d with representative cocycles.
+    """Per-degree basis of ker d / im d with representative cocycles, kept as
+    sparse rows {index: coefficient} in index order.
 
-    One elimination per degree chooses them: the kernel columns that are
-    pivots of [every nonzero column of d from degree k - 1 | a kernel
-    basis].  A kernel column is a pivot exactly when it lies outside the
-    span of the columns before it, which dependent image columns do not
-    change."""
+    The kernel comes from the stored sparse columns of d, and one
+    elimination per degree chooses the representatives: the kernel vectors
+    independent of [every nonzero column of d from degree k - 1 | the kernel
+    vectors before them]."""
 
     def __init__(self, algebra: FiniteGradedAlgebra):
         self.algebra = algebra
-        self._reps: dict = {}
-        self._im_cols: dict = {}
+        self._rows, self._image = {}, {}  # degree -> representatives, nonzero columns of d into it
+        columns = algebra._differential._columns
         for k in algebra.degrees:
-            dim_k = algebra.dim(k)
-            kernel = linalg.nullspace(algebra.d_matrix(k), dim_k)
-            im_cols = [list(column) for column in zip(*algebra.d_matrix(k - 1)) if any(column)]
-            stacked = linalg.from_columns(im_cols + kernel, dim_k)
-            _, pivots = linalg.rref(stacked)
-            reps = [kernel[p - len(im_cols)] for p in pivots if p >= len(im_cols)]
-            self._im_cols[k] = im_cols
-            self._reps[k] = [FiniteVector(algebra, k, v) for v in reps]
+            kernel = linalg.kernel(columns[k])
+            image = [column for column in columns.get(k - 1, ()) if column]
+            picks = list(linalg.eliminate(image + kernel))[len(image) :]
+            self._image[k] = image
+            self._rows[k] = [row for row, combination in zip(kernel, picks) if combination is None]
 
     def betti(self, degree: int) -> int:
-        return len(self._reps.get(degree, ()))
+        return len(self._rows.get(degree, ()))
 
     def betti_numbers(self):
         return tuple(self.betti(k) for k in self.algebra.degrees)
 
+    def rows(self, degree: int):
+        return list(self._rows.get(degree, ()))
+
     def representatives(self, degree: int):
-        return list(self._reps.get(degree, ()))
+        dim = self.algebra.dim(degree)
+        return [FiniteVector(self.algebra, degree, [row.get(i, 0) for i in range(dim)]) for row in self.rows(degree)]
 
     def reduce(self, v: FiniteVector):
         """Coordinates of the class [v] in the representative basis of its
         degree; v must be a cocycle."""
-        if not self.algebra.apply_d(v).is_zero():
+        rows, image = self._rows.get(v.degree, []), self._image.get(v.degree, [])
+        combination = linalg.solve(image + rows, enumerate(v.coeffs))
+        if combination is None:  # the image and the representatives span the cocycles
             raise DomainError(f"not a cocycle: {v}")
-        im_cols = self._im_cols.get(v.degree, [])
-        reps = self._reps.get(v.degree, [])
-        if not reps:
-            return ()
-        matrix = linalg.from_columns(im_cols + [list(r.coeffs) for r in reps], len(v.coeffs))
-        x = linalg.solve_exact(matrix, list(v.coeffs))
-        if x is None:
-            raise DomainError(f"cocycle outside ker/im decomposition: {v}")
-        return tuple(x[len(im_cols) :])
+        return tuple(combination.get(len(image) + i, 0) for i in range(len(rows)))
 
 
 def cohomology(algebra: FiniteGradedAlgebra) -> Cohomology:
@@ -579,7 +602,7 @@ class CochainMap:
     def matrix(self, degree: int):
         """The dense block from `degree`: dst.dim(degree + shift) rows x
         src.dim(degree) columns, a fresh copy."""
-        block = linalg.zeros(self.dst.dim(degree + self.shift), self.src.dim(degree))
+        block = [[0] * self.src.dim(degree) for _ in range(self.dst.dim(degree + self.shift))]
         for j, column in enumerate(self._columns.get(degree, ())):
             for r, c in column:
                 block[r][j] = c
@@ -624,15 +647,12 @@ def check_ring_isomorphism(fmap: CochainMap, ha: Cohomology, hb: Cohomology) -> 
                 f"degree {deg}: betti {len(reps)} vs {hb.betti(deg)}"
             )
             continue
-        if not reps:
-            continue
         try:
-            cols = [list(hb.reduce(fmap.apply(r))) for r in reps]
+            cols = [enumerate(hb.reduce(fmap.apply(r))) for r in reps]
         except DomainError as exc:
             witnesses.append(f"degree {deg}: {exc}")
             continue
-        matrix = linalg.from_columns(cols, hb.betti(deg))
-        if linalg.rank(matrix) != len(reps):
+        if linalg.rank(cols) != len(reps):
             witnesses.append(f"degree {deg}: induced map on classes is singular")
     for p in degrees:
         for q in degrees:

@@ -576,27 +576,29 @@ def lefschetz(w: Form, power: int) -> Form:
     return wedge(w, w.model.dtheta_power(power))  # a negative power: DomainError
 
 
-def lefschetz_power_matrix(model: ContactModel, k: int):
-    """Matrix of wedging with (dtheta)^k from vertical coframe monomials of
-    degree n-k+1 to those of degree n+k+1, both in lexicographic order.
-
-    Entries are ints (each is 0 or +-k!), so `linalg.rank` starts in
-    integer arithmetic, and the matrix is square and invertible for
-    1 <= k <= n (the vertical Lefschetz isomorphism).
-    """
+def lefschetz_power_columns(model: ContactModel, k: int):
+    """The images of wedging with (dtheta)^k on the vertical coframe monomials
+    of degree n-k+1, as sparse columns {row: +-k!} over those of degree
+    n+k+1, both in lexicographic order: a square matrix of full rank for
+    1 <= k <= n (the vertical Lefschetz isomorphism)."""
     n = model.n
     if not 1 <= k <= n:
         raise DomainError(f"lefschetz power {k} outside 1..{n}")
     src = model.vertical_monomials(n - k + 1)
-    tgt = model.vertical_monomials(n + k + 1)
-    tgt_pos = {idx: i for i, idx in enumerate(tgt)}
-    matrix = [[0] * len(src) for _ in tgt]
-    for j, idx in enumerate(src):
+    tgt_pos = {idx: i for i, idx in enumerate(model.vertical_monomials(n + k + 1))}
+    columns = []
+    for idx in src:
         mono = Form(model, len(idx), {idx: Poly.one(model.nvars)}, _canonical=True)
         image = lefschetz(mono, k)
-        for out_idx, p in image.terms.items():
-            matrix[tgt_pos[out_idx]][j] = exact(p.constant_value())
-    return matrix
+        columns.append({tgt_pos[out_idx]: exact(p.constant_value()) for out_idx, p in image.terms.items()})
+    return columns
+
+
+def lefschetz_power_matrix(model: ContactModel, k: int):
+    """`lefschetz_power_columns` as a dense list of int rows, one per target
+    monomial."""
+    columns = lefschetz_power_columns(model, k)
+    return [[column.get(r, 0) for column in columns] for r in range(len(model.vertical_monomials(model.n + k + 1)))]
 
 
 # -- random generation (seeded, for the verification suites) -----------------

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -423,6 +425,12 @@ def test_cohomology_arg_validation(capsys, tmp_path):
         pytest.param(f"basis u -{'9' * 4300}\n",
                      f"line 1: degree -{'9' * 19}... (4301 digits) has a neighbour too long to print",
                      id="4300-digit-degree-predecessor"),
+        # u_i u_j = u_max(i,j) on 120 generators: the axiom checks would take
+        # seconds, so the estimate refuses them first
+        pytest.param("".join(f"basis u{i} 0\n" for i in range(120))
+                     + "".join(f"mu u{i} u{j} u{max(i, j)} 1\n" for i in range(120) for j in range(120)),
+                     "checking the algebra axioms takes about 5241720 steps, more than 2000000",
+                     id="120-generator-semilattice"),
     ],
 )
 def test_cohomology_rejects_bad_labels_exit_1(capsys, tmp_path, text, message):
@@ -500,3 +508,47 @@ def test_closed_pipe_ends_quietly():
     assert first == b"theta^dx1^dx2^dx3^dx4^dx5^dx6^dx7\n"
     assert proc.returncode == 1
     assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, lines, expected",
+    [
+        # one degree of 10,000 bare labels: a dense kernel would hold 10**8
+        # entries
+        (["cohomology", "{path}"], "".join(f"basis u{i} 0\n" for i in range(10_000)),
+         "algebra: betti (10000,)"),
+        # C(14, 6) = 3,003 columns for k = 1, eliminated in sparse columns
+        (["verify", "lefschetz-iso", "--n", "7", "--trials", "1"], None,
+         "suite=lefschetz-iso n=7 trials=1 seed=0 max-poly-degree=2: PASS (7 checks, 0 failures"),
+    ],
+    ids=["cohomology-10000-bare-labels", "lefschetz-iso-n7"],
+)
+def test_large_inputs_run_in_bounded_time_and_memory(tmp_path, argv, lines, expected):
+    # each command in its own child, killed after a minute and held to 1 GB
+    # of address space, so a regression fails here instead of exhausting the
+    # machine; its peak resident memory comes from os.wait4
+    path = tmp_path / "big.alg"
+    if lines is not None:
+        path.write_text(lines)
+    src = str(Path(ruminalg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [arg.format(path=path) for arg in argv]
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "ruminalg", *argv], stdout=out, stderr=err, env=env,
+                                preexec_fn=limit)
+    timer = threading.Timer(60, proc.kill)
+    timer.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait again
+    stdout, stderr = (tmp_path / "out").read_text(), (tmp_path / "err").read_text()
+    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    assert proc.returncode == 0 and stderr == "", stderr
+    assert stdout.splitlines()[0].startswith(expected)
+    assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"

@@ -333,6 +333,48 @@ def test_a_60_generator_algebra_loads_within_its_budget():
     assert elapsed < budget, f"loading took {elapsed:.2f}s, over its {budget:.0f}s budget"
 
 
+def test_the_120_generator_algebra_is_refused_at_once_with_its_estimate():
+    # 3 * 120**3 triple steps and more, past MAX_AXIOM_WORK: refused before
+    # any check, where checking took 3.3 s
+    text = _semilattice(120)
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as refusal:
+        FiniteGradedAlgebra.loads(text)
+    elapsed = time.perf_counter() - start
+    assert str(refusal.value) == "checking the algebra axioms takes about 5241720 steps, more than 2000000"
+    assert len(text) > 250_000 and elapsed < 1.0
+
+
+def _axiom_steps(algebra) -> int:
+    """The steps `_check_axioms` takes on `algebra`, accepted or not: one per
+    sum and one per row entry a sum reads."""
+    steps, nonzero = 0, finite._nonzero
+
+    def counted(terms):
+        nonlocal steps
+        terms = list(terms)
+        steps += 1 + sum(len(row) for _, row in terms)
+        return nonzero(terms)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(finite, "_nonzero", counted)
+        try:
+            FiniteGradedAlgebra._check_axioms(algebra)
+        except ConstructionError:
+            pass
+    return steps
+
+
+@pytest.mark.parametrize(
+    "build",
+    [heisenberg_ce_algebra, heisenberg_rumin_model, lambda: FiniteGradedAlgebra.loads(_semilattice(12))],
+    ids=["ce", "rumin", "semilattice"],
+)
+def test_the_axiom_work_estimate_bounds_the_checks(build):
+    algebra = build()
+    assert 0 < _axiom_steps(algebra) <= algebra._axiom_work()
+
+
 @pytest.mark.parametrize(
     "build",
     [heisenberg_ce_algebra, heisenberg_rumin_model, lambda: FiniteGradedAlgebra.loads(_semilattice(12)),
@@ -434,6 +476,15 @@ def test_row_checks_decide_as_the_vector_checks(table):
         m.setattr(FiniteGradedAlgebra, "_check_axioms", lambda self: None)
         unchecked = FiniteGradedAlgebra(*table)
     assert _refusal(lambda: FiniteGradedAlgebra(*table)) == _refusal(lambda: _vector_check(unchecked))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_tables())
+def test_the_axiom_work_estimate_bounds_the_checks_of_random_tables(table):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(FiniteGradedAlgebra, "_check_axioms", lambda self: None)
+        unchecked = FiniteGradedAlgebra(*table)
+    assert _axiom_steps(unchecked) <= unchecked._axiom_work()
 
 
 @pytest.mark.parametrize(

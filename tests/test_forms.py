@@ -15,6 +15,7 @@ from ruminalg.forms import (
     exterior_d,
     is_vertical,
     lefschetz,
+    lefschetz_power_columns,
     lefschetz_power_matrix,
     merge_indices,
     random_form,
@@ -459,14 +460,17 @@ def test_matrices_invertible_up_to_n3():
 
 def test_power_matrices_hold_ints_and_full_rank_up_to_n4():
     # ints, each 0 or +-k!, so linalg.rank starts in integer arithmetic; the
-    # ranks agree with the Fraction oracle and are full, as before
+    # ranks agree with the Fraction oracle and are full, as before, and the
+    # dense matrix is a view of the sparse columns
     for n in (1, 2, 3, 4):
         model = ContactModel(n)
         for k in range(1, n + 1):
             matrix = lefschetz_power_matrix(model, k)
+            columns = lefschetz_power_columns(model, k)
             assert {type(x) for row in matrix for x in row} == {int}
             assert {abs(x) for row in matrix for x in row} <= {0, math.factorial(k)}
-            assert linalg.rank(matrix) == oracle_rank(matrix) == len(matrix)
+            assert columns == [{r: x for r, x in enumerate(column) if x} for column in zip(*matrix)]
+            assert linalg.rank(columns) == oracle_rank(matrix) == len(matrix)
 
 
 def test_matrix_power_out_of_range():
