@@ -31,9 +31,16 @@ reads the field `(key >> s) & FIELD_MASK` at its offset s and moves the key
 by one precomputed step, -(1 << s), plus 1 << s_q for the y_q d/dz part of
 X_q.  That part is the one move that raises an exponent: a block with a
 monomial in z whose y_q exponent is MAX_EXPONENT is refused with DomainError
-before it is differentiated.  The dtheta term, like gamma's L and Lambda,
-moves coframe pairs by bisection (`pair_moves`); `merge_indices` serves
-`wedge` alone.
+before it is differentiated.  The dtheta term moves coframe pairs by
+bisection (`pair_moves`); `merge_indices` serves `wedge` alone.
+
+dtheta's Lefschetz operator L and its adjoint Lambda are one function on
+Blocks, `pair_op`, which adds or removes each coframe pair (e^i, e^{n+i})
+with a weight per pair, through `pair_moves`.  gamma and the primitivity
+test (`rumin`) run it with the weights of the contact form they use, and
+`lefschetz` and `lefschetz_power_columns` run it k times with dtheta's unit
+weights for w ^ (dtheta)^k, so no power of dtheta is ever built as a form.
+`lefschetz` bounds its walk before the first move (see there).
 `_form_from_accumulator` wraps each output coefficient once, dividing by the
 gcd of its denominator and content.  User input written in coordinate
 differentials is normalized through dz = e^0 + sum_i y_i e^i.
@@ -84,15 +91,23 @@ from .prng import SplitMix64
 MAX_MONOMIALS = 10**5  # the most coframe monomials one basis query lists
 
 
-def _check_count(m: int, k: int, what: str) -> None:
-    """Raise DomainError when C(m, k), the number of `what`, exceeds
-    MAX_MONOMIALS.  The count is built one factor at a time and stops there,
-    so a huge count costs no more than a small one."""
+def _binomial(m: int, k: int) -> int:
+    """C(m, k) for 0 <= k <= m, built one factor at a time and stopped once
+    it passes MAX_MONOMIALS, so a huge count costs no more than a small one;
+    a value past MAX_MONOMIALS is a lower bound."""
     count = 1
     for i in range(min(k, m - k)):
         count = count * (m - i) // (i + 1)  # C(m, i + 1)
         if count > MAX_MONOMIALS:
-            raise DomainError(f"{what}: C({m}, {k}) of them, more than {MAX_MONOMIALS} to list")
+            break
+    return count
+
+
+def _check_count(m: int, k: int, what: str) -> None:
+    """Raise DomainError when C(m, k), the number of `what`, exceeds
+    MAX_MONOMIALS."""
+    if _binomial(m, k) > MAX_MONOMIALS:
+        raise DomainError(f"{what}: C({m}, {k}) of them, more than {MAX_MONOMIALS} to list")
 
 
 class ContactModel:
@@ -104,7 +119,6 @@ class ContactModel:
         self.n = n
         self.dim = 2 * n + 1          # manifold dimension, also top form degree
         self.nvars = 2 * n + 1        # polynomial coordinates x_1..x_n, y_1..y_n, z
-        self._dtheta_powers: dict = {}
         self._monomial_cache: dict = {}
 
     def __eq__(self, other) -> bool:
@@ -144,21 +158,6 @@ class ContactModel:
             for i in range(1, self.n + 1)
         }
         return Form(self, 2, terms)
-
-    def dtheta_power(self, k: int) -> "Form":
-        """(dtheta)^k, cached; (dtheta)^0 is the constant 1, and (dtheta)^k
-        is the zero 2k-form once k > n."""
-        if k < 0:
-            raise DomainError(f"negative dtheta power {k}")
-        if k > self.n:
-            return Form.zero(self, 2 * k)
-        if k not in self._dtheta_powers:
-            if k == 0:
-                val = Form.constant(self, Poly.one(self.nvars))
-            else:
-                val = wedge(self.dtheta_power(k - 1), self.dtheta())
-            self._dtheta_powers[k] = val
-        return self._dtheta_powers[k]
 
     def volume(self) -> "Form":
         """theta ^ (dtheta)^n = n! (-1)^(n(n-1)/2) e^0 ^ ... ^ e^{2n}, nonzero by
@@ -399,13 +398,15 @@ def merge_indices(i, j):
 
 def pair_moves(idx: tuple, n: int, lower: bool = False) -> list:
     """The moves of the coframe pairs (e^i, e^{n+i}) on e^idx, for a sorted
-    idx free of e^0: a list of (i, sign, moved).
+    idx: a list of (i, sign, moved).
 
     Raising (L) puts a pair that idx lacks entirely at the bisection
     positions p1 of i and p2 of n + i, with e^i ^ e^{n+i} ^ e^idx =
     (-1)^(p1+p2) e^moved.  Lowering (Lambda) takes out a pair that idx holds
     at p1 < p2, with e^idx = (-1)^(p1+p2-1) e^i ^ e^{n+i} ^ e^moved.  A pair
-    with one member in idx has no move."""
+    with one member in idx has no move.  Raising also works on an idx that
+    starts with e^0: both positions shift by one, so the sign does not
+    change.  Lowering needs an idx free of e^0."""
     size = len(idx)
     moves = []
     if lower:
@@ -425,6 +426,22 @@ def pair_moves(idx: tuple, n: int, lower: bool = False) -> list:
                 continue
             moves.append((i, -1 if (p1 + p2) & 1 else 1, idx[:p1] + (i,) + idx[p1:p2] + (n + i,) + idx[p2:]))
     return moves
+
+
+def pair_op(terms: Blocks, n: int, weights, lower: bool) -> Blocks:
+    """L, which adds each free pair (e^i, e^{n+i}) with weight c_i, or Lambda
+    (`lower`), which removes each full pair with weight 1/c_i, on a form held
+    as Blocks, with the moves and signs of `pair_moves`.  This is the one L
+    and Lambda of the package: gamma, primitivity, `lefschetz` and the
+    Lefschetz power columns all run it.  `weights` are the weights as (int
+    numerators, denominator), and the output is over terms.den times that
+    denominator."""
+    nums, den = weights
+    out = Blocks(terms.den * den)
+    for idx, coeffs in terms.items():
+        for i, sign, moved in pair_moves(idx, n, lower):
+            add_into(out.setdefault(moved, {}), coeffs, sign * nums[i - 1])
+    return out
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -565,22 +582,50 @@ def is_vertical(w: Form) -> bool:
     return all(idx and idx[0] == 0 for idx in w.terms)
 
 
+def _raise_pairs(blocks: Blocks, n: int, k: int) -> Blocks:
+    """(dtheta)^k ^ on blocks: k applications of L (`pair_op`) with
+    dtheta's unit weights."""
+    unit = ([1] * n, 1)
+    for _ in range(k):
+        blocks = pair_op(blocks, n, unit, lower=False)
+    return blocks
+
+
 def lefschetz(w: Form, power: int) -> Form:
-    """w ^ (dtheta)^power for vertical w.
+    """w ^ (dtheta)^power for vertical w, as `power` applications of L.
 
     The symplectic-type isomorphism statements hold on vertical forms only,
-    so non-vertical input is rejected.
+    so non-vertical input is rejected.  When w is zero or |w| + 2 power
+    passes the top degree (always once power > n), the value is the zero of
+    that degree, returned at once.  Otherwise the walk is
+    bounded before its first move: a term with m coframe pairs left empty
+    spreads over C(m, j) indices after j steps, so the widest step holds at
+    most the sum over w's terms of C(m, min(power, m // 2)), and a sum past
+    MAX_MONOMIALS is a DomainError.
     """
     if not is_vertical(w):
         raise DomainError("lefschetz requires a vertical form")
-    return wedge(w, w.model.dtheta_power(power))  # a negative power: DomainError
+    if power < 0:
+        raise DomainError(f"negative dtheta power {power}")
+    model = w.model
+    n, degree = model.n, w.degree + 2 * power
+    if not w.terms or degree > model.dim:
+        return Form.zero(model, degree)
+    widest = 0
+    for idx in w.terms:
+        m = n - len({(i - 1) % n for i in idx if i})  # pairs with no member in idx
+        widest += _binomial(m, min(power, m // 2))
+        if widest > MAX_MONOMIALS:
+            raise DomainError(f"dtheta^{power} at n={n}: at least {widest} coframe terms in one step, over {MAX_MONOMIALS}")
+    return _form_from_accumulator(model, degree, _raise_pairs(_blocks(w.terms), n, power))
 
 
 def lefschetz_power_columns(model: ContactModel, k: int):
     """The images of wedging with (dtheta)^k on the vertical coframe monomials
     of degree n-k+1, as sparse columns {row: +-k!} over those of degree
     n+k+1, both in lexicographic order: a square matrix of full rank for
-    1 <= k <= n (the vertical Lefschetz isomorphism)."""
+    1 <= k <= n (the vertical Lefschetz isomorphism).  Each column is the
+    source monomial's one-entry block, raised k times by `pair_op`."""
     n = model.n
     if not 1 <= k <= n:
         raise DomainError(f"lefschetz power {k} outside 1..{n}")
@@ -588,9 +633,9 @@ def lefschetz_power_columns(model: ContactModel, k: int):
     tgt_pos = {idx: i for i, idx in enumerate(model.vertical_monomials(n + k + 1))}
     columns = []
     for idx in src:
-        mono = Form(model, len(idx), {idx: Poly.one(model.nvars)}, _canonical=True)
-        image = lefschetz(mono, k)
-        columns.append({tgt_pos[out_idx]: exact(p.constant_value()) for out_idx, p in image.terms.items()})
+        block = Blocks()
+        block[idx] = {0: 1}  # the constant 1 at e^idx
+        columns.append({tgt_pos[out_idx]: t[0] for out_idx, t in _raise_pairs(block, n, k).items() if t})
     return columns
 
 

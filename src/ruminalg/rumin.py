@@ -19,9 +19,11 @@ gamma runs on integers, through the kernels of `poly`.  The horizontal part
 comes in as `forms.Blocks`, int numerators over the lcm of its coefficients'
 denominators; the pair weights of L and Lambda, the scalars c_j and the theta
 factor each become int numerators over one denominator (`poly.over_lcm`),
-and every step multiplies the block denominator by the operator's; each
-block moves with one `poly.add_into`.  L and Lambda find a pair's place in a
-sorted coframe index by bisection (`forms.pair_moves`): L inserts
+and every step multiplies the block denominator by the operator's.  L and
+Lambda are `forms.pair_op`, the one pair operator of the package, which
+`forms.lefschetz` also runs (k times, with dtheta's unit weights): each
+block moves with one `poly.add_into`, and a pair's place in a sorted
+coframe index is found by bisection (`forms.pair_moves`).  L inserts
 (e^i, e^{n+i}) at p1 = bisect(I, i) and p2 = bisect(I, n+i) with sign
 (-1)^(p1+p2), and Lambda removes the pair it finds at p1 < p2 with sign
 (-1)^(p1+p2-1).  The Horner sum's accumulator is over a multiple of each
@@ -80,7 +82,6 @@ from fractions import Fraction
 from functools import cache, partial
 from math import prod
 
-from . import forms
 from .cinfty import IDENTITY_ENTRY, GradedOpSet, RetractData, apply_tensor_ops
 from .errors import DomainError
 from .forms import (
@@ -90,26 +91,12 @@ from .forms import (
     _blocks,
     _form_from_accumulator,
     exterior_d,
+    pair_op,
     wedge,
 )
 from .poly import add_into, over_lcm
 
 _ONE = Fraction(1)
-
-
-def _pair_op(terms: Blocks, n: int, weights, lower: bool) -> Blocks:
-    """L, which adds each free pair (e^i, e^{n+i}) with weight c_i, or Lambda
-    (`lower`), which removes each full pair with weight 1/c_i, on a horizontal
-    form held as Blocks, with the moves and signs of `forms.pair_moves`.
-    `weights` are the weights as (int numerators, denominator), and the
-    output is over terms.den times that denominator."""
-    nums, den = weights
-    out = Blocks(terms.den * den)
-    moves = forms.pair_moves
-    for idx, coeffs in terms.items():
-        for i, sign, moved in moves(idx, n, lower):
-            add_into(out.setdefault(moved, {}), coeffs, sign * nums[i - 1])
-    return out
 
 
 def _pair_weights(dtheta: Form):
@@ -205,8 +192,8 @@ def _gamma(w: Form, lam: Fraction | None) -> Form:
     alpha = _horizontal(w)
     if not c or not alpha:
         return Form.zero(model, max(k - 1, 0))
-    lift = partial(_pair_op, n=n, weights=up, lower=False)
-    drop = partial(_pair_op, n=n, weights=down, lower=True)
+    lift = partial(pair_op, n=n, weights=up, lower=False)
+    drop = partial(pair_op, n=n, weights=down, lower=True)
     descend = k <= n + 1
     walk, back = (drop, lift) if descend else (lift, drop)
     chain = [drop(alpha) if descend else alpha]  # Lambda^j alpha or L^(j-1) alpha
@@ -238,7 +225,7 @@ def is_primitive(w: Form) -> bool:
     (theta ^ w) ^ dtheta^(n+1-k) = 0 with k = |w| (for k >= n+1 there are no
     powers left and the test is theta ^ w = 0)."""
     n = w.model.n
-    return not any(_pair_op(_horizontal(w), n, _unit_weights(n)[1], lower=True).values())
+    return not any(pair_op(_horizontal(w), n, _unit_weights(n)[1], lower=True).values())
 
 
 def in_rumin(w: Form) -> bool:

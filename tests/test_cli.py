@@ -14,6 +14,7 @@ import ruminalg
 from ruminalg import __version__, cli
 from ruminalg.cli import main
 from ruminalg.finite import heisenberg_ce_algebra
+from ruminalg.forms import ContactModel
 from ruminalg.suites import SUITE_NAMES, SUITES
 
 
@@ -122,6 +123,16 @@ def test_eval_lefschetz_power_above_n_is_zero(capsys, power):
     # dtheta^k = 0 once k > n, whatever the size of k
     code, out, err = run(capsys, "eval", f"L(theta, {power})", "--n", "1")
     assert code == 0 and out.strip() == "0" and err == ""
+
+
+def test_eval_lefschetz_inside_the_walk_budget(capsys):
+    # C(300, 2) = 44,850 and C(17, 8) = 24,310 coframe terms in the widest
+    # step stay under forms.MAX_MONOMIALS
+    code, out, err = run(capsys, "eval", "L(theta,2)", "--n", "300")
+    assert code == 0 and err == "" and out.count("theta^") == 44_850
+    assert out.startswith("-2 theta^dx1^dx2^dy1^dy2 - 2 theta^dx1^dx3^dy1^dy3")
+    code, out, err = run(capsys, "eval", "L(theta,17)", "--n", "17")
+    assert code == 0 and err == "" and out.strip() == ContactModel(17).volume().to_text()
 
 
 def test_eval_lefschetz_rejects_non_vertical_exit_1(capsys):
@@ -297,7 +308,7 @@ def test_ce_cohomology_ignores_n(capsys):
 # not run until the finite model exists at every n (ROADMAP item 4).
 LARGE_N_ROWS = (
     [(("verify", name), 0 if name == "ce-cohomology" else 1) for name in SUITE_NAMES]
-    + [(("eval", "dz"), 0), (("basis", "--degree", "2"), 1), (("model",), 0)]
+    + [(("eval", "dz"), 0), (("eval", "L(theta,2)"), 1), (("basis", "--degree", "2"), 1), (("model",), 0)]
 )
 
 
@@ -511,22 +522,28 @@ def test_closed_pipe_ends_quietly():
 
 
 @pytest.mark.parametrize(
-    "argv, lines, expected",
+    "argv, lines, code, expected",
     [
         # one degree of 10,000 bare labels: a dense kernel would hold 10**8
         # entries
-        (["cohomology", "{path}"], "".join(f"basis u{i} 0\n" for i in range(10_000)),
+        (["cohomology", "{path}"], "".join(f"basis u{i} 0\n" for i in range(10_000)), 0,
          "algebra: betti (10000,)"),
         # C(14, 6) = 3,003 columns for k = 1, eliminated in sparse columns
-        (["verify", "lefschetz-iso", "--n", "7", "--trials", "1"], None,
+        (["verify", "lefschetz-iso", "--n", "7", "--trials", "1"], None, 0,
          "suite=lefschetz-iso n=7 trials=1 seed=0 max-poly-degree=2: PASS (7 checks, 0 failures"),
+        # L walks through C(m, min(k, m // 2)) coframe terms from theta with
+        # its m = n empty pairs: refused within 5 s, before the first move
+        (["eval", "L(theta,500)", "--n", "1000"], None, 1, "error: L: dtheta^500 at n=1000: at least"),
+        (["eval", "L(theta,6)", "--n", "30"], None, 1, "error: L: dtheta^6 at n=30: at least"),
+        (["eval", "L(theta,12)", "--n", "24"], None, 1, "error: L: dtheta^12 at n=24: at least"),
     ],
-    ids=["cohomology-10000-bare-labels", "lefschetz-iso-n7"],
+    ids=["cohomology-10000-bare-labels", "lefschetz-iso-n7", "L-500-n1000", "L-6-n30", "L-12-n24"],
 )
-def test_large_inputs_run_in_bounded_time_and_memory(tmp_path, argv, lines, expected):
+def test_large_inputs_run_in_bounded_time_and_memory(tmp_path, argv, lines, code, expected):
     # each command in its own child, killed after a minute and held to 1 GB
     # of address space, so a regression fails here instead of exhausting the
-    # machine; its peak resident memory comes from os.wait4
+    # machine or hanging; its peak resident memory comes from os.wait4, and
+    # a refusal (code 1) must come within 5 s
     path = tmp_path / "big.alg"
     if lines is not None:
         path.write_text(lines)
@@ -538,6 +555,7 @@ def test_large_inputs_run_in_bounded_time_and_memory(tmp_path, argv, lines, expe
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+        start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "ruminalg", *argv], stdout=out, stderr=err, env=env,
                                 preexec_fn=limit)
     timer = threading.Timer(60, proc.kill)
@@ -546,9 +564,15 @@ def test_large_inputs_run_in_bounded_time_and_memory(tmp_path, argv, lines, expe
         _, status, usage = os.wait4(proc.pid, 0)
     finally:
         timer.cancel()
+    seconds = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait again
     stdout, stderr = (tmp_path / "out").read_text(), (tmp_path / "err").read_text()
     peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
-    assert proc.returncode == 0 and stderr == "", stderr
-    assert stdout.splitlines()[0].startswith(expected)
+    if code:
+        assert proc.returncode == code and stdout == "", stdout[:200]
+        assert len(stderr.splitlines()) == 1 and stderr.startswith(expected), stderr
+        assert seconds < 5, f"refused after {seconds:.1f} s"
+    else:
+        assert proc.returncode == 0 and stderr == "", stderr
+        assert stdout.splitlines()[0].startswith(expected)
     assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"

@@ -25,6 +25,8 @@ from ruminalg.parser import eval_text
 from ruminalg.poly import Poly
 from ruminalg.prng import stream
 
+from controls import unsigned_pair_moves
+
 M1 = ContactModel(1)
 M2 = ContactModel(2)
 
@@ -416,6 +418,68 @@ def test_lefschetz_rejects_non_vertical():
         lefschetz(M1.generator(1), 1)
 
 
+def _wedge_dtheta_power(w, k):
+    """Oracle: w ^ dtheta ^ ... ^ dtheta, k wedges with model.dtheta()."""
+    for _ in range(k):
+        w = wedge(w, w.model.dtheta())
+    return w
+
+
+def _lefschetz_inputs():
+    """Seeded vertical forms at n = 1..3 in every degree: with polynomial
+    coefficients, with rational ones over several denominators, and zero."""
+    for n in (1, 2, 3):
+        model = ContactModel(n)
+        rng = stream(47, n)
+        for degree in range(1, model.dim + 1):
+            for _ in range(2):
+                w = random_form(model, rng, degree, 2, vertical=True)
+                yield w
+                yield Form(model, degree, {idx: p.scale(Fraction(j + 1, j + 2)) for j, (idx, p) in enumerate(w.terms.items())})
+            yield Form.zero(model, degree)
+
+
+def _lefschetz_mismatches():
+    """The (w, k), k = 0..n+1, where lefschetz disagrees with the oracle in
+    value or degree."""
+    out = []
+    for w in _lefschetz_inputs():
+        for k in range(w.model.n + 2):
+            got, want = lefschetz(w, k), _wedge_dtheta_power(w, k)
+            if got != want or got.degree != want.degree:
+                out.append((w, k))
+    return out
+
+
+def test_lefschetz_matches_repeated_wedges_with_dtheta():
+    assert sum(not w.is_zero() for w in _lefschetz_inputs()) >= 40
+    assert _lefschetz_mismatches() == []
+
+
+def test_lefschetz_oracle_sees_unsigned_pair_moves(monkeypatch):
+    # the oracle wedges through merge_indices, which the control leaves alone
+    unsigned_pair_moves(monkeypatch)
+    assert _lefschetz_mismatches()
+
+
+def test_lefschetz_refuses_a_walk_past_the_budget():
+    # C(m, min(k, m // 2)) coframe terms in the widest step of a term with m
+    # empty pairs, summed over the terms, checked before the first move; at
+    # (20, 19) the last step is small (C(20, 19)) but the middle one is not
+    cases = [(1000, 500), (30, 6), (24, 12), (1000, 2), (40, 5), (20, 19)]
+    for n, k in cases:
+        with pytest.raises(DomainError, match=rf"dtheta\^{k} at n={n}: at least \d+ coframe terms"):
+            lefschetz(ContactModel(n).theta(), k)
+    with pytest.raises(DomainError, match="negative dtheta power -1"):
+        lefschetz(M1.theta(), -1)
+    # three terms of C(301, 2) = 45,150 each pass the budget together
+    model = ContactModel(302)
+    w = sum((wedge(model.theta(), model.generator(i)) for i in (1, 2, 303)), Form.zero(model, 2))
+    with pytest.raises(DomainError, match=r"dtheta\^2 at n=302: at least 135450 coframe terms"):
+        lefschetz(w, 2)
+    assert lefschetz(wedge(model.theta(), model.generator(1)), 2).degree == 6
+
+
 def test_contact_condition():
     for n in (1, 2, 3):
         model = ContactModel(n)
@@ -460,8 +524,9 @@ def test_matrices_invertible_up_to_n3():
 
 def test_power_matrices_hold_ints_and_full_rank_up_to_n4():
     # ints, each 0 or +-k!, so linalg.rank starts in integer arithmetic; the
-    # ranks agree with the Fraction oracle and are full, as before, and the
-    # dense matrix is a view of the sparse columns
+    # ranks agree with the Fraction oracle and are full, as before, the
+    # dense matrix is a view of the sparse columns, and it is the oracle's
+    # matrix entry by entry
     for n in (1, 2, 3, 4):
         model = ContactModel(n)
         for k in range(1, n + 1):
@@ -470,6 +535,7 @@ def test_power_matrices_hold_ints_and_full_rank_up_to_n4():
             assert {type(x) for row in matrix for x in row} == {int}
             assert {abs(x) for row in matrix for x in row} <= {0, math.factorial(k)}
             assert columns == [{r: x for r, x in enumerate(column) if x} for column in zip(*matrix)]
+            assert matrix == oracle_matrix(n, k)
             assert linalg.rank(columns) == oracle_rank(matrix) == len(matrix)
 
 

@@ -158,6 +158,14 @@ def _dense_solve(model, power, rhs, lam):
     return Form(model, n - power + 1, terms)
 
 
+def _dtheta_power(model, k):
+    """Oracle: (dtheta)^k by k wedges of dtheta onto the constant 1."""
+    out = Form.constant(model, Poly.one(model.nvars))
+    for _ in range(k):
+        out = wedge(out, model.dtheta())
+    return out
+
+
 def _reference_gamma(w, lam):
     """Oracle: gamma by its two-case definition with theta rescaled by lam,
         theta ^ w ^ dtheta^(n+1-k) = gamma(w) ^ dtheta^(n+2-k)        if k <= n,
@@ -170,10 +178,10 @@ def _reference_gamma(w, lam):
         return Form.zero(model, max(k - 1, 0))
     tw = wedge(model.theta(), w).scale(lam)
     if k <= n:
-        rhs = wedge(tw, model.dtheta_power(n + 1 - k)).scale(lam ** (n + 1 - k))
+        rhs = wedge(tw, _dtheta_power(model, n + 1 - k)).scale(lam ** (n + 1 - k))
         return _dense_solve(model, n + 2 - k, rhs, lam)
     zeta = _dense_solve(model, k - n, tw, lam)
-    return wedge(zeta, model.dtheta_power(k - n - 1)).scale(lam ** (k - n - 1))
+    return wedge(zeta, _dtheta_power(model, k - n - 1)).scale(lam ** (k - n - 1))
 
 
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(3, 7)])
@@ -369,10 +377,10 @@ def test_lambda_l_commutator(lam):
         for k in range(0, 2 * n + 1):
             for _ in range(3):
                 alpha = rumin._horizontal(random_form(model, rng, k, 2))
-                raised = rumin._pair_op(alpha, n, up, lower=False)
-                lowered = rumin._pair_op(alpha, n, down, lower=True)
-                lam_l = rumin._pair_op(raised, n, down, lower=True)
-                l_lam = rumin._pair_op(lowered, n, up, lower=False)
+                raised = forms.pair_op(alpha, n, up, lower=False)
+                lowered = forms.pair_op(alpha, n, down, lower=True)
+                lam_l = forms.pair_op(raised, n, down, lower=True)
+                l_lam = forms.pair_op(lowered, n, up, lower=False)
                 as_form = partial(_form_from_accumulator, model, k)
                 assert as_form(lam_l) - as_form(l_lam) == as_form(alpha).scale(n - k)
 
@@ -421,7 +429,7 @@ def _pair_blocks(draw):
 def test_pair_op_matches_the_merge_indices_reference(case, lam):
     n, blocks = case
     for weights, lower in zip(rumin._pair_weights(ContactModel(n).dtheta().scale(lam)), (False, True)):
-        got = rumin._pair_op(blocks, n, weights, lower)
+        got = forms.pair_op(blocks, n, weights, lower)
         assert ({idx: t for idx, t in got.items() if t}, got.den) == _pair_op_reference(
             blocks, n, weights, lower
         )

@@ -19,7 +19,7 @@ from ruminalg.suites import (
     suite_stasheff,
 )
 
-from controls import corrupted_rumin_morphism
+from controls import corrupted_rumin_morphism, unsigned_pair_moves
 
 FAST = dict(n=1, trials=8, seed=3, max_poly_degree=2)
 
@@ -271,18 +271,6 @@ def _wedge_ignores_merge_sign(monkeypatch):
     monkeypatch.setattr(forms, "mul_into", lambda acc, a, b, sign: right(acc, a, b, abs(sign)))
 
 
-def _unsigned_pair_moves(monkeypatch):
-    # L, Lambda and the dtheta tail of d moving every coframe pair with sign
-    # +1 (the bisection helper is patched in forms, through which rumin and
-    # exterior_d both call it)
-    right = forms.pair_moves
-
-    def unsigned(idx, n, lower=False):
-        return [(i, 1, moved) for i, _, moved in right(idx, n, lower)]
-
-    monkeypatch.setattr(forms, "pair_moves", unsigned)
-
-
 def _stale_signed_shuffle(monkeypatch):
     # a signed shuffle table whose last entry has the wrong sign
     right = cinfty._signed_shuffles
@@ -298,7 +286,7 @@ def _stale_signed_shuffle(monkeypatch):
     "corrupt, n",
     [(_double_one_gamma_scalar, 1), (_flip_gamma_d_in_pi, 1), (_drop_koszul_sign, 2),
      (_wedge_rescales_by_own_den, 2), (_wedge_ignores_merge_sign, 2), (_stale_signed_shuffle, 2),
-     (_unsigned_pair_moves, 2)],
+     (unsigned_pair_moves, 2)],
     ids=["gamma-scalar", "pi-gamma-d-sign", "koszul-sign", "wedge-own-den", "wedge-merge-sign",
          "stale-signed-shuffle", "pair-parity"],
 )
